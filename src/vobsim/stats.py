@@ -124,7 +124,7 @@ def _one_shot_variance(s: np.ndarray) -> float:
         count = r * n0 * (n0 - 1) * n1 * (n1 - 1)
     if count == 0:
         raise DomainError("variance needs at least 2 cases per class")
-    return max(0.0, auc_mean * auc_mean - distinct / count)
+    return max(0.0, float(auc_mean * auc_mean - distinct / count))
 
 
 def mrmc_one_shot(inp: McmcInput) -> McmcResult:

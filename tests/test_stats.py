@@ -105,6 +105,8 @@ class TestMrmcOneShot:
                         cnt += 1
         want = max(0.0, s.mean() ** 2 - acc / cnt)
         assert res.auc_variance == pytest.approx(want, rel=1e-10)
+        # A Python float, so that the CSV writer's repr() is a plain number.
+        assert type(res.auc_variance) is float
 
     def test_mismatched_labels_rejected(self):
         a = scores_from(np.array([1.0, 2]), np.array([0.0, 1]))

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -152,6 +153,19 @@ class TestRunSweep:
         run_sweep(cfg, a)
         run_sweep(cfg, b, threads=3)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_csv_fields_parse_as_column_types(self, tmp_path):
+        out = tmp_path / "types.csv"
+        run_sweep(tiny_config(methods=("LF", "PM", "MC")), out)
+        ints = {"n_cases", "n_readers", "master_seed"}
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 9
+        for row in rows:
+            assert set(row) == set(CSV_COLUMNS)
+            assert row["method"] in ("LF", "PM", "MC")
+            for col in CSV_COLUMNS[1:]:
+                (int if col in ints else float)(row[col])
 
     def test_mc_method_runs(self, tmp_path):
         cfg = tiny_config(methods=("MC",), values=(100.0, 200.0, 400.0))
