@@ -16,6 +16,7 @@ from .stackgen import (
     generate_corpus,
     normalize_to_display,
     read_stack,
+    write_json,
     write_manifest,
     write_stack,
 )
@@ -75,9 +76,7 @@ def _cmd_sweep(args) -> int:
     config = sweep_mod.SweepConfig.from_json(args.config)
     report = sweep_mod.run_sweep(config, args.out, threads=args.threads)
     if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
-            fh.write("\n")
+        write_json(args.report, report.to_dict())
     for method, label in report.labels.items():
         print(f"{method}\t{report.parameter}\t{label}")
     return 0
@@ -133,11 +132,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except VobsimError as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 1
-    except OSError as exc:
+    except (VobsimError, OSError) as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 1

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import eval_laguerre
 
 from .errors import DimensionMismatchError, DomainError, SingularCovarianceError
-from .stackgen import ImageStack
+from .stackgen import ImageStack, write_json
 
 __all__ = [
     "LgChannelSet",
@@ -131,10 +131,6 @@ class ChoModel:
     nt: int
     ridge_scale: float
 
-    def slice_scores(self, stack: ImageStack) -> np.ndarray:
-        feats = channelize_stack(stack, self.channels)
-        return feats @ self.template_central
-
 
 def train(
     stacks: list[ImageStack],
@@ -184,7 +180,8 @@ def score(model: ChoModel, stack: ImageStack) -> float:
         raise DimensionMismatchError(
             f"stack has {stack.nt} slices, model expects {model.nt}"
         )
-    return float(model.slice_scores(stack) @ model.slice_stage)
+    return float(channelize_stack(stack, model.channels) @ model.template_central
+                 @ model.slice_stage)
 
 
 def save_model(model: ChoModel, path) -> None:
@@ -202,9 +199,7 @@ def save_model(model: ChoModel, path) -> None:
         "nt": model.nt,
         "ridge_scale": model.ridge_scale,
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def load_model(path) -> ChoModel:

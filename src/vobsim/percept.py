@@ -15,6 +15,10 @@ Because the input is real, coefficients come in conjugate pairs; every
 method processes each pair exactly once and mirrors the result, so the
 output is exactly conjugate-symmetric and inverse-transforms to a real
 stack.  The DC component (mean luminance) passes through untouched.
+
+Per stack, the sensitivity S and the detection probability p are arrays over
+the canonical bins (one per conjugate pair); the methods' ``s=``/``p=``
+arguments replace them with any array or scalar that broadcasts onto those.
 """
 
 from __future__ import annotations
@@ -36,6 +40,9 @@ __all__ = [
     "forward",
     "inverse",
     "modulation",
+    "sensitivity",
+    "visibility",
+    "McSource",
     "apply_lf",
     "apply_pm",
     "apply_mc",
@@ -54,7 +61,6 @@ class SpectralStack:
     coeffs: np.ndarray
     dims: tuple[int, int, int]
     mean_lum: float
-    visited: int = 0  # conjugate pairs processed by the last method applied
 
 
 @dataclass(frozen=True)
@@ -92,10 +98,8 @@ def _pair_table(dims: tuple[int, int, int]):
     """
     nx, ny, nt = dims
     kx, ky, kt = np.indices(dims)
-    flat = (kx * ny + ky) * nt + kt
-    partner = (((-kx) % nx) * ny + ((-ky) % ny)) * nt + ((-kt) % nt)
-    flat = flat.ravel()
-    partner = partner.ravel()
+    flat = ((kx * ny + ky) * nt + kt).ravel()
+    partner = ((((-kx) % nx) * ny + ((-ky) % ny)) * nt + ((-kt) % nt)).ravel()
     canonical = np.nonzero((flat <= partner) & (flat != 0))[0]
     partner = partner[canonical]
     return canonical, partner, canonical == partner
@@ -107,21 +111,23 @@ def forward(stack: ImageStack) -> SpectralStack:
     if np.iscomplexobj(data):
         raise DomainError("forward transform expects a real-valued stack")
     if any(n % 2 for n in data.shape):
-        raise DimensionMismatchError(
-            f"stack dimensions must be even, got {data.shape}"
-        )
+        raise DimensionMismatchError(f"stack dimensions must be even, got {data.shape}")
     coeffs = np.fft.fftn(data)
     n = prod(data.shape)
     return SpectralStack(coeffs=coeffs, dims=data.shape, mean_lum=coeffs[0, 0, 0].real / n)
 
 
 def inverse(spec: SpectralStack) -> np.ndarray:
-    """Inverse 3D FFT; raises if the imaginary residue is non-negligible."""
+    """Inverse 3D FFT as a contiguous real array.
+
+    Raises if the imaginary residue is non-negligible.  The real part is
+    copied out, so the complex buffer is not kept alive by the result.
+    """
     out = np.fft.ifftn(spec.coeffs)
     scale = np.abs(out).max()
     if scale > 0 and np.abs(out.imag).max() > _IMAG_RESIDUE_TOL * scale:
         raise DomainError("inverse transform left a non-negligible imaginary part")
-    return out.real
+    return np.ascontiguousarray(out.real)
 
 
 def modulation(spec: SpectralStack, k: tuple[int, int, int]) -> float:
@@ -142,118 +148,120 @@ def modulation(spec: SpectralStack, k: tuple[int, int, int]) -> float:
     return pair_weight * abs(spec.coeffs[kx, ky, kt]) / (n * spec.mean_lum)
 
 
-def _field_geometry(spec: SpectralStack, vc: ViewingConditions) -> FieldGeometry:
-    # Apparent size from pixel count and sampling rate (orthogonal viewing).
-    return FieldGeometry(x0=spec.dims[0] / vc.ssr, l_avg=spec.mean_lum)
+def sensitivity(spec: SpectralStack, vc: ViewingConditions, geom: FieldGeometry | None = None,
+                params: BartenParams = DEFAULT_PARAMS) -> np.ndarray:
+    """Sensitivity S(u, w) on every canonical bin (one per conjugate pair).
 
-
-def _apply(spec, vc, kind, geom, params, csf_fn, prob_fn, seed):
-    canonical, partner, self_conj = _pair_table(spec.dims)
+    |u| depends only on (kx, ky) and w only on kt, so the CSF is evaluated
+    once per distinct (|u|, w) and gathered onto the bins.  The formula is
+    elementwise, so the values equal a per-bin evaluation bit for bit.
+    The field's apparent size comes from pixel count and sampling rate
+    (orthogonal viewing) unless ``geom`` is given.
+    """
+    geom = geom or FieldGeometry(x0=spec.dims[0] / vc.ssr, l_avg=spec.mean_lum)
+    canonical, _, _ = _pair_table(spec.dims)
     u3, w3 = FrequencyMap.for_stack(spec.dims, vc).grids()
-    u = u3.ravel()[canonical]
-    w = w3.ravel()[canonical]
-    if csf_fn is None:
-        if geom is None:
-            geom = _field_geometry(spec, vc)
-        gains_geom = geom
-        csf_fn = lambda uu, ww: csf(uu, ww, gains_geom, params)
-    s = np.asarray(csf_fn(u, w), dtype=float)
+    u, iu = np.unique(u3[:, :, 0], return_inverse=True)
+    w, iw = np.unique(w3[0, 0, :], return_inverse=True)
+    table = csf(u[:, None], w[None, :], geom, params)
+    return table[iu.ravel()[canonical // spec.dims[2]], iw[canonical % spec.dims[2]]]
 
-    flat = spec.coeffs.ravel().copy()
-    c = flat[canonical]
-    if kind == "LF":
-        new = c * s
-        new = np.where(self_conj, new.real, new)
-    else:
-        if spec.mean_lum <= 0:
-            raise DegenerateStackError("PM/MC need a positive mean luminance")
-        n = prod(spec.dims)
-        pair_scale = np.where(self_conj, n * spec.mean_lum, n * spec.mean_lum / 2.0)
-        amps = np.abs(c)
-        m = amps / pair_scale
-        if prob_fn is None:
-            prob_fn = lambda mm, ss: detection_probability(mm, ss, params.k_crozier)
-        p = np.asarray(prob_fn(m, s), dtype=float)
-        if kind == "PM":
-            new_mod = p
-        else:
-            rng = np.random.default_rng(seed)
-            new_mod = (rng.random(canonical.size) < p).astype(float)
-        # Phase preserved for paired bins; self-conjugate bins are real, so
-        # only their sign carries through.
-        safe = np.where(amps > 0, amps, 1.0)
-        phase = np.where(amps > 0, c / safe, 1.0)
-        phase = np.where(self_conj, np.where(c.real < 0, -1.0, 1.0), phase)
-        new = new_mod * pair_scale * phase
 
+def _pair_scale(spec: SpectralStack) -> np.ndarray:
+    # Coefficient amplitude of unit modulation per canonical bin: a paired
+    # bin carries half of its cosine, a self-conjugate bin all of it.
+    if spec.mean_lum <= 0:
+        raise DegenerateStackError("PM/MC need a positive mean luminance")
+    n = prod(spec.dims)
+    return np.where(_pair_table(spec.dims)[2], n * spec.mean_lum, n * spec.mean_lum / 2.0)
+
+
+def visibility(spec: SpectralStack, s, k: float = DEFAULT_PARAMS.k_crozier):
+    """Modulation m and detection probability p on every canonical bin, as (m, p)."""
+    m = np.abs(spec.coeffs.ravel()[_pair_table(spec.dims)[0]]) / _pair_scale(spec)
+    return m, detection_probability(m, s, k)
+
+
+def _phase(spec: SpectralStack) -> np.ndarray:
+    # Self-conjugate bins are real, so only their sign carries through.
+    canonical, _, self_conj = _pair_table(spec.dims)
+    c = spec.coeffs.ravel()[canonical]
+    amps = np.abs(c)
+    phase = np.where(amps > 0, c / np.where(amps > 0, amps, 1.0), 1.0)
+    return np.where(self_conj, np.where(c.real < 0, -1.0, 1.0), phase)
+
+
+def _assemble(dims, dc: complex, new: np.ndarray) -> SpectralStack:
+    # DC, `new` on the canonical bins and its conjugate on their partners.
+    canonical, partner, _ = _pair_table(dims)
+    flat = np.zeros(prod(dims), dtype=complex)
+    flat[0] = dc
     flat[canonical] = new
     flat[partner] = np.conj(new)
-    coeffs = flat.reshape(spec.dims)
-    return SpectralStack(
-        coeffs=coeffs, dims=spec.dims, mean_lum=spec.mean_lum, visited=canonical.size
-    )
+    return SpectralStack(coeffs=flat.reshape(dims), dims=dims, mean_lum=dc.real / flat.size)
 
 
-def apply_lf(
-    spec: SpectralStack,
-    vc: ViewingConditions,
-    geom: FieldGeometry | None = None,
-    *,
-    params: BartenParams = DEFAULT_PARAMS,
-    csf_fn=None,
-) -> SpectralStack:
+@dataclass(frozen=True)
+class McSource:
+    """What MC draws need from one stack, computed once and shared by every draw:
+    p and pair_scale*phase per canonical bin, and the DC coefficient."""
+
+    p: np.ndarray
+    phasor: np.ndarray
+    dc: complex
+    dims: tuple[int, int, int]
+
+    @classmethod
+    def of(cls, spec, vc, geom=None, *, params=DEFAULT_PARAMS, s=None, p=None) -> "McSource":
+        if p is None:
+            p = visibility(spec, sensitivity(spec, vc, geom, params) if s is None else s,
+                           params.k_crozier)[1]
+        return cls(p=p, phasor=_pair_scale(spec) * _phase(spec), dc=spec.coeffs[0, 0, 0],
+                   dims=spec.dims)
+
+    def draw(self, seed) -> SpectralStack:
+        """Keep each conjugate pair with probability p, at unit modulation."""
+        keep = np.random.default_rng(seed).random(self.phasor.size) < self.p
+        return _assemble(self.dims, self.dc, keep * self.phasor)
+
+
+def apply_lf(spec: SpectralStack, vc: ViewingConditions, geom: FieldGeometry | None = None,
+             *, params: BartenParams = DEFAULT_PARAMS, s=None) -> SpectralStack:
     """Scale every non-DC component by the sensitivity at its frequency."""
-    return _apply(spec, vc, "LF", geom, params, csf_fn, None, None)
+    canonical, _, self_conj = _pair_table(spec.dims)
+    s = sensitivity(spec, vc, geom, params) if s is None else s
+    new = spec.coeffs.ravel()[canonical] * s
+    return _assemble(spec.dims, spec.coeffs[0, 0, 0], np.where(self_conj, new.real, new))
 
 
-def apply_pm(
-    spec: SpectralStack,
-    vc: ViewingConditions,
-    geom: FieldGeometry | None = None,
-    *,
-    params: BartenParams = DEFAULT_PARAMS,
-    csf_fn=None,
-    prob_fn=None,
-) -> SpectralStack:
+def apply_pm(spec: SpectralStack, vc: ViewingConditions, geom: FieldGeometry | None = None,
+             *, params: BartenParams = DEFAULT_PARAMS, s=None, p=None) -> SpectralStack:
     """Replace every non-DC component's modulation by its detection probability."""
-    return _apply(spec, vc, "PM", geom, params, csf_fn, prob_fn, None)
+    if p is None:
+        p = visibility(spec, sensitivity(spec, vc, geom, params) if s is None else s,
+                       params.k_crozier)[1]
+    return _assemble(spec.dims, spec.coeffs[0, 0, 0], p * _pair_scale(spec) * _phase(spec))
 
 
-def apply_mc(
-    spec: SpectralStack,
-    vc: ViewingConditions,
-    geom: FieldGeometry | None = None,
-    seed=None,
-    *,
-    params: BartenParams = DEFAULT_PARAMS,
-    csf_fn=None,
-    prob_fn=None,
-) -> SpectralStack:
+def apply_mc(spec: SpectralStack, vc: ViewingConditions, geom: FieldGeometry | None = None,
+             seed=None, *, params: BartenParams = DEFAULT_PARAMS, s=None, p=None) -> SpectralStack:
     """Bernoulli keep/discard per conjugate pair; kept pairs get unit modulation."""
     if seed is None:
         raise DomainError("the MC method requires an explicit seed")
-    return _apply(spec, vc, "MC", geom, params, csf_fn, prob_fn, seed)
+    return McSource.of(spec, vc, geom, params=params, s=s, p=p).draw(seed)
 
 
-def perceive(
-    stack: ImageStack,
-    method: str,
-    vc: ViewingConditions,
-    *,
-    mc_seed=None,
-    params: BartenParams = DEFAULT_PARAMS,
-    csf_fn=None,
-    prob_fn=None,
-) -> ImageStack:
+def perceive(stack: ImageStack, method: str, vc: ViewingConditions, *, mc_seed=None,
+             params: BartenParams = DEFAULT_PARAMS, s=None) -> ImageStack:
     """Forward transform, apply one method, inverse transform back to space-time."""
     method = method.upper()
     if method not in METHODS:
         raise DomainError(f"unknown perception method {method!r}")
     spec = forward(stack)
     if method == "LF":
-        spec = apply_lf(spec, vc, params=params, csf_fn=csf_fn)
+        spec = apply_lf(spec, vc, params=params, s=s)
     elif method == "PM":
-        spec = apply_pm(spec, vc, params=params, csf_fn=csf_fn, prob_fn=prob_fn)
+        spec = apply_pm(spec, vc, params=params, s=s)
     else:
-        spec = apply_mc(spec, vc, seed=mc_seed, params=params, csf_fn=csf_fn, prob_fn=prob_fn)
+        spec = apply_mc(spec, vc, seed=mc_seed, params=params, s=s)
     return replace(stack, data=inverse(spec))

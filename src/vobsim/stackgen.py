@@ -11,7 +11,9 @@ contrast.
 from __future__ import annotations
 
 import json
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,6 +40,8 @@ __all__ = [
     "generate_corpus",
     "write_manifest",
     "read_manifest",
+    "atomic_open",
+    "write_json",
 ]
 
 LABEL_ABSENT = "signal-absent"
@@ -186,12 +190,32 @@ def normalize_to_display(stack: ImageStack, vc: ViewingConditions) -> ImageStack
     return replace(stack, data=data)
 
 
+@contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Write to a file beside ``path`` that replaces it once closed; on error ``path`` is kept."""
+    tmp = f"{path}.tmp{os.getpid()}"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def write_json(path, obj) -> None:
+    """Write ``obj`` as indented JSON, atomically."""
+    with atomic_open(path) as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+
+
 def write_stack(stack: ImageStack, path) -> None:
     """Write a stack in the fixed binary layout (little-endian, x fastest)."""
     label_code = 1 if stack.signal_present else 0
     header = _HEADER.pack(stack.nx, stack.ny, stack.nt, _DTYPE_F64, label_code, 0)
     payload = stack.data.astype("<f8").ravel(order="F").tobytes()
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(header)
         fh.write(_SEED.pack(stack.seed & 0xFFFFFFFFFFFFFFFF))
@@ -269,9 +293,7 @@ def write_manifest(path, stack_paths, labels, master_seed: int) -> None:
             {"path": str(p), "label": lab} for p, lab in zip(stack_paths, labels)
         ],
     }
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    write_json(path, manifest)
 
 
 def read_manifest(path) -> dict:

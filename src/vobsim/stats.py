@@ -201,7 +201,7 @@ def make_readers(
         tests.append(perm[half:])
     test_idx = np.concatenate(tests)
     test_labels = np.array([stacks[i].signal_present for i in test_idx])
-    channels = channels_for(stacks, channels)
+    channels = channels or observer.make_channels(stacks[0].nx, stacks[0].ny)
 
     models, reader_scores = [], []
     for reader in range(n_readers):
@@ -216,10 +216,3 @@ def make_readers(
         models.append(model)
         reader_scores.append(CaseScores(scores=scores, labels=test_labels, reader_id=reader))
     return models, reader_scores
-
-
-def channels_for(stacks, channels: observer.LgChannelSet | None) -> observer.LgChannelSet:
-    """Default channel set matched to the corpus slice size."""
-    if channels is not None:
-        return channels
-    return observer.make_channels(stacks[0].nx, stacks[0].ny)

@@ -12,7 +12,7 @@ import csv
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import asdict, dataclass, field, replace as dc_replace
 
 import numpy as np
 
@@ -22,8 +22,10 @@ from .stackgen import (
     ImageStack,
     LesionSpec,
     ViewingConditions,
+    atomic_open,
     generate_corpus,
     normalize_to_display,
+    write_json,
 )
 
 __all__ = [
@@ -233,15 +235,7 @@ class TrendReport:
     inconclusive: dict[str, bool]
 
     def to_dict(self) -> dict:
-        return {
-            "parameter": self.parameter,
-            "values": list(self.values),
-            "d_primes": self.d_primes,
-            "error_bars": self.error_bars,
-            "normalized": self.normalized,
-            "labels": self.labels,
-            "inconclusive": self.inconclusive,
-        }
+        return asdict(self)
 
 
 def _clamped_auc(auc_mean: float, n0: int, n1: int) -> float:
@@ -252,20 +246,20 @@ def _clamped_auc(auc_mean: float, n0: int, n1: int) -> float:
 
 def _run_point(config: SweepConfig, corpus: list[ImageStack], method: str, point: int):
     vc = config.vc_at(config.values[point])
-    normalized = [normalize_to_display(s, vc) for s in corpus]
     if method == "MC":
-        stacks = normalized
+        # Only the keep/discard draw differs between readers: each stack is
+        # transformed and its p computed once, then drawn once per reader.
+        sources = [percept.McSource.of(percept.forward(normalize_to_display(s, vc)), vc)
+                   for s in corpus]
+        stacks = corpus
 
         def reader_perceive(reader):
             return [
-                percept.perceive(
-                    s, "MC", vc,
-                    mc_seed=[config.master_seed, point, reader, i],
-                )
-                for i, s in enumerate(normalized)
+                dc_replace(s, data=percept.inverse(src.draw([config.master_seed, point, reader, i])))
+                for i, (s, src) in enumerate(zip(corpus, sources))
             ]
     else:
-        stacks = [percept.perceive(s, method, vc) for s in normalized]
+        stacks = [percept.perceive(normalize_to_display(s, vc), method, vc) for s in corpus]
         reader_perceive = None
 
     channels = stats.observer.make_channels(config.nx, config.ny, config.n_channels, config.spread)
@@ -322,18 +316,16 @@ def run_sweep(config: SweepConfig, csv_path, threads: int = 1) -> TrendReport:
                 failures.append({"method": key[0], "value": config.values[key[1]],
                                  "error": type(exc).__name__, "message": str(exc)})
 
-    with open(csv_path, "w", newline="") as fh:
+    with atomic_open(csv_path, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()
         for key in jobs:
             if key in rows:
-                writer.writerow({k: _fmt(v) for k, v in rows[key].items()})
+                writer.writerow(rows[key])
 
     if failures:
         manifest_path = str(csv_path) + ".errors.json"
-        with open(manifest_path, "w") as fh:
-            json.dump({"failures": failures}, fh, indent=2)
-            fh.write("\n")
+        write_json(manifest_path, {"failures": failures})
         raise DomainError(
             f"{len(failures)} sweep point(s) failed; see {manifest_path}"
         )
@@ -373,9 +365,3 @@ def _dprime_error_bar(dp: float, auc_error_bar: float) -> float:
     # points from producing infinite bars.
     slope = 2.0 * math.sqrt(math.pi) * math.exp(min((dp / 2.0) ** 2, 50.0))
     return auc_error_bar * slope
-
-
-def _fmt(value):
-    if isinstance(value, float):
-        return repr(value)
-    return value

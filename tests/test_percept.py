@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracle_csf
-from vobsim.csf import FieldGeometry
+from vobsim.csf import FieldGeometry, csf
 from vobsim.errors import DegenerateStackError, DimensionMismatchError, DomainError
 from vobsim.percept import (
     FrequencyMap,
+    McSource,
+    SpectralStack,
     apply_lf,
     apply_mc,
     apply_pm,
@@ -15,6 +18,8 @@ from vobsim.percept import (
     inverse,
     modulation,
     perceive,
+    sensitivity,
+    visibility,
 )
 from vobsim.stackgen import ImageStack, ViewingConditions
 
@@ -31,8 +36,6 @@ def conj_mirror(coeffs):
     nx, ny, nt = coeffs.shape
     return np.conj(coeffs[(-np.arange(nx)) % nx][:, (-np.arange(ny)) % ny][:, :, (-np.arange(nt)) % nt])
 
-
-UNIT_CSF = lambda u, w: np.ones_like(np.asarray(u, dtype=float))
 
 
 class TestForwardInverse:
@@ -128,7 +131,7 @@ class TestApplyLf:
         stack = ImageStack(data=rng.random((8, 8, 8)) + 1.0)
         vc = ViewingConditions()
         spec = forward(stack)
-        out = apply_lf(spec, vc, csf_fn=UNIT_CSF)
+        out = apply_lf(spec, vc, s=1.0)
         assert np.abs(out.coeffs - spec.coeffs).max() < 1e-9 * np.abs(spec.coeffs).max()
 
     def test_real_output(self):
@@ -156,14 +159,14 @@ class TestApplyPm:
         stack = cosine_stack((8, 8, 8), (1, 0, 0), 1.0, 10.0)
         spec = forward(stack)
         m = modulation(spec, (1, 0, 0))
-        out = apply_pm(spec, ViewingConditions(), csf_fn=lambda u, w: np.full_like(u, 1.0 / m))
+        out = apply_pm(spec, ViewingConditions(), s=1.0 / m)
         assert modulation(out, (1, 0, 0)) == pytest.approx(0.5, rel=1e-9)
 
     def test_saturation_limits(self):
         stack = cosine_stack((8, 8, 8), (1, 0, 0), 1.0, 10.0)
         spec = forward(stack)
-        strong = apply_pm(spec, ViewingConditions(), csf_fn=lambda u, w: np.full_like(u, 1e6))
-        weak = apply_pm(spec, ViewingConditions(), csf_fn=lambda u, w: np.full_like(u, 1e-9))
+        strong = apply_pm(spec, ViewingConditions(), s=1e6)
+        weak = apply_pm(spec, ViewingConditions(), s=1e-9)
         assert modulation(strong, (1, 0, 0)) == pytest.approx(1.0, abs=1e-12)
         m_weak = modulation(weak, (1, 0, 0))
         assert 0.0 < m_weak < 0.01
@@ -182,7 +185,7 @@ class TestApplyMc:
         rng = np.random.default_rng(5)
         stack = ImageStack(data=rng.random((8, 8, 8)) + 1.0)
         spec = forward(stack)
-        out = apply_mc(spec, ViewingConditions(), seed=0, prob_fn=lambda m, s: np.ones_like(m))
+        out = apply_mc(spec, ViewingConditions(), seed=0, p=1.0)
         canonical = np.abs(out.coeffs).ravel()
         n = spec.coeffs.size
         # every non-DC pair at unit modulation
@@ -194,7 +197,7 @@ class TestApplyMc:
         rng = np.random.default_rng(6)
         stack = ImageStack(data=rng.random((8, 8, 8)) + 1.0)
         spec = forward(stack)
-        out = apply_mc(spec, ViewingConditions(), seed=0, prob_fn=lambda m, s: np.zeros_like(m))
+        out = apply_mc(spec, ViewingConditions(), seed=0, p=0.0)
         off_dc = out.coeffs.copy()
         off_dc[0, 0, 0] = 0
         assert np.abs(off_dc).max() == 0.0
@@ -212,8 +215,7 @@ class TestApplyMc:
         trials = 10_000
         for i in range(trials):
             out = apply_mc(
-                spec, ViewingConditions(), seed=i,
-                prob_fn=lambda m, s: np.full_like(m, p_target),
+                spec, ViewingConditions(), seed=i, p=p_target,
             )
             if np.abs(out.coeffs[1, 0, 0]) > 0:
                 kept += 1
@@ -235,7 +237,7 @@ class TestPerceive:
     def test_lf_unit_csf_is_identity(self):
         rng = np.random.default_rng(9)
         stack = ImageStack(data=rng.random((16, 16, 8)) + 1.0)
-        out = perceive(stack, "LF", ViewingConditions(), csf_fn=UNIT_CSF)
+        out = perceive(stack, "LF", ViewingConditions(), s=1.0)
         assert np.abs(out.data - stack.data).max() < 1e-10
 
     def test_unknown_method(self):
@@ -268,10 +270,10 @@ class TestPerceive:
         rng = np.random.default_rng(12)
         stack = ImageStack(data=rng.random((16, 16, 8)) + 1)
         spec = forward(stack)
-        out = apply_pm(spec, ViewingConditions())
+        visited = visibility(spec, sensitivity(spec, ViewingConditions()))[1].size
         n = 16 * 16 * 8
-        assert out.visited == (n - 8) // 2 + 7
-        assert abs(out.visited - n / 2) <= 8
+        assert visited == (n - 8) // 2 + 7
+        assert abs(visited - n / 2) <= 8
 
     def test_lf_linearity(self):
         rng = np.random.default_rng(13)
@@ -303,7 +305,50 @@ class TestPerceive:
         data -= data.mean()
         spec = forward(ImageStack(data=data))
         with pytest.raises(DegenerateStackError):
-            apply_pm(spec, ViewingConditions(), csf_fn=UNIT_CSF)
+            apply_pm(spec, ViewingConditions(), s=1.0)
+
+
+class TestSensitivity:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dims=st.tuples(*[st.integers(2, 20).map(lambda n: 2 * n)] * 3),
+        ssr=st.floats(0.5, 600.0),
+        browse_speed=st.floats(0.5, 4000.0),
+        l_avg=st.floats(0.1, 1000.0),
+    )
+    def test_table_equals_per_bin_csf(self, dims, ssr, browse_speed, l_avg):
+        vc = ViewingConditions(ssr=ssr, browse_speed=browse_speed)
+        spec = SpectralStack(coeffs=np.zeros(dims, dtype=complex), dims=dims, mean_lum=l_avg)
+        # One canonical bin per conjugate pair, DC excluded, in C order.
+        nx, ny, nt = dims
+        kx, ky, kt = np.indices(dims)
+        flat = (kx * ny + ky) * nt + kt
+        partner = (((-kx) % nx) * ny + (-ky) % ny) * nt + (-kt) % nt
+        canonical = (flat <= partner) & (flat != 0)
+        u, w = FrequencyMap.for_stack(dims, vc).grids()
+        want = csf(u[canonical], w[canonical], FieldGeometry(x0=nx / ssr, l_avg=l_avg))
+        assert np.array_equal(sensitivity(spec, vc), want)
+
+
+class TestPerceivedLayout:
+    @pytest.mark.parametrize("method", ["LF", "PM", "MC"])
+    def test_contiguous_owned_float64(self, method):
+        rng = np.random.default_rng(16)
+        stack = ImageStack(data=rng.random((16, 16, 8)) * 100 + 1)
+        data = perceive(stack, method, ViewingConditions(), mc_seed=1).data
+        assert data.dtype == np.float64
+        assert data.flags.c_contiguous and data.flags.owndata
+
+    def test_mc_source_draw_matches_perceive(self):
+        # The sweep draws each reader from one McSource per stack; the
+        # result must equal perceiving the stack with the same seed.
+        rng = np.random.default_rng(17)
+        stack = ImageStack(data=rng.random((16, 16, 8)) * 100 + 1)
+        vc = ViewingConditions()
+        source = McSource.of(forward(stack), vc)
+        for seed in ([3, 0, 1, 2], 99):
+            want = perceive(stack, "MC", vc, mc_seed=seed).data
+            assert np.array_equal(inverse(source.draw(seed)), want)
 
 
 def _pm_scalar_reference(data, vc):

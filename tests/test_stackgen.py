@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -14,15 +16,45 @@ from vobsim.stackgen import (
     ImageStack,
     LesionSpec,
     ViewingConditions,
+    atomic_open,
     generate_background,
     generate_corpus,
     insert_lesion,
     normalize_to_display,
     read_manifest,
     read_stack,
+    write_json,
     write_manifest,
     write_stack,
 )
+
+
+class TestAtomicWrites:
+    def test_failed_write_leaves_existing_file_untouched(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+        with pytest.raises(RuntimeError):
+            with atomic_open(path) as fh:
+                fh.write("partial")
+                raise RuntimeError("disk full")
+        assert path.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_failed_json_write_leaves_existing_file_untouched(self, tmp_path):
+        path = tmp_path / "report.json"
+        write_json(path, {"a": 1})
+        with pytest.raises(TypeError):
+            write_json(path, {"a": 2, "b": object()})
+        assert path.read_text() == '{\n  "a": 1\n}\n'
+        assert os.listdir(tmp_path) == ["report.json"]
+
+    def test_success_replaces_file(self, tmp_path):
+        path = tmp_path / "s.vstk"
+        path.write_bytes(b"junk")
+        stack = ImageStack(data=np.arange(8.0 * 8 * 8).reshape(8, 8, 8))
+        write_stack(stack, path)
+        assert np.array_equal(read_stack(path).data, stack.data)
+        assert os.listdir(tmp_path) == ["s.vstk"]
 
 
 class TestViewingConditions:

@@ -1,10 +1,13 @@
 import csv
+import hashlib
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
+from vobsim import percept
 from vobsim.errors import ConfigError, DomainError
 from vobsim.stackgen import ViewingConditions
 from vobsim.sweep import (
@@ -167,6 +170,35 @@ class TestRunSweep:
             for col in CSV_COLUMNS[1:]:
                 (int if col in ints else float)(row[col])
 
+    def test_failed_csv_write_leaves_existing_file_untouched(self, tmp_path, monkeypatch):
+        out = tmp_path / "out.csv"
+        out.write_text("old\n")
+
+        def fail(self, row):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(csv.DictWriter, "writerow", fail)
+        with pytest.raises(OSError, match="disk full"):
+            run_sweep(tiny_config(), out)
+        assert out.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    @pytest.mark.parametrize("methods", [("MC",), ("LF", "PM")])
+    def test_forward_once_per_stack_and_point(self, tmp_path, monkeypatch, methods):
+        # MC readers differ only in their keep/discard draws, so the forward
+        # transform (and the CSF and p behind it) must not run per reader.
+        calls = []
+        real_forward = percept.forward
+
+        def counting_forward(stack):
+            calls.append(stack)
+            return real_forward(stack)
+
+        monkeypatch.setattr(percept, "forward", counting_forward)
+        cfg = tiny_config(methods=methods, n_readers=3)
+        run_sweep(cfg, tmp_path / "count.csv")
+        assert len(calls) == len(methods) * len(cfg.values) * 2 * cfg.n_pairs
+
     def test_mc_method_runs(self, tmp_path):
         cfg = tiny_config(methods=("MC",), values=(100.0, 200.0, 400.0))
         report = run_sweep(cfg, tmp_path / "mc.csv")
@@ -195,3 +227,21 @@ class TestRunSweep:
         # the completed row is still in the CSV
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 2
+
+
+# sha256 of the criterion-8 CSV (LF/PM/MC, 16x16x8, master seed 31).  Float
+# bits depend on the numpy build and the CPU's SIMD paths; this digest was
+# recorded with numpy 2.4.6 on x86-64 with AVX-512.
+CRITERION_8_CSV_SHA256 = "e7e62e1433dbf8acfae633926f8867f833c26b005bf190988d5d503c345930f5"
+
+
+@pytest.mark.skipif(np.__version__ != "2.4.6", reason="digest recorded with numpy 2.4.6")
+def test_criterion_8_csv_bytes_pinned(tmp_path):
+    cfg = SweepConfig(
+        methods=("LF", "PM", "MC"), parameter="contrast",
+        values=(100.0, 200.0, 400.0), n_pairs=6, nx=16, ny=16, nt=8,
+        n_channels=8, spread=5.0, n_readers=2, master_seed=31,
+    )
+    out = tmp_path / "c8.csv"
+    run_sweep(cfg, out)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CRITERION_8_CSV_SHA256
