@@ -182,6 +182,11 @@ def visibility(spec: SpectralStack, s, k: float = DEFAULT_PARAMS.k_crozier):
     return m, detection_probability(m, s, k)
 
 
+def _probability(spec, vc, geom, params, s) -> np.ndarray:
+    s = sensitivity(spec, vc, geom, params) if s is None else s
+    return visibility(spec, s, params.k_crozier)[1]
+
+
 def _phase(spec: SpectralStack) -> np.ndarray:
     # Self-conjugate bins are real, so only their sign carries through.
     canonical, _, self_conj = _pair_table(spec.dims)
@@ -203,8 +208,7 @@ def _assemble(dims, dc: complex, new: np.ndarray) -> SpectralStack:
 
 @dataclass(frozen=True)
 class McSource:
-    """What MC draws need from one stack, computed once and shared by every draw:
-    p and pair_scale*phase per canonical bin, and the DC coefficient."""
+    """One stack's MC inputs, shared by all its draws: p and pair_scale*phase per bin, and DC."""
 
     p: np.ndarray
     phasor: np.ndarray
@@ -213,9 +217,7 @@ class McSource:
 
     @classmethod
     def of(cls, spec, vc, geom=None, *, params=DEFAULT_PARAMS, s=None, p=None) -> "McSource":
-        if p is None:
-            p = visibility(spec, sensitivity(spec, vc, geom, params) if s is None else s,
-                           params.k_crozier)[1]
+        p = _probability(spec, vc, geom, params, s) if p is None else p
         return cls(p=p, phasor=_pair_scale(spec) * _phase(spec), dc=spec.coeffs[0, 0, 0],
                    dims=spec.dims)
 
@@ -237,9 +239,7 @@ def apply_lf(spec: SpectralStack, vc: ViewingConditions, geom: FieldGeometry | N
 def apply_pm(spec: SpectralStack, vc: ViewingConditions, geom: FieldGeometry | None = None,
              *, params: BartenParams = DEFAULT_PARAMS, s=None, p=None) -> SpectralStack:
     """Replace every non-DC component's modulation by its detection probability."""
-    if p is None:
-        p = visibility(spec, sensitivity(spec, vc, geom, params) if s is None else s,
-                       params.k_crozier)[1]
+    p = _probability(spec, vc, geom, params, s) if p is None else p
     return _assemble(spec.dims, spec.coeffs[0, 0, 0], p * _pair_scale(spec) * _phase(spec))
 
 
