@@ -1,0 +1,109 @@
+"""The half-spectrum (real FFT) layout of percept against full complex FFTs."""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from vobsim.errors import DomainError
+from vobsim.percept import McSource, SpectralStack, apply_lf, apply_mc, apply_pm, forward, inverse
+from vobsim.stackgen import ImageStack, ViewingConditions
+
+even = st.integers(1, 8).map(lambda n: 2 * n)
+
+
+def _stack(dims, seed):
+    # Positive mean, so PM and MC are defined.
+    return ImageStack(data=np.random.default_rng(seed).random(dims) * 100 + 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dims=st.tuples(even, even, even), seed=st.integers(0, 2**32 - 1))
+@example(dims=(4, 6, 2), seed=0)
+@example(dims=(2, 2, 2), seed=1)
+@example(dims=(8, 4, 16), seed=2)
+def test_half_spectrum_matches_full_fft(dims, seed):
+    stack = _stack(dims, seed)
+    spec = forward(stack)
+    assert spec.half.shape == (dims[0], dims[1], dims[2] // 2 + 1)
+    want = np.fft.fftn(stack.data)
+    assert np.abs(spec.coeffs - want).max() <= 1e-12 * np.abs(want).max()
+
+    vc = ViewingConditions()
+    outs = {"LF": apply_lf(spec, vc), "PM": apply_pm(spec, vc), "MC": apply_mc(spec, vc, seed=seed)}
+    for name, out in outs.items():
+        full = np.fft.ifftn(out.coeffs)
+        scale = np.abs(full).max()
+        assert np.abs(inverse(out) - full.real).max() <= 1e-12 * scale, name
+        assert np.abs(full.imag).max() <= 1e-12 * scale, name
+
+    drawn = McSource.of(spec, vc).draw(seed)
+    assert np.array_equal(drawn.half, outs["MC"].half)
+    assert np.array_equal(inverse(drawn), inverse(outs["MC"]))
+
+
+def _hermitian_half(dims, seed):
+    return forward(_stack(dims, seed))
+
+
+@pytest.mark.parametrize("dims", [(8, 8, 8), (6, 4, 2), (4, 8, 16)])
+@pytest.mark.parametrize("where", ["kt=0 plane", "kt=nt/2 plane", "self-conjugate bin"])
+def test_non_hermitian_half_is_rejected(dims, where):
+    spec = _hermitian_half(dims, 3)
+    half = spec.half.copy()
+    bump = 1e-3 * np.abs(half).max()
+    if where == "kt=0 plane":
+        half[1, 0, 0] += bump  # its partner (-1, 0, 0) is left alone
+    elif where == "kt=nt/2 plane":
+        half[0, 1, -1] += 1j * bump
+    else:
+        half[dims[0] // 2, 0, 0] += 1j * bump  # a Nyquist corner, its own conjugate
+    bad = SpectralStack(half=half, dims=dims, mean_lum=spec.mean_lum)
+    assert np.abs(np.fft.ifftn(bad.coeffs).imag).max() > 1e-9 * np.abs(np.fft.ifftn(bad.coeffs)).max()
+    with pytest.raises(DomainError, match="imaginary"):
+        inverse(bad)
+
+
+@pytest.mark.parametrize("factor", [0.01, 0.5, 0.8, 1.25, 2.0, 100.0])
+@pytest.mark.parametrize("planes", ["kt=0", "kt=nt/2", "both", "opposite"])
+@settings(max_examples=5, deadline=None)
+@given(dims=st.tuples(even, even, even), seed=st.integers(0, 2**32 - 1))
+def test_residue_check_agrees_with_full_inverse(factor, planes, dims, seed):
+    # Noise on the kt = 0 and/or kt = nt/2 planes, scaled so that the
+    # imaginary part of ifftn(coeffs) is `factor` times the 1e-9 tolerance:
+    # inverse raises exactly when factor > 1 and otherwise returns the real
+    # part.  "opposite" puts the negated kt = 0 noise on the kt = nt/2 plane,
+    # so the residue vanishes on even slices and doubles on odd ones.
+    spec = _hermitian_half(dims, seed)
+    rng = np.random.default_rng(seed)
+    shape = (dims[0], dims[1], 2)
+    noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    noise = {"kt=0": noise * [1, 0], "kt=nt/2": noise * [0, 1], "both": noise,
+             "opposite": noise[:, :, :1] * [1, -1]}[planes]
+
+    def perturbed(size):
+        half = spec.half.copy()
+        half[:, :, [0, -1]] += size * noise
+        return SpectralStack(half=half, dims=dims, mean_lum=spec.mean_lum)
+
+    def imag_ratio(s):
+        full = np.fft.ifftn(s.coeffs)
+        return np.abs(full.imag).max() / np.abs(full).max(), full
+
+    unit = 1e-9 * np.abs(spec.half).max()
+    bad = perturbed(unit * factor * 1e-9 / imag_ratio(perturbed(unit))[0])
+    ratio, full = imag_ratio(bad)
+    assert ratio == pytest.approx(factor * 1e-9, rel=1e-3)
+    if factor > 1:
+        with pytest.raises(DomainError):
+            inverse(bad)
+    else:
+        assert np.abs(inverse(bad) - full.real).max() <= 1e-12 * np.abs(full).max()
+
+
+def test_zero_mean_stack_has_no_mean_luminance():
+    # The DC of a zero-mean stack is rounding noise of either sign; it must
+    # not pass for a positive mean luminance.
+    for seed in range(20):
+        data = np.random.default_rng(seed).standard_normal((8, 8, 8))
+        data -= data.mean()
+        assert forward(ImageStack(data=data)).mean_lum == 0.0

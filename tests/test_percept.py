@@ -318,7 +318,7 @@ class TestSensitivity:
     )
     def test_table_equals_per_bin_csf(self, dims, ssr, browse_speed, l_avg):
         vc = ViewingConditions(ssr=ssr, browse_speed=browse_speed)
-        spec = SpectralStack(coeffs=np.zeros(dims, dtype=complex), dims=dims, mean_lum=l_avg)
+        spec = SpectralStack(half=np.zeros(dims, dtype=complex), dims=dims, mean_lum=l_avg)
         # One canonical bin per conjugate pair, DC excluded, in C order.
         nx, ny, nt = dims
         kx, ky, kt = np.indices(dims)
