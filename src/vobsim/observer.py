@@ -8,14 +8,13 @@ scalars into one decision variable per stack.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import eval_laguerre
 
 from .errors import DimensionMismatchError, DomainError, SingularCovarianceError
-from .stackgen import ImageStack, write_json
+from .stackgen import ImageStack
 
 __all__ = [
     "LgChannelSet",
@@ -26,8 +25,6 @@ __all__ = [
     "hotelling_weights",
     "train",
     "score",
-    "save_model",
-    "load_model",
 ]
 
 DEFAULT_RIDGE_SCALE = 1e-6
@@ -44,8 +41,6 @@ class LgChannelSet:
 
     nx: int
     ny: int
-    n_channels: int
-    spread: float
     matrix: np.ndarray
 
 
@@ -62,8 +57,7 @@ def make_channels(nx: int, ny: int, n_channels: int = 15, spread: float = 10.0) 
     for j in range(n_channels):
         ch = np.exp(-g / 2.0) * eval_laguerre(j, g)
         cols.append(ch.ravel() / np.linalg.norm(ch))
-    return LgChannelSet(nx=nx, ny=ny, n_channels=n_channels, spread=spread,
-                        matrix=np.column_stack(cols))
+    return LgChannelSet(nx=nx, ny=ny, matrix=np.column_stack(cols))
 
 
 def channelize(slice2d: np.ndarray, channels: LgChannelSet) -> np.ndarray:
@@ -129,7 +123,6 @@ class ChoModel:
     template_central: np.ndarray
     slice_stage: np.ndarray
     nt: int
-    ridge_scale: float
 
 
 def train(
@@ -165,13 +158,7 @@ def train(
         for lab, group in (("absent", absent), ("present", present))
     }
     fusion = hotelling_weights(per_slice["absent"], per_slice["present"], ridge_scale)
-    return ChoModel(
-        channels=channels,
-        template_central=template,
-        slice_stage=fusion,
-        nt=nt,
-        ridge_scale=ridge_scale,
-    )
+    return ChoModel(channels=channels, template_central=template, slice_stage=fusion, nt=nt)
 
 
 def score(model: ChoModel, stack: ImageStack) -> float:
@@ -182,37 +169,3 @@ def score(model: ChoModel, stack: ImageStack) -> float:
         )
     return float(channelize_stack(stack, model.channels) @ model.template_central
                  @ model.slice_stage)
-
-
-def save_model(model: ChoModel, path) -> None:
-    """Dump the trained weights and channel parameters as JSON."""
-    payload = {
-        "version": 1,
-        "channels": {
-            "nx": model.channels.nx,
-            "ny": model.channels.ny,
-            "n_channels": model.channels.n_channels,
-            "spread": model.channels.spread,
-        },
-        "template_central": model.template_central.tolist(),
-        "slice_stage": model.slice_stage.tolist(),
-        "nt": model.nt,
-        "ridge_scale": model.ridge_scale,
-    }
-    write_json(path, payload)
-
-
-def load_model(path) -> ChoModel:
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("version") != 1:
-        raise DomainError(f"{path}: unsupported model version")
-    ch = payload["channels"]
-    channels = make_channels(ch["nx"], ch["ny"], ch["n_channels"], ch["spread"])
-    return ChoModel(
-        channels=channels,
-        template_central=np.asarray(payload["template_central"], dtype=float),
-        slice_stage=np.asarray(payload["slice_stage"], dtype=float),
-        nt=int(payload["nt"]),
-        ridge_scale=float(payload["ridge_scale"]),
-    )

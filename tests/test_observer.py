@@ -8,9 +8,7 @@ from vobsim.observer import (
     channelize,
     channelize_stack,
     hotelling_weights,
-    load_model,
     make_channels,
-    save_model,
     score,
     train,
 )
@@ -204,18 +202,3 @@ class TestScore:
         model = train(toy_stacks(rng, 4), make_channels(16, 16, n_channels=4))
         with pytest.raises(DimensionMismatchError):
             score(model, ImageStack(data=np.zeros((16, 16, 6))))
-
-
-class TestModelIO:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(10)
-        signal = np.zeros((16, 16, 8))
-        signal[7:9, 7:9, :] = 0.5
-        model = train(toy_stacks(rng, 6, signal=signal), make_channels(16, 16, n_channels=5))
-        path = tmp_path / "model.json"
-        save_model(model, path)
-        back = load_model(path)
-        assert np.allclose(back.template_central, model.template_central, atol=0)
-        assert np.allclose(back.slice_stage, model.slice_stage, atol=0)
-        probe = ImageStack(data=rng.standard_normal((16, 16, 8)))
-        assert score(back, probe) == pytest.approx(score(model, probe), rel=1e-12)
