@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace as dc_replace
 
@@ -118,6 +119,25 @@ def classify_trend(d_primes, error_bars) -> str:
     return "constant"
 
 
+# Least valid value of each integer field: the corpus generator needs even
+# dimensions of at least 8 and a non-negative seed.
+_LEAST_INT = {"n_pairs": 4, "nx": 8, "ny": 8, "nt": 8, "master_seed": 0,
+              "n_channels": 1, "n_readers": 1}
+_OBSERVER_KEYS = ["n_channels", "spread", "n_readers", "train_fraction"]
+# The config key of each numeric SweepConfig field, for error messages.
+_KEY = {n: f"{'observer' if n in _OBSERVER_KEYS else 'corpus'}.{n}"
+        for n in [*_LEAST_INT, "beta", "spread", "train_fraction"]}
+
+
+def _finite(name: str, value) -> float:
+    """``value`` as a finite float; JSON booleans and non-numbers are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name}: must be a number, got {value!r}")
+    if not -sys.float_info.max <= value <= sys.float_info.max:  # NaN compares false
+        raise ConfigError(f"{name}: must be finite, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """A validated run configuration (see ``SweepConfig.from_dict``)."""
@@ -149,64 +169,76 @@ class SweepConfig:
         if self.parameter not in SWEEPABLE:
             raise ConfigError(f"sweep.parameter: must be one of {SWEEPABLE}, got {self.parameter!r}")
         values = self.values or tuple(DEFAULT_GRIDS[self.parameter])
-        object.__setattr__(self, "values", tuple(float(v) for v in values))
-        if not self.values:
-            raise ConfigError("sweep.values: must be nonempty")
+        object.__setattr__(self, "values", tuple(_finite("sweep.values", v) for v in values))
+        if len(self.values) < 3:
+            raise ConfigError(f"sweep.values: need 3 or more for a trend, got {len(self.values)}")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ConfigError("sweep.values: must be strictly increasing")
-        if self.n_pairs < 4:
-            raise ConfigError(f"corpus.n_pairs: need at least 4 pairs, got {self.n_pairs}")
+        for name, least in _LEAST_INT.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{_KEY[name]}: must be an integer, got {value!r}")
+            if value < least or (name in ("nx", "ny", "nt") and value % 2):
+                raise ConfigError(f"{_KEY[name]}: must be at least {least}"
+                                  f"{' and even' if least == 8 else ''}, got {value}")
+        for name, valid, rule in (("beta", lambda v: v >= 0, "non-negative"),
+                                  ("spread", lambda v: v > 0, "positive"),
+                                  ("train_fraction", lambda v: 0 < v <= 1, "in (0, 1]")):
+            if not valid(_finite(_KEY[name], getattr(self, name))):
+                raise ConfigError(f"{_KEY[name]}: must be {rule}, got {getattr(self, name)!r}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepConfig":
         def take(mapping, allowed, context):
+            if not isinstance(mapping, dict):
+                raise ConfigError(f"{context}: must be an object, got {mapping!r}")
             unknown = set(mapping) - set(allowed)
             if unknown:
                 raise ConfigError(f"{context}: unknown key(s) {sorted(unknown)}")
-            return mapping
+            return dict(mapping)
+
+        def listed(value, context):
+            if not isinstance(value, list):
+                raise ConfigError(f"{context}: must be a list, got {value!r}")
+            return tuple(value)
 
         take(raw, ["version", "methods", "sweep", "viewing", "corpus", "observer"], "config")
         if raw.get("version", 1) != 1:
             raise ConfigError(f"version: unsupported config version {raw.get('version')!r}")
         kwargs = {}
         if "methods" in raw:
-            kwargs["methods"] = tuple(str(m).upper() for m in raw["methods"])
+            kwargs["methods"] = tuple(str(m).upper() for m in listed(raw["methods"], "methods"))
         sweep = take(raw.get("sweep", {}), ["parameter", "values"], "sweep")
         if "parameter" in sweep:
             kwargs["parameter"] = sweep["parameter"]
         if "values" in sweep:
-            kwargs["values"] = tuple(sweep["values"])
-        viewing = take(
-            raw.get("viewing", {}), ["l_max", "contrast", "ssr", "browse_speed"], "viewing"
-        )
+            kwargs["values"] = listed(sweep["values"], "sweep.values")
+        viewing = take(raw.get("viewing", {}), ["l_max", "contrast", "ssr", "browse_speed"],
+                       "viewing")
+        corpus = take(raw.get("corpus", {}),
+                      ["n_pairs", "nx", "ny", "nt", "beta", "lesion", "master_seed"], "corpus")
+        lesion = take(corpus.pop("lesion", {}), ["amplitude", "sigma_xy", "sigma_t", "center"],
+                      "corpus.lesion")
+        lesion.setdefault("amplitude", DEFAULT_LESION_AMPLITUDE)
+        if lesion.get("center") is not None:
+            center = listed(lesion["center"], "corpus.lesion.center")
+            if len(center) != 3:
+                raise ConfigError(f"corpus.lesion.center: must be 3 numbers, got {center!r}")
+            lesion["center"] = tuple(_finite("corpus.lesion.center", c) for c in center)
+        for context, mapping in (("viewing", viewing), ("corpus.lesion", lesion)):
+            for k, v in mapping.items():
+                if k != "center":
+                    _finite(f"{context}.{k}", v)
         try:
             kwargs["viewing"] = ViewingConditions(**viewing)
         except DomainError as exc:
             raise ConfigError(f"viewing: {exc}") from exc
-        corpus = take(
-            raw.get("corpus", {}),
-            ["n_pairs", "nx", "ny", "nt", "beta", "lesion", "master_seed"],
-            "corpus",
-        )
-        lesion_raw = take(
-            corpus.pop("lesion", {}), ["amplitude", "sigma_xy", "sigma_t", "center"], "corpus.lesion"
-        )
-        if "center" in lesion_raw and lesion_raw["center"] is not None:
-            lesion_raw["center"] = tuple(lesion_raw["center"])
         try:
-            kwargs["lesion"] = LesionSpec(
-                amplitude=lesion_raw.get("amplitude", DEFAULT_LESION_AMPLITUDE),
-                **{k: v for k, v in lesion_raw.items() if k != "amplitude"},
-            )
+            kwargs["lesion"] = LesionSpec(**lesion)
         except DomainError as exc:
             raise ConfigError(f"corpus.lesion: {exc}") from exc
         kwargs.update(corpus)
-        obs = take(
-            raw.get("observer", {}),
-            ["n_channels", "spread", "n_readers", "train_fraction"],
-            "observer",
-        )
-        kwargs.update(obs)
+        kwargs.update(take(raw.get("observer", {}), _OBSERVER_KEYS, "observer"))
         return cls(**kwargs)
 
     @classmethod

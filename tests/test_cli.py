@@ -128,3 +128,20 @@ class TestSweepCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
         assert "humidity" in err["message"]
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("corpus", "nx", "16"),
+        ("corpus", "n_pairs", 4.5),
+        ("observer", "n_channels", 0),
+        ("sweep", "values", [100, 200]),
+    ])
+    def test_invalid_config_fails_before_any_point(self, tmp_path, capsys, section, key, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({section: {key: value}}))
+        csv_path = tmp_path / "o.csv"
+        rc = main(["sweep", "--config", str(cfg_path), "--out", str(csv_path)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert f"{section}.{key}" in err["message"]
+        assert not csv_path.exists()

@@ -6,6 +6,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vobsim import percept
 from vobsim.errors import ConfigError, DomainError
@@ -85,12 +86,12 @@ class TestSweepConfig:
 
     def test_values_must_increase(self):
         with pytest.raises(ConfigError, match="increasing"):
-            SweepConfig(parameter="contrast", values=(100.0, 50.0))
+            SweepConfig(parameter="contrast", values=(100.0, 50.0, 200.0))
 
     def test_round_trip_from_dict(self):
         cfg = SweepConfig.from_dict({
             "methods": ["pm", "lf"],
-            "sweep": {"parameter": "l_max", "values": [100, 300]},
+            "sweep": {"parameter": "l_max", "values": [100, 300, 500]},
             "viewing": {"contrast": 400},
             "corpus": {"n_pairs": 8, "nx": 16, "ny": 16, "nt": 8,
                        "lesion": {"amplitude": 0.3}},
@@ -98,7 +99,7 @@ class TestSweepConfig:
         })
         assert cfg.methods == ("PM", "LF")
         assert cfg.parameter == "l_max"
-        assert cfg.values == (100.0, 300.0)
+        assert cfg.values == (100.0, 300.0, 500.0)
         assert cfg.viewing.contrast == 400
         assert cfg.lesion.amplitude == 0.3
         assert cfg.n_readers == 2
@@ -117,6 +118,95 @@ class TestSweepConfig:
         vc = cfg.vc_at(800.0)
         assert vc.contrast == 800.0
         assert vc.l_max == 500
+
+
+def _json_values():
+    scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+               | st.text(max_size=4))
+    return st.recursive(scalars, lambda inner: st.lists(inner, max_size=4)
+                        | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=8)
+
+
+def _section(keys):
+    # Mostly known keys, so that values reach the field checks.
+    return _json_values() | st.dictionaries(st.sampled_from(keys + ["bogus"]), _json_values(),
+                                            max_size=len(keys))
+
+
+_SECTIONS = {
+    "version": st.sampled_from([1, 2]) | _json_values(),
+    "methods": st.lists(st.sampled_from(["LF", "pm", "Mc", "XX"]), max_size=4) | _json_values(),
+    "sweep": st.fixed_dictionaries({}, optional={
+        "parameter": st.sampled_from(list(SWEEPABLE)) | _json_values(),
+        "values": st.lists(st.floats() | st.integers(), max_size=5) | _json_values()}),
+    "viewing": _section(["l_max", "contrast", "ssr", "browse_speed"]),
+    "corpus": st.fixed_dictionaries({}, optional={
+        "n_pairs": st.integers(-2, 10) | _json_values(), "nx": _json_values(),
+        "ny": st.sampled_from([7, 8, 16]), "nt": _json_values(), "beta": _json_values(),
+        "master_seed": _json_values(),
+        "lesion": _section(["amplitude", "sigma_xy", "sigma_t", "center"])}),
+    "observer": _section(["n_channels", "spread", "n_readers", "train_fraction"]),
+}
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("section, key, value", [
+        ("corpus", "nx", "16"),
+        ("corpus", "n_pairs", 4.5),
+        ("corpus", "nx", True),
+        ("corpus", "nt", 9),
+        ("corpus", "ny", 6),
+        ("corpus", "beta", float("nan")),
+        ("corpus", "beta", -1.0),
+        ("corpus", "master_seed", -1),
+        ("observer", "n_channels", 0),
+        ("observer", "n_readers", 0),
+        ("observer", "spread", 0.0),
+        ("observer", "train_fraction", 1.5),
+        ("observer", "train_fraction", float("inf")),
+        ("viewing", "ssr", "7"),
+        ("viewing", "contrast", float("nan")),
+    ])
+    def test_bad_field_named(self, section, key, value):
+        with pytest.raises(ConfigError, match=f"{section}.{key}"):
+            SweepConfig.from_dict({section: {key: value}})
+
+    @pytest.mark.parametrize("raw, where", [
+        ({"sweep": {"values": [100, 200]}}, "sweep.values"),
+        ({"sweep": {"values": 100}}, "sweep.values"),
+        ({"sweep": {"values": [100, "200", 400]}}, "sweep.values"),
+        ({"sweep": {"values": [100, 10**400, 10**401]}}, "sweep.values"),
+        ({"methods": None}, "methods"),
+        ({"corpus": {"lesion": {"center": [1, 2]}}}, "corpus.lesion.center"),
+        ({"corpus": {"lesion": {"sigma_t": "3"}}}, "corpus.lesion.sigma_t"),
+        ({"observer": []}, "observer"),
+        ([], "config"),
+    ])
+    def test_bad_shape_named(self, raw, where):
+        with pytest.raises(ConfigError, match=where):
+            SweepConfig.from_dict(raw)
+
+    def test_two_value_sweep_rejected_before_running(self, tmp_path):
+        with pytest.raises(ConfigError, match="sweep.values"):
+            SweepConfig(parameter="contrast", values=(100.0, 200.0))
+
+    def test_from_dict_leaves_input_alone(self):
+        raw = {"corpus": {"nx": 16, "lesion": {"amplitude": 0.3, "center": [1, 2, 3]}}}
+        before = json.dumps(raw)
+        cfg = SweepConfig.from_dict(raw)
+        assert json.dumps(raw) == before
+        assert cfg.lesion.center == (1.0, 2.0, 3.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=_json_values() | st.fixed_dictionaries({}, optional=_SECTIONS))
+    def test_from_dict_returns_config_or_config_error(self, raw):
+        try:
+            cfg = SweepConfig.from_dict(raw)
+        except ConfigError:
+            return
+        assert isinstance(cfg, SweepConfig)
+        assert len(cfg.values) >= 3 and all(math.isfinite(v) for v in cfg.values)
+        assert all(type(getattr(cfg, n)) is int for n in ("n_pairs", "nx", "ny", "nt"))
 
 
 def tiny_config(**overrides):
@@ -212,9 +302,9 @@ class TestRunSweep:
 
     def test_failure_writes_manifest(self, tmp_path):
         # A negative browse speed is rejected by the viewing-condition
-        # model, so that sweep point fails while the other completes.
+        # model, so that sweep point fails while the others complete.
         cfg = SweepConfig(
-            methods=("LF",), parameter="browse_speed", values=(-5.0, 25.0),
+            methods=("LF",), parameter="browse_speed", values=(-5.0, 25.0, 50.0),
             n_pairs=6, nx=16, ny=16, nt=8, n_channels=8, spread=5.0,
             n_readers=2,
         )
@@ -224,9 +314,9 @@ class TestRunSweep:
         manifest = json.loads((tmp_path / "fail.csv.errors.json").read_text())
         assert len(manifest["failures"]) == 1
         assert manifest["failures"][0]["value"] == -5.0
-        # the completed row is still in the CSV
+        # the completed rows are still in the CSV
         lines = out.read_text().strip().splitlines()
-        assert len(lines) == 2
+        assert len(lines) == 3
 
 
 # sha256 of the criterion-8 CSV (LF/PM/MC, 16x16x8, master seed 31).  Float
