@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import percept, sweep as sweep_mod
@@ -76,19 +77,19 @@ def _cmd_sweep(args) -> int:
     config = sweep_mod.SweepConfig.from_json(args.config)
     report = sweep_mod.run_sweep(config, args.out, threads=args.threads)
     if args.report:
-        write_json(args.report, report.to_dict())
+        write_json(args.report, asdict(report))
     for method, label in report.labels.items():
         print(f"{method}\t{report.parameter}\t{label}")
     return 0
 
 
 def _cmd_gen_corpus(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     lesion = LesionSpec(amplitude=args.amplitude, sigma_xy=args.sigma_xy, sigma_t=args.sigma_t)
     stacks = generate_corpus(
         args.n_pairs, args.nx, args.ny, args.nt, args.beta, lesion, args.seed
     )
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     paths, labels = [], []
     for i, stack in enumerate(stacks):
         path = out_dir / f"stack_{i:05d}.vstk"

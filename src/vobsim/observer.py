@@ -4,16 +4,26 @@ Each slice is reduced to a feature vector by Laguerre-Gauss channels.  A
 Hotelling template is trained on the central slice's features and applied
 to every slice, and a second Hotelling stage fuses the resulting per-slice
 scalars into one decision variable per stack.
+
+The channels are linear, so by Parseval a slice's features can be read off
+its 2D spectrum: <g, c_j> = sum_k conj(C_j(k)) G(k) / (nx ny), with C_j and G
+the 2D DFTs.  Applied to every temporal frequency of a half 3D spectrum and
+followed by a 1D inverse real FFT over time, that gives the features of
+every slice of the stack the spectrum stands for, with no 3D inverse
+transform (``channelize_spectrum``).  Training and scoring work on
+(N, nt, C) feature tensors; ``train``/``score`` adapt them to stacks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.fft
 from scipy.special import eval_laguerre
 
 from .errors import DimensionMismatchError, DomainError, SingularCovarianceError
+from .percept import SpectralStack, check_residue
 from .stackgen import ImageStack
 
 __all__ = [
@@ -22,7 +32,11 @@ __all__ = [
     "make_channels",
     "channelize",
     "channelize_stack",
+    "spectral_channels",
+    "channelize_spectrum",
     "hotelling_weights",
+    "train_features",
+    "score_features",
     "train",
     "score",
 ]
@@ -82,6 +96,24 @@ def channelize_stack(stack: ImageStack, channels: LgChannelSet) -> np.ndarray:
     return flat.T @ channels.matrix
 
 
+def spectral_channels(channels: LgChannelSet) -> np.ndarray:
+    """conj(fft2(c_j)) / (nx * ny) for every channel, shape (C, nx * ny), C-order bins."""
+    c = channels.matrix.T.reshape(-1, channels.nx, channels.ny)
+    return np.conj(scipy.fft.fft2(c)).reshape(c.shape[0], -1) / (channels.nx * channels.ny)
+
+
+def channelize_spectrum(spec: SpectralStack, spectral: np.ndarray) -> np.ndarray:
+    """Features of every slice of ``inverse(spec)``, shape (nt, C), with no 3D transform.
+
+    ``spectral`` is from ``spectral_channels``; the residue is checked as ``inverse`` does.
+    """
+    nx, ny, nt = spec.dims
+    if spectral.shape[1] != nx * ny:
+        raise DimensionMismatchError(f"{nx}x{ny} slices, {spectral.shape[1]} channel bins")
+    check_residue(spec)
+    return scipy.fft.irfft(spectral @ spec.half.reshape(nx * ny, -1), n=nt, axis=1).T
+
+
 def hotelling_weights(
     feats_absent: np.ndarray,
     feats_present: np.ndarray,
@@ -119,10 +151,34 @@ def hotelling_weights(
 class ChoModel:
     """Trained two-stage observer: central-slice template plus slice fusion weights."""
 
-    channels: LgChannelSet
     template_central: np.ndarray
     slice_stage: np.ndarray
-    nt: int
+    channels: LgChannelSet | None = None  # set by ``train``, for ``score``
+
+
+def train_features(feats: np.ndarray, labels: np.ndarray,
+                   ridge_scale: float = DEFAULT_RIDGE_SCALE) -> ChoModel:
+    """Train the type 'b' observer on an (N, nt, C) feature tensor with boolean labels.
+
+    Stage 1 learns a Hotelling template from the central-slice channel
+    vectors; stage 2 learns Hotelling weights over the per-slice scalars
+    that template produces across all slices.
+    """
+    labels = np.asarray(labels, dtype=bool)
+    central = feats[:, feats.shape[1] // 2]
+    template = hotelling_weights(central[~labels], central[labels], ridge_scale)
+    per_slice = feats @ template
+    fusion = hotelling_weights(per_slice[~labels], per_slice[labels], ridge_scale)
+    return ChoModel(template_central=template, slice_stage=fusion)
+
+
+def score_features(model: ChoModel, feats: np.ndarray) -> np.ndarray:
+    """Decision variables of an (N, nt, C) feature tensor, shape (N,)."""
+    if feats.shape[1] != model.slice_stage.size:
+        raise DimensionMismatchError(
+            f"stack has {feats.shape[1]} slices, model expects {model.slice_stage.size}"
+        )
+    return feats @ model.template_central @ model.slice_stage
 
 
 def train(
@@ -130,42 +186,16 @@ def train(
     channels: LgChannelSet,
     ridge_scale: float = DEFAULT_RIDGE_SCALE,
 ) -> ChoModel:
-    """Train the type 'b' observer on labeled stacks.
-
-    Stage 1 learns a Hotelling template from the central-slice channel
-    vectors; stage 2 learns Hotelling weights over the per-slice scalars
-    that template produces across all slices.
-    """
+    """Train the type 'b' observer on labeled stacks (see ``train_features``)."""
     if not stacks:
         raise DomainError("no training stacks given")
-    nt = stacks[0].nt
-    if any(s.nt != nt for s in stacks):
+    if any(s.nt != stacks[0].nt for s in stacks):
         raise DimensionMismatchError("training stacks differ in slice count")
-    present = [s for s in stacks if s.signal_present]
-    absent = [s for s in stacks if not s.signal_present]
-    if len(present) < 2 or len(absent) < 2:
-        raise DomainError("need at least 2 training cases per class")
-
-    central = nt // 2
-    feats = {
-        lab: np.array([channelize(s.data[:, :, central], channels) for s in group])
-        for lab, group in (("absent", absent), ("present", present))
-    }
-    template = hotelling_weights(feats["absent"], feats["present"], ridge_scale)
-
-    per_slice = {
-        lab: np.array([channelize_stack(s, channels) @ template for s in group])
-        for lab, group in (("absent", absent), ("present", present))
-    }
-    fusion = hotelling_weights(per_slice["absent"], per_slice["present"], ridge_scale)
-    return ChoModel(channels=channels, template_central=template, slice_stage=fusion, nt=nt)
+    feats = np.stack([channelize_stack(s, channels) for s in stacks])
+    model = train_features(feats, [s.signal_present for s in stacks], ridge_scale)
+    return replace(model, channels=channels)
 
 
 def score(model: ChoModel, stack: ImageStack) -> float:
     """Scalar decision variable for one stack."""
-    if stack.nt != model.nt:
-        raise DimensionMismatchError(
-            f"stack has {stack.nt} slices, model expects {model.nt}"
-        )
-    return float(channelize_stack(stack, model.channels) @ model.template_central
-                 @ model.slice_stage)
+    return float(score_features(model, channelize_stack(stack, model.channels)[None])[0])

@@ -16,8 +16,9 @@ half spectrum is stored (``scipy.fft.rfftn`` layout: 1.1 MB, not 2.1 MB, at
 64x64x32).  Each method processes each pair once, on its canonical bin; a
 per-dims table gathers the results onto the half spectrum, conjugated where
 it holds the partner, so the output is exactly conjugate-symmetric and the
-DC (mean luminance) passes through untouched.  ``inverse`` takes its
-imaginary-residue check from the kt = 0 and kt = nt/2 planes alone.
+DC (mean luminance) passes through untouched.  ``check_residue`` takes the
+imaginary residue of an inverse transform from the kt = 0 and kt = nt/2
+planes alone; ``inverse`` and ``observer.channelize_spectrum`` both run it.
 
 Per stack, the sensitivity S and the detection probability p are arrays over
 the canonical bins (one per conjugate pair); the methods' ``s=``/``p=``
@@ -43,6 +44,7 @@ __all__ = [
     "METHODS",
     "forward",
     "inverse",
+    "check_residue",
     "modulation",
     "sensitivity",
     "visibility",
@@ -108,9 +110,9 @@ def _pair_table(dims: tuple[int, int, int]):
     """Canonical bins, one per conjugate pair (DC excluded), and their half-spectrum layout.
 
     Returns (canonical, self_conj, src, flip, at, at_flip): canonical holds the
-    smaller full-layout flat index of each pair, sorted; half bin h >= 1 holds
-    canonical value src[h - 1], conjugated where flip[h - 1]; canonical bin i
-    is read from half bin at[i], conjugated where at_flip[i].
+    smaller full-layout flat index of each pair, sorted; half bin h holds value
+    src[h] of the canonical values with the DC appended, conjugated where
+    flip[h]; canonical bin i is read from half bin at[i], conjugated where at_flip[i].
     """
     nx, ny, nt = dims
     # Every pair has a member in the half spectrum, so its bins list all pairs.
@@ -124,7 +126,8 @@ def _pair_table(dims: tuple[int, int, int]):
     at = np.empty(canonical.size, dtype=np.intp)
     at[src[flip]] = np.flatnonzero(flip) + 1
     at[src[~flip]] = np.flatnonzero(~flip) + 1
-    return canonical, flat[at - 1] == partner[at - 1], src, flip, at, flip[at - 1]
+    return (canonical, flat[at - 1] == partner[at - 1], np.concatenate(([canonical.size], src)),
+            np.concatenate(([False], flip)), at, flip[at - 1])
 
 
 def forward(stack: ImageStack) -> SpectralStack:
@@ -143,22 +146,28 @@ def forward(stack: ImageStack) -> SpectralStack:
 
 
 def inverse(spec: SpectralStack) -> np.ndarray:
-    """Inverse 3D real FFT as a contiguous real array.
-
-    Raises if ``ifftn(spec.coeffs)`` would leave a non-negligible imaginary
-    part: (B0 + (-1)^t B1) / nt, with B0, B1 the 2D inverse transforms of the
-    anti-Hermitian parts of the kt = 0 and nt/2 planes (mirroring fixes all others).
-    """
+    """Inverse 3D real FFT as a contiguous real array, after ``check_residue``."""
     out = scipy.fft.irfftn(spec.half, s=spec.dims)
+    check_residue(spec, out)
+    return out
+
+
+def check_residue(spec: SpectralStack, out: np.ndarray | None = None) -> None:
+    """Raise if ``ifftn(spec.coeffs)`` would leave a non-negligible imaginary part.
+
+    That part is (B0 + (-1)^t B1) / nt, with B0, B1 the 2D inverse transforms of
+    the anti-Hermitian parts of the kt = 0 and nt/2 planes (mirroring fixes all
+    others).  ``out``, the real part, is computed only if those planes are not Hermitian.
+    """
     planes = spec.half[:, :, [0, -1]]
     anti = planes - np.conj(_mirror_xy(planes))  # twice the anti-Hermitian parts
     if anti.any():
+        out = scipy.fft.irfftn(spec.half, s=spec.dims) if out is None else out
         b = scipy.fft.ifft2(anti, axes=(0, 1)).imag / (2 * spec.dims[2])
         imag = b[:, :, :1] + np.where(np.arange(spec.dims[2]) % 2, -1.0, 1.0) * b[:, :, 1:]
         scale = np.hypot(out, imag).max()
         if scale > 0 and np.abs(imag).max() > _IMAG_RESIDUE_TOL * scale:
             raise DomainError("inverse transform left a non-negligible imaginary part")
-    return out
 
 
 def modulation(spec: SpectralStack, k: tuple[int, int, int]) -> float:
@@ -240,30 +249,34 @@ def _phase(spec: SpectralStack) -> np.ndarray:
 def _assemble(dims, dc: complex, new: np.ndarray) -> SpectralStack:
     # DC, `new` on the canonical bins and its conjugate on their partners.
     src, flip = _pair_table(dims)[2:4]
-    flat = np.concatenate(([complex(dc)], new[src]))
-    np.negative(flat.imag[1:], out=flat.imag[1:], where=flip)
-    half = flat.reshape(dims[0], dims[1], -1)
-    return SpectralStack(half=half, dims=dims, mean_lum=dc.real / prod(dims))
+    flat = np.append(new, dc)[src]
+    np.negative(flat.imag, out=flat.imag, where=flip)
+    return SpectralStack(half=flat.reshape(dims[0], dims[1], -1), dims=dims,
+                         mean_lum=dc.real / prod(dims))
 
 
 @dataclass(frozen=True)
 class McSource:
-    """One stack's MC inputs, shared by all its draws: p and pair_scale*phase per bin, and DC."""
+    """One stack's MC inputs, shared by all its draws.
+
+    ``p`` holds the keep probability per canonical bin, and ``phasor`` the
+    stack's spectrum with every pair kept at unit modulation.
+    """
 
     p: np.ndarray
-    phasor: np.ndarray
-    dc: complex
-    dims: tuple[int, int, int]
+    phasor: SpectralStack
 
     @classmethod
     def of(cls, spec, vc, geom=None, *, params=DEFAULT_PARAMS, s=None, p=None) -> "McSource":
         p = _probability(spec, vc, geom, params, s) if p is None else p
-        return cls(p, _pair_scale(spec) * _phase(spec), spec.half[0, 0, 0], spec.dims)
+        return cls(p, _assemble(spec.dims, spec.half[0, 0, 0], _pair_scale(spec) * _phase(spec)))
 
     def draw(self, seed) -> SpectralStack:
         """Keep each conjugate pair with probability p, at unit modulation."""
-        keep = np.random.default_rng(seed).random(self.phasor.size) < self.p
-        return _assemble(self.dims, self.dc, keep * self.phasor)
+        canonical, _, src = _pair_table(self.phasor.dims)[:3]
+        keep = np.random.default_rng(seed).random(canonical.size) < self.p
+        kept = np.append(keep, True)[src].reshape(self.phasor.half.shape)
+        return replace(self.phasor, half=np.where(kept, self.phasor.half, 0))
 
 
 def apply_lf(spec: SpectralStack, vc: ViewingConditions, geom: FieldGeometry | None = None,

@@ -271,6 +271,8 @@ def generate_corpus(
     """
     if n_pairs < 1:
         raise DomainError(f"n_pairs must be at least 1, got {n_pairs}")
+    if nx != ny:  # the viewing geometry takes the field size from one side
+        raise DomainError(f"slices must be square, got {nx}x{ny}")
     if lesion is None:
         lesion = LesionSpec(amplitude=0.5)
     children = np.random.SeedSequence(master_seed).spawn(n_pairs)

@@ -15,7 +15,6 @@ from scipy.special import erfinv
 
 from . import observer
 from .errors import DomainError, SaturationError
-from .stackgen import ImageStack
 
 __all__ = [
     "CaseScores",
@@ -160,35 +159,24 @@ def d_prime(auc_value: float) -> float:
     return float(2.0 * erfinv(2.0 * auc_value - 1.0))
 
 
-def _class_indices(stacks) -> tuple[np.ndarray, np.ndarray]:
-    labels = np.array([s.signal_present for s in stacks])
-    return np.nonzero(~labels)[0], np.nonzero(labels)[0]
-
-
-def make_readers(
-    stacks: list[ImageStack],
-    n_readers: int = 4,
-    master_seed: int = 0,
-    *,
-    channels: observer.LgChannelSet | None = None,
-    train_fraction: float = 0.8,
-    ridge_scale: float = observer.DEFAULT_RIDGE_SCALE,
-    reader_perceive=None,
-) -> tuple[list[observer.ChoModel], list[CaseScores]]:
+def make_readers(features, labels, n_readers: int = 4, master_seed: int = 0, *,
+                 train_fraction: float = 0.8,
+                 ridge_scale: float = observer.DEFAULT_RIDGE_SCALE) -> list[CaseScores]:
     """Train virtual readers and score them on a common held-out test half.
 
-    Cases are split 50/50 per class into a training pool and a fixed test
-    half (the one-shot estimator assumes a fully-crossed reader-by-case
-    design, so the test half is shared by all readers).  Each reader trains
-    on its own seeded random subset of the pool; ``reader_perceive``, when
-    given, maps a reader index to that reader's perceived corpus (used for
-    the MC method, whose perception is stochastic per reader).
+    ``features`` is the (N, nt, C) channel-feature tensor of the labeled cases,
+    or a function from reader index to that reader's tensor (MC perception is
+    random per reader).  Cases are split 50/50 per class into a training pool
+    and a test half shared by all readers (the one-shot estimator assumes a
+    fully-crossed reader-by-case design); each reader trains on its own
+    seeded random subset of the pool.
     """
     if n_readers < 1:
         raise DomainError(f"n_readers must be at least 1, got {n_readers}")
     if not 0 < train_fraction <= 1:
         raise DomainError(f"train_fraction must be in (0, 1], got {train_fraction!r}")
-    idx_absent, idx_present = _class_indices(stacks)
+    labels = np.asarray(labels, dtype=bool)
+    idx_absent, idx_present = np.flatnonzero(~labels), np.flatnonzero(labels)
     if idx_absent.size < 4 or idx_present.size < 4:
         raise DomainError("need at least 4 cases per class for a disjoint split")
 
@@ -196,23 +184,18 @@ def make_readers(
     pools, tests = [], []
     for idx in (idx_absent, idx_present):
         perm = rng_split.permutation(idx)
-        half = idx.size // 2
-        pools.append(perm[:half])
-        tests.append(perm[half:])
+        pools.append(perm[:idx.size // 2])
+        tests.append(perm[idx.size // 2:])
     test_idx = np.concatenate(tests)
-    test_labels = np.array([stacks[i].signal_present for i in test_idx])
-    channels = channels or observer.make_channels(stacks[0].nx, stacks[0].ny)
+    n_train = [min(max(2, int(round(train_fraction * pool.size))), pool.size) for pool in pools]
 
-    models, reader_scores = [], []
+    reader_scores = []
     for reader in range(n_readers):
         rng_r = np.random.default_rng([int(master_seed), 0x4EAD, reader])
-        corpus = stacks if reader_perceive is None else reader_perceive(reader)
-        train_idx = []
-        for pool in pools:
-            n_take = max(2, int(round(train_fraction * pool.size)))
-            train_idx.extend(rng_r.choice(pool, size=min(n_take, pool.size), replace=False))
-        model = observer.train([corpus[i] for i in train_idx], channels, ridge_scale)
-        scores = np.array([observer.score(model, corpus[i]) for i in test_idx])
-        models.append(model)
-        reader_scores.append(CaseScores(scores=scores, labels=test_labels, reader_id=reader))
-    return models, reader_scores
+        train_idx = np.concatenate([rng_r.choice(pool, size=n, replace=False)
+                                    for pool, n in zip(pools, n_train)])
+        feats = features(reader) if callable(features) else features
+        model = observer.train_features(feats[train_idx], labels[train_idx], ridge_scale)
+        scores = observer.score_features(model, feats[test_idx])
+        reader_scores.append(CaseScores(scores, labels[test_idx], reader))
+    return reader_scores

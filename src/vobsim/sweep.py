@@ -13,11 +13,11 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field, replace as dc_replace
 
 import numpy as np
 
-from . import percept, stats
+from . import observer, percept, stats
 from .errors import ConfigError, DomainError
 from .stackgen import (
     ImageStack,
@@ -41,19 +41,8 @@ __all__ = [
 ]
 
 CSV_COLUMNS = [
-    "method",
-    "contrast",
-    "l_max",
-    "ssr",
-    "viewing_distance_cm",
-    "browse_speed",
-    "auc",
-    "auc_var",
-    "error_bar",
-    "d_prime",
-    "n_cases",
-    "n_readers",
-    "master_seed",
+    "method", "contrast", "l_max", "ssr", "viewing_distance_cm", "browse_speed",
+    "auc", "auc_var", "error_bar", "d_prime", "n_cases", "n_readers", "master_seed",
 ]
 
 SWEEPABLE = ("contrast", "l_max", "ssr", "browse_speed")
@@ -181,6 +170,8 @@ class SweepConfig:
             if value < least or (name in ("nx", "ny", "nt") and value % 2):
                 raise ConfigError(f"{_KEY[name]}: must be at least {least}"
                                   f"{' and even' if least == 8 else ''}, got {value}")
+        if self.ny != self.nx:  # the viewing geometry takes the field size from one side
+            raise ConfigError(f"corpus.ny: slices must be square, got ny {self.ny} != nx {self.nx}")
         for name, valid, rule in (("beta", lambda v: v >= 0, "non-negative"),
                                   ("spread", lambda v: v > 0, "positive"),
                                   ("train_fraction", lambda v: 0 < v <= 1, "in (0, 1]")):
@@ -266,9 +257,6 @@ class TrendReport:
     labels: dict[str, str]
     inconclusive: dict[str, bool]
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def _clamped_auc(auc_mean: float, n0: int, n1: int) -> float:
     # Keep d' finite on a perfectly separated finite sample.
@@ -278,31 +266,26 @@ def _clamped_auc(auc_mean: float, n0: int, n1: int) -> float:
 
 def _run_point(config: SweepConfig, corpus: list[ImageStack], method: str, point: int):
     vc = config.vc_at(config.values[point])
+    spectral = observer.spectral_channels(
+        observer.make_channels(config.nx, config.ny, config.n_channels, config.spread))
+    # Each stack is transformed once and reduced to (nt, C) channel features
+    # straight from its perceived spectrum; only the features outlive it.
+    specs = (percept.forward(normalize_to_display(s, vc)) for s in corpus)
     if method == "MC":
-        # Only the keep/discard draw differs between readers: each stack is
-        # transformed and its p computed once, then drawn once per reader.
-        sources = [percept.McSource.of(percept.forward(normalize_to_display(s, vc)), vc)
-                   for s in corpus]
-        stacks = corpus
+        # Only the keep/discard draw differs between readers.
+        sources = [percept.McSource.of(spec, vc) for spec in specs]
 
-        def reader_perceive(reader):
-            return [
-                dc_replace(s, data=percept.inverse(src.draw([config.master_seed, point, reader, i])))
-                for i, (s, src) in enumerate(zip(corpus, sources))
-            ]
+        def features(reader):
+            return np.stack([observer.channelize_spectrum(
+                src.draw([config.master_seed, point, reader, i]), spectral)
+                for i, src in enumerate(sources)])
     else:
-        stacks = [percept.perceive(normalize_to_display(s, vc), method, vc) for s in corpus]
-        reader_perceive = None
-
-    channels = stats.observer.make_channels(config.nx, config.ny, config.n_channels, config.spread)
-    _, reader_scores = stats.make_readers(
-        stacks,
-        n_readers=config.n_readers,
-        master_seed=config.master_seed,
-        channels=channels,
-        train_fraction=config.train_fraction,
-        reader_perceive=reader_perceive,
-    )
+        apply = percept.apply_lf if method == "LF" else percept.apply_pm
+        features = np.stack([observer.channelize_spectrum(apply(spec, vc), spectral)
+                             for spec in specs])
+    reader_scores = stats.make_readers(features, [s.signal_present for s in corpus],
+                                       config.n_readers, config.master_seed,
+                                       train_fraction=config.train_fraction)
     res = stats.mrmc_one_shot(stats.McmcInput(readers=reader_scores))
     dp = stats.d_prime(_clamped_auc(res.auc_mean, res.n_absent, res.n_present))
     return {
@@ -364,32 +347,18 @@ def run_sweep(config: SweepConfig, csv_path, threads: int = 1) -> TrendReport:
 
     d_primes, error_bars, normalized, labels, inconclusive = {}, {}, {}, {}, {}
     for method in config.methods:
-        dp = [rows[(method, i)]["d_prime"] for i in range(len(config.values))]
+        points = [rows[(method, i)] for i in range(len(config.values))]
+        dp = d_primes[method] = [r["d_prime"] for r in points]
         # The CSV error bar is on the AUC scale; trend classification compares
         # d' values, so propagate the bar through d'(AUC) (delta method).
-        eb = [
-            _dprime_error_bar(d, rows[(method, i)]["error_bar"])
-            for i, d in enumerate(dp)
-        ]
-        d_primes[method] = dp
-        error_bars[method] = eb
+        eb = error_bars[method] = [_dprime_error_bar(r["d_prime"], r["error_bar"])
+                                   for r in points]
         peak = max(dp)
-        if peak <= 0:
-            normalized[method] = [float("nan")] * len(dp)
-            inconclusive[method] = True
-        else:
-            normalized[method] = [v / peak for v in dp]
-            inconclusive[method] = False
+        inconclusive[method] = peak <= 0
+        normalized[method] = [v / peak if peak > 0 else float("nan") for v in dp]
         labels[method] = classify_trend(dp, eb)
-    return TrendReport(
-        parameter=config.parameter,
-        values=config.values,
-        d_primes=d_primes,
-        error_bars=error_bars,
-        normalized=normalized,
-        labels=labels,
-        inconclusive=inconclusive,
-    )
+    return TrendReport(config.parameter, config.values, d_primes, error_bars, normalized,
+                       labels, inconclusive)
 
 
 def _dprime_error_bar(dp: float, auc_error_bar: float) -> float:

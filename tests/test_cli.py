@@ -50,6 +50,17 @@ class TestGenCorpus:
         assert first.data.shape == (16, 16, 8)
 
 
+    def test_non_square_slices_rejected_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "corpus"
+        rc = main(["gen-corpus", "--out", str(out), "--n-pairs", "2",
+                   "--nx", "16", "--ny", "8", "--nt", "8"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "DomainError"
+        assert not out.exists()
+
+
 class TestPerceive:
     @pytest.fixture()
     def stack_file(self, tmp_path):

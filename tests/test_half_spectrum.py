@@ -5,7 +5,18 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from vobsim.errors import DomainError
-from vobsim.percept import McSource, SpectralStack, apply_lf, apply_mc, apply_pm, forward, inverse
+from vobsim.observer import channelize_spectrum, channelize_stack, make_channels, spectral_channels
+from vobsim.percept import (
+    McSource,
+    SpectralStack,
+    apply_lf,
+    apply_mc,
+    apply_pm,
+    forward,
+    inverse,
+    sensitivity,
+    visibility,
+)
 from vobsim.stackgen import ImageStack, ViewingConditions
 
 even = st.integers(1, 8).map(lambda n: 2 * n)
@@ -39,6 +50,28 @@ def test_half_spectrum_matches_full_fft(dims, seed):
     drawn = McSource.of(spec, vc).draw(seed)
     assert np.array_equal(drawn.half, outs["MC"].half)
     assert np.array_equal(inverse(drawn), inverse(outs["MC"]))
+    # A draw keeps each pair at unit modulation: PM with p set to the keep mask.
+    p = visibility(spec, sensitivity(spec, vc))[1]
+    keep = np.random.default_rng(seed).random(p.size) < p
+    assert np.array_equal(inverse(drawn), inverse(apply_pm(spec, vc, p=keep * 1.0)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dims=st.tuples(even, even, even), n_channels=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+@example(dims=(16, 8, 6), n_channels=5, seed=0)
+@example(dims=(2, 2, 2), n_channels=1, seed=1)
+def test_spectral_features_match_channelized_inverse(dims, n_channels, seed):
+    spec = forward(_stack(dims, seed))
+    channels = make_channels(dims[0], dims[1], n_channels, spread=2.0)
+    spectral = spectral_channels(channels)
+    vc = ViewingConditions()
+    for name, out in (("LF", apply_lf(spec, vc)), ("PM", apply_pm(spec, vc)),
+                      ("MC", McSource.of(spec, vc).draw(seed))):
+        want = channelize_stack(ImageStack(data=inverse(out)), channels)
+        got = channelize_spectrum(out, spectral)
+        assert got.shape == (dims[2], n_channels), name
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
 
 
 def _hermitian_half(dims, seed):
@@ -61,6 +94,9 @@ def test_non_hermitian_half_is_rejected(dims, where):
     assert np.abs(np.fft.ifftn(bad.coeffs).imag).max() > 1e-9 * np.abs(np.fft.ifftn(bad.coeffs)).max()
     with pytest.raises(DomainError, match="imaginary"):
         inverse(bad)
+    spectral = spectral_channels(make_channels(dims[0], dims[1], 3, spread=2.0))
+    with pytest.raises(DomainError, match="imaginary"):
+        channelize_spectrum(bad, spectral)
 
 
 @pytest.mark.parametrize("factor", [0.01, 0.5, 0.8, 1.25, 2.0, 100.0])
@@ -71,8 +107,9 @@ def test_residue_check_agrees_with_full_inverse(factor, planes, dims, seed):
     # Noise on the kt = 0 and/or kt = nt/2 planes, scaled so that the
     # imaginary part of ifftn(coeffs) is `factor` times the 1e-9 tolerance:
     # inverse raises exactly when factor > 1 and otherwise returns the real
-    # part.  "opposite" puts the negated kt = 0 noise on the kt = nt/2 plane,
-    # so the residue vanishes on even slices and doubles on odd ones.
+    # part, and so does the channelization of the spectrum.  "opposite" puts
+    # the negated kt = 0 noise on the kt = nt/2 plane, so the residue
+    # vanishes on even slices and doubles on odd ones.
     spec = _hermitian_half(dims, seed)
     rng = np.random.default_rng(seed)
     shape = (dims[0], dims[1], 2)
@@ -93,11 +130,15 @@ def test_residue_check_agrees_with_full_inverse(factor, planes, dims, seed):
     bad = perturbed(unit * factor * 1e-9 / imag_ratio(perturbed(unit))[0])
     ratio, full = imag_ratio(bad)
     assert ratio == pytest.approx(factor * 1e-9, rel=1e-3)
+    spectral = spectral_channels(make_channels(dims[0], dims[1], 2, spread=2.0))
     if factor > 1:
         with pytest.raises(DomainError):
             inverse(bad)
+        with pytest.raises(DomainError):
+            channelize_spectrum(bad, spectral)
     else:
         assert np.abs(inverse(bad) - full.real).max() <= 1e-12 * np.abs(full).max()
+        channelize_spectrum(bad, spectral)
 
 
 def test_zero_mean_stack_has_no_mean_luminance():

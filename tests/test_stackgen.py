@@ -1,13 +1,16 @@
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vobsim.errors import (
     DegenerateStackError,
     DimensionMismatchError,
     DomainError,
     MalformedHeaderError,
+    StackFormatError,
     TruncatedPayloadError,
 )
 from vobsim.stackgen import (
@@ -251,6 +254,36 @@ class TestStackIO:
         assert np.array_equal(payload[:8], data[:, 0, 0])
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        dims=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)),
+        cut=st.none() | st.integers(0, 200),
+        edits=st.lists(st.tuples(st.integers(0, 200), st.integers(0, 255)), max_size=4),
+        header=st.none() | st.tuples(st.integers(0, 5), st.integers(0, 2**32 - 1)),
+        extra=st.binary(max_size=16),
+    )
+    def test_damaged_file_raises_only_stack_format_error(self, dims, cut, edits, header, extra):
+        # Truncated, overwritten, re-dimensioned or extended bytes of a
+        # written stack either read back as a stack or raise StackFormatError.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "s.vstk")
+            write_stack(ImageStack(data=np.arange(np.prod(dims), dtype=float).reshape(dims)), path)
+            raw = bytearray(open(path, "rb").read())
+            if header is not None:
+                field, value = header
+                raw[8 + 4 * field: 12 + 4 * field] = value.to_bytes(4, "little")
+            for pos, value in edits:
+                raw[pos % len(raw)] = value
+            raw = raw[:cut] + extra if cut is not None else raw + extra
+            with open(path, "wb") as fh:
+                fh.write(raw)
+            try:
+                stack = read_stack(path)
+            except StackFormatError:
+                return
+            assert stack.data.size * 8 + 40 == len(raw)
+
+
 class TestManifest:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "manifest.json"
@@ -278,6 +311,10 @@ class TestCorpus:
         b = generate_corpus(4, **kwargs)
         for x, y in zip(a, b):
             assert np.array_equal(x.data, y.data)
+
+    def test_rejects_non_square_slices(self):
+        with pytest.raises(DomainError, match="square"):
+            generate_corpus(1, 16, 8, 8)
 
     def test_pipeline_preserves_display_range(self):
         vc = ViewingConditions()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vobsim import percept
+from vobsim import observer, percept
 from vobsim.errors import DomainError, SaturationError
 from vobsim.stackgen import (
     LesionSpec,
@@ -178,41 +178,49 @@ def small_corpus():
     return [normalize_to_display(s, vc) for s in corpus], vc
 
 
+def features_of(stacks):
+    ch = observer.make_channels(stacks[0].nx, stacks[0].ny)
+    return np.stack([observer.channelize_stack(s, ch) for s in stacks])
+
+
+def labels_of(stacks):
+    return [s.signal_present for s in stacks]
+
+
 class TestMakeReaders:
     def test_deterministic(self, small_corpus):
         stacks, _ = small_corpus
-        _, a = make_readers(stacks, n_readers=2, master_seed=9)
-        _, b = make_readers(stacks, n_readers=2, master_seed=9)
+        a = make_readers(features_of(stacks), labels_of(stacks), n_readers=2, master_seed=9)
+        b = make_readers(features_of(stacks), labels_of(stacks), n_readers=2, master_seed=9)
         for ra, rb in zip(a, b):
             assert np.array_equal(ra.scores, rb.scores)
 
     def test_single_reader_reduction(self, small_corpus):
         stacks, _ = small_corpus
-        models, readers = make_readers(stacks, n_readers=1, master_seed=9)
-        assert len(models) == 1 and len(readers) == 1
+        readers = make_readers(features_of(stacks), labels_of(stacks), n_readers=1, master_seed=9)
+        assert len(readers) == 1
         res = mrmc_one_shot(McmcInput(readers=readers))
         assert res.single_reader_fallback
 
     def test_common_test_set(self, small_corpus):
         stacks, _ = small_corpus
-        _, readers = make_readers(stacks, n_readers=3, master_seed=9)
+        readers = make_readers(features_of(stacks), labels_of(stacks), n_readers=3, master_seed=9)
         for r in readers[1:]:
             assert np.array_equal(r.labels, readers[0].labels)
 
     def test_mc_seed_creates_reader_variability(self, small_corpus):
         stacks, vc = small_corpus
 
-        def reader_perceive(reader):
-            return [
+        def reader_features(reader):
+            return features_of([
                 percept.perceive(s, "MC", vc, mc_seed=[reader, i])
                 for i, s in enumerate(stacks)
-            ]
+            ])
 
         # train_fraction = 1: both readers share the training partition, so
         # any score difference comes from the per-reader MC perception.
-        _, readers = make_readers(
-            stacks, n_readers=2, master_seed=9, train_fraction=1.0,
-            reader_perceive=reader_perceive,
+        readers = make_readers(
+            reader_features, labels_of(stacks), n_readers=2, master_seed=9, train_fraction=1.0,
         )
         assert not np.array_equal(readers[0].scores, readers[1].scores)
 
@@ -221,4 +229,4 @@ class TestMakeReaders:
         corpus = generate_corpus(2, 16, 16, 8, 2.0, LesionSpec(amplitude=0.2), 3)
         stacks = [normalize_to_display(s, vc) for s in corpus]
         with pytest.raises(DomainError):
-            make_readers(stacks, n_readers=2, master_seed=0)
+            make_readers(features_of(stacks), labels_of(stacks), n_readers=2, master_seed=0)

@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import json
 import math
@@ -8,9 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vobsim import percept
+from vobsim import observer, percept
 from vobsim.errors import ConfigError, DomainError
-from vobsim.stackgen import ViewingConditions
+from vobsim.stackgen import ImageStack, ViewingConditions
 from vobsim.sweep import (
     CSV_COLUMNS,
     DEFAULT_GRIDS,
@@ -156,6 +157,7 @@ class TestConfigValidation:
         ("corpus", "nx", True),
         ("corpus", "nt", 9),
         ("corpus", "ny", 6),
+        ("corpus", "ny", 32),
         ("corpus", "beta", float("nan")),
         ("corpus", "beta", -1.0),
         ("corpus", "master_seed", -1),
@@ -191,7 +193,7 @@ class TestConfigValidation:
             SweepConfig(parameter="contrast", values=(100.0, 200.0))
 
     def test_from_dict_leaves_input_alone(self):
-        raw = {"corpus": {"nx": 16, "lesion": {"amplitude": 0.3, "center": [1, 2, 3]}}}
+        raw = {"corpus": {"nx": 16, "ny": 16, "lesion": {"amplitude": 0.3, "center": [1, 2, 3]}}}
         before = json.dumps(raw)
         cfg = SweepConfig.from_dict(raw)
         assert json.dumps(raw) == before
@@ -277,17 +279,36 @@ class TestRunSweep:
     def test_forward_once_per_stack_and_point(self, tmp_path, monkeypatch, methods):
         # MC readers differ only in their keep/discard draws, so the forward
         # transform (and the CSF and p behind it) must not run per reader.
-        calls = []
-        real_forward = percept.forward
+        # Features come straight from the perceived spectra: no inverse
+        # transform runs, and while readers train, the only stacks alive
+        # are the corpus's own.
+        calls = {"forward": 0, "inverse": 0}
+        live_stacks = []
+        real_forward, real_inverse = percept.forward, percept.inverse
+        real_hotelling = observer.hotelling_weights
 
-        def counting_forward(stack):
-            calls.append(stack)
-            return real_forward(stack)
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
 
-        monkeypatch.setattr(percept, "forward", counting_forward)
+        def count_stacks():
+            return sum(isinstance(o, ImageStack) for o in gc.get_objects())
+
+        def hotelling(*args, **kwargs):
+            live_stacks.append(count_stacks() - before)
+            return real_hotelling(*args, **kwargs)
+
+        monkeypatch.setattr(percept, "forward", counting("forward", real_forward))
+        monkeypatch.setattr(percept, "inverse", counting("inverse", real_inverse))
+        monkeypatch.setattr(observer, "hotelling_weights", hotelling)
         cfg = tiny_config(methods=methods, n_readers=3)
+        before = count_stacks()
         run_sweep(cfg, tmp_path / "count.csv")
-        assert len(calls) == len(methods) * len(cfg.values) * 2 * cfg.n_pairs
+        n_stacks = 2 * cfg.n_pairs
+        assert calls == {"forward": len(methods) * len(cfg.values) * n_stacks, "inverse": 0}
+        assert live_stacks and max(live_stacks) == n_stacks
 
     def test_mc_method_runs(self, tmp_path):
         cfg = tiny_config(methods=("MC",), values=(100.0, 200.0, 400.0))
