@@ -41,9 +41,6 @@ __all__ = [
     "score",
 ]
 
-DEFAULT_RIDGE_SCALE = 1e-6
-
-
 @dataclass(frozen=True)
 class LgChannelSet:
     """Laguerre-Gauss channels sampled on an nx-by-ny grid.
@@ -117,7 +114,7 @@ def channelize_spectrum(spec: SpectralStack, spectral: np.ndarray) -> np.ndarray
 def hotelling_weights(
     feats_absent: np.ndarray,
     feats_present: np.ndarray,
-    ridge_scale: float = DEFAULT_RIDGE_SCALE,
+    ridge_scale: float = 1e-6,
 ) -> np.ndarray:
     """Regularized Hotelling discriminant (mean class covariance)^-1 (mu1 - mu0).
 
@@ -156,8 +153,7 @@ class ChoModel:
     channels: LgChannelSet | None = None  # set by ``train``, for ``score``
 
 
-def train_features(feats: np.ndarray, labels: np.ndarray,
-                   ridge_scale: float = DEFAULT_RIDGE_SCALE) -> ChoModel:
+def train_features(feats: np.ndarray, labels: np.ndarray) -> ChoModel:
     """Train the type 'b' observer on an (N, nt, C) feature tensor with boolean labels.
 
     Stage 1 learns a Hotelling template from the central-slice channel
@@ -166,9 +162,9 @@ def train_features(feats: np.ndarray, labels: np.ndarray,
     """
     labels = np.asarray(labels, dtype=bool)
     central = feats[:, feats.shape[1] // 2]
-    template = hotelling_weights(central[~labels], central[labels], ridge_scale)
+    template = hotelling_weights(central[~labels], central[labels])
     per_slice = feats @ template
-    fusion = hotelling_weights(per_slice[~labels], per_slice[labels], ridge_scale)
+    fusion = hotelling_weights(per_slice[~labels], per_slice[labels])
     return ChoModel(template_central=template, slice_stage=fusion)
 
 
@@ -181,18 +177,14 @@ def score_features(model: ChoModel, feats: np.ndarray) -> np.ndarray:
     return feats @ model.template_central @ model.slice_stage
 
 
-def train(
-    stacks: list[ImageStack],
-    channels: LgChannelSet,
-    ridge_scale: float = DEFAULT_RIDGE_SCALE,
-) -> ChoModel:
+def train(stacks: list[ImageStack], channels: LgChannelSet) -> ChoModel:
     """Train the type 'b' observer on labeled stacks (see ``train_features``)."""
     if not stacks:
         raise DomainError("no training stacks given")
     if any(s.nt != stacks[0].nt for s in stacks):
         raise DimensionMismatchError("training stacks differ in slice count")
     feats = np.stack([channelize_stack(s, channels) for s in stacks])
-    model = train_features(feats, [s.signal_present for s in stacks], ridge_scale)
+    model = train_features(feats, [s.signal_present for s in stacks])
     return replace(model, channels=channels)
 
 

@@ -21,8 +21,14 @@ imaginary residue of an inverse transform from the kt = 0 and kt = nt/2
 planes alone; ``inverse`` and ``observer.channelize_spectrum`` both run it.
 
 Per stack, the sensitivity S and the detection probability p are arrays over
-the canonical bins (one per conjugate pair); the methods' ``s=``/``p=``
-arguments replace them with any array or scalar that broadcasts onto those.
+the canonical bins (one per conjugate pair).  PM and MC both start from p:
+one pass gathers the canonical values and yields each pair's modulation m
+(which p needs), its unit-modulation scale and its phase; PM scales the pair
+to p and MC keeps it with probability p.  The field's apparent size comes
+from the pixel count and sampling rate (orthogonal viewing) and its
+luminance from the stack's mean, with the default Barten constants.  The
+``s=``/``p=`` arguments of the methods replace S or p with any array or
+scalar that broadcasts onto the canonical bins.
 """
 
 from __future__ import annotations
@@ -34,13 +40,12 @@ from math import prod
 import numpy as np
 import scipy.fft
 
-from .csf import DEFAULT_PARAMS, BartenParams, FieldGeometry, csf, detection_probability
+from .csf import FieldGeometry, csf, detection_probability
 from .errors import DegenerateStackError, DimensionMismatchError, DomainError
 from .stackgen import ImageStack, ViewingConditions
 
 __all__ = [
     "SpectralStack",
-    "FrequencyMap",
     "METHODS",
     "forward",
     "inverse",
@@ -78,31 +83,6 @@ class SpectralStack:
 def _mirror_xy(a: np.ndarray) -> np.ndarray:
     # b[kx, ky] = a[-kx mod nx, -ky mod ny]
     return np.roll(a[::-1, ::-1], 1, axis=(0, 1))
-
-
-@dataclass(frozen=True)
-class FrequencyMap:
-    """Physical frequency per DFT index: u1, u2 in cycles/deg, w in cycles/s."""
-
-    u1: np.ndarray
-    u2: np.ndarray
-    w: np.ndarray
-
-    @classmethod
-    def for_stack(cls, dims: tuple[int, int, int], vc: ViewingConditions) -> "FrequencyMap":
-        nx, ny, nt = dims
-        kx, ky, kt = np.arange(nx), np.arange(ny), np.arange(nt)
-        u1 = np.minimum(kx, nx - kx) / nx * vc.ssr
-        u2 = np.minimum(ky, ny - ky) / ny * vc.ssr
-        w = np.minimum(kt, nt - kt) / nt * vc.browse_speed
-        return cls(u1=u1, u2=u2, w=w)
-
-    def grids(self) -> tuple[np.ndarray, np.ndarray]:
-        """Combined spatial frequency sqrt(u1^2 + u2^2) and temporal w as 3D grids."""
-        u = np.sqrt(self.u1[:, None, None] ** 2 + self.u2[None, :, None] ** 2)
-        u = np.broadcast_to(u, (self.u1.size, self.u2.size, self.w.size))
-        w = np.broadcast_to(self.w[None, None, :], u.shape)
-        return u, w
 
 
 @lru_cache(maxsize=8)
@@ -190,43 +170,23 @@ def modulation(spec: SpectralStack, k: tuple[int, int, int]) -> float:
     return pair_weight * abs(spec.half[stored]) / (n * spec.mean_lum)
 
 
-def sensitivity(spec: SpectralStack, vc: ViewingConditions, geom: FieldGeometry | None = None,
-                params: BartenParams = DEFAULT_PARAMS) -> np.ndarray:
+def sensitivity(spec: SpectralStack, vc: ViewingConditions) -> np.ndarray:
     """Sensitivity S(u, w) on every canonical bin (one per conjugate pair).
 
-    |u| depends only on (kx, ky) and w only on kt, so the CSF is evaluated
-    once per distinct (|u|, w) and gathered onto the bins.  The formula is
-    elementwise, so the values equal a per-bin evaluation bit for bit.
-    The field's apparent size comes from pixel count and sampling rate
-    (orthogonal viewing) unless ``geom`` is given.
+    Signed DFT indices fold onto frequency magnitudes; |u| depends only on
+    (kx, ky) and w only on kt, so the CSF is evaluated once per distinct
+    (|u|, w) and gathered onto the bins.  The formula is elementwise, so the
+    values equal a per-bin evaluation bit for bit.
     """
-    geom = geom or FieldGeometry(x0=spec.dims[0] / vc.ssr, l_avg=spec.mean_lum)
+    nx, ny, nt = spec.dims
+    kx, ky, kt = np.arange(nx), np.arange(ny), np.arange(nt)
+    u1 = np.minimum(kx, nx - kx) / nx * vc.ssr
+    u2 = np.minimum(ky, ny - ky) / ny * vc.ssr
+    u, iu = np.unique(np.sqrt(u1[:, None] ** 2 + u2[None, :] ** 2), return_inverse=True)
+    w, iw = np.unique(np.minimum(kt, nt - kt) / nt * vc.browse_speed, return_inverse=True)
+    table = csf(u[:, None], w[None, :], FieldGeometry(x0=nx / vc.ssr, l_avg=spec.mean_lum))
     canonical = _pair_table(spec.dims)[0]
-    u3, w3 = FrequencyMap.for_stack(spec.dims, vc).grids()
-    u, iu = np.unique(u3[:, :, 0], return_inverse=True)
-    w, iw = np.unique(w3[0, 0, :], return_inverse=True)
-    table = csf(u[:, None], w[None, :], geom, params)
-    return table[iu.ravel()[canonical // spec.dims[2]], iw[canonical % spec.dims[2]]]
-
-
-def _pair_scale(spec: SpectralStack) -> np.ndarray:
-    # Coefficient amplitude of unit modulation per canonical bin: a paired
-    # bin carries half of its cosine, a self-conjugate bin all of it.
-    if spec.mean_lum <= 0:
-        raise DegenerateStackError("PM/MC need a positive mean luminance")
-    n = prod(spec.dims)
-    return np.where(_pair_table(spec.dims)[1], n * spec.mean_lum, n * spec.mean_lum / 2.0)
-
-
-def visibility(spec: SpectralStack, s, k: float = DEFAULT_PARAMS.k_crozier):
-    """Modulation m and detection probability p on every canonical bin, as (m, p)."""
-    m = np.abs(spec.half.ravel()[_pair_table(spec.dims)[4]]) / _pair_scale(spec)
-    return m, detection_probability(m, s, k)
-
-
-def _probability(spec, vc, geom, params, s) -> np.ndarray:
-    s = sensitivity(spec, vc, geom, params) if s is None else s
-    return visibility(spec, s, params.k_crozier)[1]
+    return table[iu.ravel()[canonical // nt], iw[canonical % nt]]
 
 
 def _canonical(spec: SpectralStack) -> np.ndarray:
@@ -237,13 +197,27 @@ def _canonical(spec: SpectralStack) -> np.ndarray:
     return c
 
 
-def _phase(spec: SpectralStack) -> np.ndarray:
-    # Self-conjugate bins are real, so only their sign carries through.
+def _polar(spec: SpectralStack):
+    """Modulation m, unit-modulation amplitude and phase on every canonical bin.
+
+    A paired bin carries half of its cosine, a self-conjugate bin all of it;
+    self-conjugate bins are real, so only their sign is a phase.
+    """
+    if spec.mean_lum <= 0:
+        raise DegenerateStackError("PM/MC need a positive mean luminance")
     self_conj = _pair_table(spec.dims)[1]
+    n = prod(spec.dims)
+    scale = np.where(self_conj, n * spec.mean_lum, n * spec.mean_lum / 2.0)
     c = _canonical(spec)
     amps = np.abs(c)
     phase = np.where(amps > 0, c / np.where(amps > 0, amps, 1.0), 1.0)
-    return np.where(self_conj, np.where(c.real < 0, -1.0, 1.0), phase)
+    phase = np.where(self_conj, np.where(c.real < 0, -1.0, 1.0), phase)
+    return amps / scale, scale, phase
+
+
+def visibility(spec: SpectralStack, s) -> np.ndarray:
+    """Detection probability p on every canonical bin, at sensitivity ``s``."""
+    return detection_probability(_polar(spec)[0], s)
 
 
 def _assemble(dims, dc: complex, new: np.ndarray) -> SpectralStack:
@@ -267,9 +241,10 @@ class McSource:
     phasor: SpectralStack
 
     @classmethod
-    def of(cls, spec, vc, geom=None, *, params=DEFAULT_PARAMS, s=None, p=None) -> "McSource":
-        p = _probability(spec, vc, geom, params, s) if p is None else p
-        return cls(p, _assemble(spec.dims, spec.half[0, 0, 0], _pair_scale(spec) * _phase(spec)))
+    def of(cls, spec: SpectralStack, vc: ViewingConditions, *, p=None) -> "McSource":
+        m, scale, phase = _polar(spec)
+        p = detection_probability(m, sensitivity(spec, vc)) if p is None else p
+        return cls(p, _assemble(spec.dims, spec.half[0, 0, 0], scale * phase))
 
     def draw(self, seed) -> SpectralStack:
         """Keep each conjugate pair with probability p, at unit modulation."""
@@ -279,41 +254,39 @@ class McSource:
         return replace(self.phasor, half=np.where(kept, self.phasor.half, 0))
 
 
-def apply_lf(spec: SpectralStack, vc: ViewingConditions, geom: FieldGeometry | None = None,
-             *, params: BartenParams = DEFAULT_PARAMS, s=None) -> SpectralStack:
+def apply_lf(spec: SpectralStack, vc: ViewingConditions, *, s=None) -> SpectralStack:
     """Scale every non-DC component by the sensitivity at its frequency."""
     self_conj = _pair_table(spec.dims)[1]
-    s = sensitivity(spec, vc, geom, params) if s is None else s
+    s = sensitivity(spec, vc) if s is None else s
     new = _canonical(spec) * s
     return _assemble(spec.dims, spec.half[0, 0, 0], np.where(self_conj, new.real, new))
 
 
-def apply_pm(spec: SpectralStack, vc: ViewingConditions, geom: FieldGeometry | None = None,
-             *, params: BartenParams = DEFAULT_PARAMS, s=None, p=None) -> SpectralStack:
+def apply_pm(spec: SpectralStack, vc: ViewingConditions, *, s=None, p=None) -> SpectralStack:
     """Replace every non-DC component's modulation by its detection probability."""
-    p = _probability(spec, vc, geom, params, s) if p is None else p
-    return _assemble(spec.dims, spec.half[0, 0, 0], p * _pair_scale(spec) * _phase(spec))
+    m, scale, phase = _polar(spec)
+    if p is None:
+        p = detection_probability(m, sensitivity(spec, vc) if s is None else s)
+    return _assemble(spec.dims, spec.half[0, 0, 0], p * scale * phase)
 
 
-def apply_mc(spec: SpectralStack, vc: ViewingConditions, geom: FieldGeometry | None = None,
-             seed=None, *, params: BartenParams = DEFAULT_PARAMS, s=None, p=None) -> SpectralStack:
+def apply_mc(spec: SpectralStack, vc: ViewingConditions, seed=None, *, p=None) -> SpectralStack:
     """Bernoulli keep/discard per conjugate pair; kept pairs get unit modulation."""
-    if seed is None:
-        raise DomainError("the MC method requires an explicit seed")
-    return McSource.of(spec, vc, geom, params=params, s=s, p=p).draw(seed)
+    if seed is None or np.any(np.asarray(seed) < 0):
+        raise DomainError(f"the MC method requires an explicit non-negative seed, got {seed!r}")
+    return McSource.of(spec, vc, p=p).draw(seed)
 
 
-def perceive(stack: ImageStack, method: str, vc: ViewingConditions, *, mc_seed=None,
-             params: BartenParams = DEFAULT_PARAMS, s=None) -> ImageStack:
+def perceive(stack: ImageStack, method: str, vc: ViewingConditions, *, mc_seed=None) -> ImageStack:
     """Forward transform, apply one method, inverse transform back to space-time."""
     method = method.upper()
     if method not in METHODS:
         raise DomainError(f"unknown perception method {method!r}")
     spec = forward(stack)
     if method == "LF":
-        spec = apply_lf(spec, vc, params=params, s=s)
+        spec = apply_lf(spec, vc)
     elif method == "PM":
-        spec = apply_pm(spec, vc, params=params, s=s)
+        spec = apply_pm(spec, vc)
     else:
-        spec = apply_mc(spec, vc, seed=mc_seed, params=params, s=s)
+        spec = apply_mc(spec, vc, seed=mc_seed)
     return replace(stack, data=inverse(spec))

@@ -137,8 +137,8 @@ def generate_background(nx: int, ny: int, nt: int, beta: float, seed) -> ImageSt
             raise DomainError(f"{name} must be at least 8, got {n}")
         if n % 2 != 0:
             raise DomainError(f"{name} must be even for the spectral pipeline, got {n}")
-    if beta < 0:
-        raise DomainError(f"beta must be non-negative, got {beta!r}")
+    if not 0 <= beta < np.inf:  # NaN compares false
+        raise DomainError(f"beta must be finite and non-negative, got {beta!r}")
 
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rng = np.random.default_rng(ss)
@@ -273,6 +273,8 @@ def generate_corpus(
         raise DomainError(f"n_pairs must be at least 1, got {n_pairs}")
     if nx != ny:  # the viewing geometry takes the field size from one side
         raise DomainError(f"slices must be square, got {nx}x{ny}")
+    if master_seed < 0:
+        raise DomainError(f"master_seed must be non-negative, got {master_seed}")
     if lesion is None:
         lesion = LesionSpec(amplitude=0.5)
     children = np.random.SeedSequence(master_seed).spawn(n_pairs)

@@ -159,20 +159,19 @@ def d_prime(auc_value: float) -> float:
     return float(2.0 * erfinv(2.0 * auc_value - 1.0))
 
 
-def make_readers(features, labels, n_readers: int = 4, master_seed: int = 0, *,
-                 train_fraction: float = 0.8,
-                 ridge_scale: float = observer.DEFAULT_RIDGE_SCALE) -> list[CaseScores]:
-    """Train virtual readers and score them on a common held-out test half.
+def make_readers(features, labels, master_seed: int, *, train_fraction: float) -> list[CaseScores]:
+    """Train one virtual reader per feature tensor and score them on a common test half.
 
-    ``features`` is the (N, nt, C) channel-feature tensor of the labeled cases,
-    or a function from reader index to that reader's tensor (MC perception is
-    random per reader).  Cases are split 50/50 per class into a training pool
-    and a test half shared by all readers (the one-shot estimator assumes a
-    fully-crossed reader-by-case design); each reader trains on its own
-    seeded random subset of the pool.
+    ``features`` holds one (N, nt, C) channel-feature tensor of the labeled
+    cases per reader: the same tensor for every reader under LF/PM, one
+    drawn tensor each under MC, whose perception is random per reader.
+    Cases are split 50/50 per class into a training pool and a test half
+    shared by all readers (the one-shot estimator assumes a fully-crossed
+    reader-by-case design); each reader trains on its own seeded random
+    subset of the pool.
     """
-    if n_readers < 1:
-        raise DomainError(f"n_readers must be at least 1, got {n_readers}")
+    if len(features) == 0:
+        raise DomainError("at least one reader's feature tensor is required")
     if not 0 < train_fraction <= 1:
         raise DomainError(f"train_fraction must be in (0, 1], got {train_fraction!r}")
     labels = np.asarray(labels, dtype=bool)
@@ -190,12 +189,11 @@ def make_readers(features, labels, n_readers: int = 4, master_seed: int = 0, *,
     n_train = [min(max(2, int(round(train_fraction * pool.size))), pool.size) for pool in pools]
 
     reader_scores = []
-    for reader in range(n_readers):
+    for reader, feats in enumerate(features):
         rng_r = np.random.default_rng([int(master_seed), 0x4EAD, reader])
         train_idx = np.concatenate([rng_r.choice(pool, size=n, replace=False)
                                     for pool, n in zip(pools, n_train)])
-        feats = features(reader) if callable(features) else features
-        model = observer.train_features(feats[train_idx], labels[train_idx], ridge_scale)
+        model = observer.train_features(feats[train_idx], labels[train_idx])
         scores = observer.score_features(model, feats[test_idx])
         reader_scores.append(CaseScores(scores, labels[test_idx], reader))
     return reader_scores

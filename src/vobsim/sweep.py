@@ -234,10 +234,10 @@ class SweepConfig:
 
     @classmethod
     def from_json(cls, path) -> "SweepConfig":
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"config: not valid JSON ({exc})") from exc
         return cls.from_dict(raw)
 
@@ -272,20 +272,20 @@ def _run_point(config: SweepConfig, corpus: list[ImageStack], method: str, point
     # straight from its perceived spectrum; only the features outlive it.
     specs = (percept.forward(normalize_to_display(s, vc)) for s in corpus)
     if method == "MC":
-        # Only the keep/discard draw differs between readers.
-        sources = [percept.McSource.of(spec, vc) for spec in specs]
-
-        def features(reader):
-            return np.stack([observer.channelize_spectrum(
-                src.draw([config.master_seed, point, reader, i]), spectral)
-                for i, src in enumerate(sources)])
+        # Only the keep/discard draw differs between readers, so each stack's
+        # draws for all readers come from one McSource, dropped right after.
+        features = np.empty((config.n_readers, len(corpus), config.nt, config.n_channels))
+        for i, spec in enumerate(specs):
+            source = percept.McSource.of(spec, vc)
+            for reader, feats in enumerate(features):
+                feats[i] = observer.channelize_spectrum(
+                    source.draw([config.master_seed, point, reader, i]), spectral)
     else:
         apply = percept.apply_lf if method == "LF" else percept.apply_pm
-        features = np.stack([observer.channelize_spectrum(apply(spec, vc), spectral)
-                             for spec in specs])
+        features = [np.stack([observer.channelize_spectrum(apply(spec, vc), spectral)
+                              for spec in specs])] * config.n_readers
     reader_scores = stats.make_readers(features, [s.signal_present for s in corpus],
-                                       config.n_readers, config.master_seed,
-                                       train_fraction=config.train_fraction)
+                                       config.master_seed, train_fraction=config.train_fraction)
     res = stats.mrmc_one_shot(stats.McmcInput(readers=reader_scores))
     dp = stats.d_prime(_clamped_auc(res.auc_mean, res.n_absent, res.n_present))
     return {

@@ -156,3 +156,35 @@ class TestSweepCommand:
         assert err["error"] == "ConfigError"
         assert f"{section}.{key}" in err["message"]
         assert not csv_path.exists()
+
+
+class TestBadInputs:
+    CASES = [
+        ("config not UTF-8", [], "ConfigError", "JSON"),
+        ("negative MC seed", ["--mc-seed", "-1"], "DomainError", "seed"),
+        ("negative corpus seed", ["--seed", "-1"], "DomainError", "seed"),
+        ("NaN beta", ["--beta", "nan"], "DomainError", "beta"),
+        ("infinite beta", ["--beta", "inf"], "DomainError", "beta"),
+    ]
+
+    @pytest.mark.parametrize("case, extra, error, word", CASES, ids=[c[0] for c in CASES])
+    def test_json_error_and_nothing_written(self, tmp_path, capsys, case, extra, error, word):
+        out = tmp_path / "out"
+        if case == "config not UTF-8":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_bytes('{"methods": ["PM"]}'.encode("utf-16"))
+            argv = ["sweep", "--config", str(cfg), "--out", str(out)]
+        elif case == "negative MC seed":
+            stack = tmp_path / "in.vstk"
+            write_stack(generate_background(16, 16, 8, 2.5, seed=7), stack)
+            argv = ["perceive", "--input", str(stack), "--output", str(out), "--method", "MC"]
+        else:
+            argv = ["gen-corpus", "--out", str(out), "--n-pairs", "2",
+                    "--nx", "16", "--ny", "16", "--nt", "8"]
+        assert main(argv + extra) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        report = json.loads(err)
+        assert report["error"] == error
+        assert word in report["message"]
+        assert not out.exists()

@@ -2,13 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracle_csf
 from vobsim.csf import FieldGeometry, csf
 from vobsim.errors import DegenerateStackError, DimensionMismatchError, DomainError
 from vobsim.percept import (
-    FrequencyMap,
     McSource,
     SpectralStack,
     apply_lf,
@@ -71,23 +70,6 @@ class TestForwardInverse:
     def test_odd_dims_rejected(self):
         with pytest.raises(DimensionMismatchError):
             forward(ImageStack(data=np.zeros((9, 9, 8))))
-
-
-class TestFrequencyMap:
-    def test_folding(self):
-        vc = ViewingConditions(ssr=7.0, browse_speed=25.0)
-        fm = FrequencyMap.for_stack((8, 8, 8), vc)
-        assert fm.u1[0] == 0.0
-        assert fm.u1[1] == pytest.approx(7.0 / 8)
-        assert fm.u1[7] == pytest.approx(7.0 / 8)  # folded
-        assert fm.u1[4] == pytest.approx(7.0 / 2)  # Nyquist
-        assert fm.w[3] == pytest.approx(3 / 8 * 25.0)
-
-    def test_combined_magnitude(self):
-        vc = ViewingConditions(ssr=8.0, browse_speed=16.0)
-        u, w = FrequencyMap.for_stack((8, 8, 8), vc).grids()
-        assert u[1, 2, 0] == pytest.approx(math.hypot(1, 2))
-        assert w[0, 0, 5] == pytest.approx(3 / 8 * 16.0)
 
 
 class TestModulation:
@@ -237,8 +219,8 @@ class TestPerceive:
     def test_lf_unit_csf_is_identity(self):
         rng = np.random.default_rng(9)
         stack = ImageStack(data=rng.random((16, 16, 8)) + 1.0)
-        out = perceive(stack, "LF", ViewingConditions(), s=1.0)
-        assert np.abs(out.data - stack.data).max() < 1e-10
+        out = inverse(apply_lf(forward(stack), ViewingConditions(), s=1.0))
+        assert np.abs(out - stack.data).max() < 1e-10
 
     def test_unknown_method(self):
         stack = ImageStack(data=np.ones((8, 8, 8)))
@@ -270,7 +252,7 @@ class TestPerceive:
         rng = np.random.default_rng(12)
         stack = ImageStack(data=rng.random((16, 16, 8)) + 1)
         spec = forward(stack)
-        visited = visibility(spec, sensitivity(spec, ViewingConditions()))[1].size
+        visited = visibility(spec, sensitivity(spec, ViewingConditions())).size
         n = 16 * 16 * 8
         assert visited == (n - 8) // 2 + 7
         assert abs(visited - n / 2) <= 8
@@ -282,11 +264,12 @@ class TestPerceive:
         x -= x.mean()
         y -= y.mean()
         vc = ViewingConditions()
-        geom = FieldGeometry(x0=8 / vc.ssr, l_avg=150.0)
+        # x and y have zero mean, so S is that of a uniform 150 cd/m^2 field.
+        s = sensitivity(forward(ImageStack(data=np.full((8, 8, 8), 150.0))), vc)
 
         def lf(data):
             spec = forward(ImageStack(data=data))
-            return inverse(apply_lf(spec, vc, geom=geom))
+            return inverse(apply_lf(spec, vc, s=s))
 
         combined = lf(2.0 * x + 3.0 * y)
         separate = 2.0 * lf(x) + 3.0 * lf(y)
@@ -316,6 +299,7 @@ class TestSensitivity:
         browse_speed=st.floats(0.5, 4000.0),
         l_avg=st.floats(0.1, 1000.0),
     )
+    @example(dims=(8, 8, 8), ssr=7.0, browse_speed=25.0, l_avg=150.0)
     def test_table_equals_per_bin_csf(self, dims, ssr, browse_speed, l_avg):
         vc = ViewingConditions(ssr=ssr, browse_speed=browse_speed)
         spec = SpectralStack(half=np.zeros(dims, dtype=complex), dims=dims, mean_lum=l_avg)
@@ -325,7 +309,13 @@ class TestSensitivity:
         flat = (kx * ny + ky) * nt + kt
         partner = (((-kx) % nx) * ny + (-ky) % ny) * nt + (-kt) % nt
         canonical = (flat <= partner) & (flat != 0)
-        u, w = FrequencyMap.for_stack(dims, vc).grids()
+
+        def folded(k, n, rate):
+            # |signed DFT frequency|: index n - k is -k, and the Nyquist index n/2 stays n/2.
+            return np.abs((k + n // 2) % n - n // 2) / n * rate
+
+        u = np.sqrt(folded(kx, nx, ssr) ** 2 + folded(ky, ny, ssr) ** 2)
+        w = folded(kt, nt, browse_speed)
         want = csf(u[canonical], w[canonical], FieldGeometry(x0=nx / ssr, l_avg=l_avg))
         assert np.array_equal(sensitivity(spec, vc), want)
 

@@ -126,6 +126,11 @@ class TestGenerateBackground:
         with pytest.raises(DomainError):
             generate_background(16, 16, 8, -1.0, seed=0)
 
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf")])
+    def test_rejects_non_finite_beta(self, beta):
+        with pytest.raises(DomainError, match="beta"):
+            generate_background(16, 16, 8, beta, seed=0)
+
 
 class TestInsertLesion:
     def test_zero_amplitude_only_flips_label(self):
@@ -202,6 +207,26 @@ class TestStackIO:
         assert np.array_equal(back.data, lesioned.data)
         assert back.label == lesioned.label
         assert back.seed == lesioned.seed
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        side=st.integers(4, 16).map(lambda n: 2 * n),
+        nt=st.integers(4, 16).map(lambda n: 2 * n),
+        beta=st.floats(0.0, 4.0),
+        master_seed=st.integers(0, 2**64),
+    )
+    def test_every_generated_shape_round_trips(self, side, nt, beta, master_seed):
+        # Every shape the generator accepts (square, even, >= 8) reads back
+        # with the same data bits, label and seed.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "s.vstk")
+            for stack in generate_corpus(1, side, side, nt, beta, LesionSpec(amplitude=0.3),
+                                         master_seed):
+                write_stack(stack, path)
+                back = read_stack(path)
+                assert back.data.shape == (side, side, nt)
+                assert back.data.tobytes() == stack.data.tobytes()
+                assert (back.label, back.seed) == (stack.label, stack.seed)
 
     def test_payload_size(self, tmp_path):
         stack = ImageStack(data=np.zeros((64, 64, 32)))
@@ -315,6 +340,10 @@ class TestCorpus:
     def test_rejects_non_square_slices(self):
         with pytest.raises(DomainError, match="square"):
             generate_corpus(1, 16, 8, 8)
+
+    def test_rejects_negative_master_seed(self):
+        with pytest.raises(DomainError, match="master_seed"):
+            generate_corpus(1, 16, 16, 8, master_seed=-1)
 
     def test_pipeline_preserves_display_range(self):
         vc = ViewingConditions()

@@ -190,21 +190,21 @@ def labels_of(stacks):
 class TestMakeReaders:
     def test_deterministic(self, small_corpus):
         stacks, _ = small_corpus
-        a = make_readers(features_of(stacks), labels_of(stacks), n_readers=2, master_seed=9)
-        b = make_readers(features_of(stacks), labels_of(stacks), n_readers=2, master_seed=9)
+        a = make_readers([features_of(stacks)] * 2, labels_of(stacks), 9, train_fraction=0.8)
+        b = make_readers([features_of(stacks)] * 2, labels_of(stacks), 9, train_fraction=0.8)
         for ra, rb in zip(a, b):
             assert np.array_equal(ra.scores, rb.scores)
 
     def test_single_reader_reduction(self, small_corpus):
         stacks, _ = small_corpus
-        readers = make_readers(features_of(stacks), labels_of(stacks), n_readers=1, master_seed=9)
+        readers = make_readers([features_of(stacks)], labels_of(stacks), 9, train_fraction=0.8)
         assert len(readers) == 1
         res = mrmc_one_shot(McmcInput(readers=readers))
         assert res.single_reader_fallback
 
     def test_common_test_set(self, small_corpus):
         stacks, _ = small_corpus
-        readers = make_readers(features_of(stacks), labels_of(stacks), n_readers=3, master_seed=9)
+        readers = make_readers([features_of(stacks)] * 3, labels_of(stacks), 9, train_fraction=0.8)
         for r in readers[1:]:
             assert np.array_equal(r.labels, readers[0].labels)
 
@@ -220,7 +220,7 @@ class TestMakeReaders:
         # train_fraction = 1: both readers share the training partition, so
         # any score difference comes from the per-reader MC perception.
         readers = make_readers(
-            reader_features, labels_of(stacks), n_readers=2, master_seed=9, train_fraction=1.0,
+            [reader_features(r) for r in range(2)], labels_of(stacks), 9, train_fraction=1.0,
         )
         assert not np.array_equal(readers[0].scores, readers[1].scores)
 
@@ -229,4 +229,9 @@ class TestMakeReaders:
         corpus = generate_corpus(2, 16, 16, 8, 2.0, LesionSpec(amplitude=0.2), 3)
         stacks = [normalize_to_display(s, vc) for s in corpus]
         with pytest.raises(DomainError):
-            make_readers(features_of(stacks), labels_of(stacks), n_readers=2, master_seed=0)
+            make_readers([features_of(stacks)] * 2, labels_of(stacks), 0, train_fraction=0.8)
+
+    def test_no_readers(self, small_corpus):
+        stacks, _ = small_corpus
+        with pytest.raises(DomainError):
+            make_readers([], labels_of(stacks), 0, train_fraction=0.8)
