@@ -209,8 +209,13 @@ def detection_probability(m, s, k: float = 3.0):
         raise DomainError("modulation m must be non-negative")
     if np.any(s < 0):
         raise DomainError("sensitivity s must be non-negative")
-    z = k * (m * s - 1.0)
-    p = 0.5 + 0.5 * erf(z / np.sqrt(2.0))
+    p = np.asarray(m * s)  # then 0.5 + 0.5*erf(k*(p - 1)/sqrt(2)), in place
+    p -= 1.0
+    p *= k
+    p /= np.sqrt(2.0)
+    erf(p, out=p)
+    p *= 0.5
+    p += 0.5
     if m.ndim == 0 and s.ndim == 0:
         return float(p)
     return p

@@ -90,9 +90,10 @@ def _pair_table(dims: tuple[int, int, int]):
     """Canonical bins, one per conjugate pair (DC excluded), and their half-spectrum layout.
 
     Returns (canonical, self_conj, src, flip, at, at_flip): canonical holds the
-    smaller full-layout flat index of each pair, sorted; half bin h holds value
-    src[h] of the canonical values with the DC appended, conjugated where
-    flip[h]; canonical bin i is read from half bin at[i], conjugated where at_flip[i].
+    smaller full-layout flat index of each pair, sorted; self_conj the positions of the
+    self-conjugate ones; half bin h holds value src[h] of the canonical values with the
+    DC appended, conjugated where flip[h]; canonical bin i is read from half bin at[i],
+    conjugated where at_flip[i].
     """
     nx, ny, nt = dims
     # Every pair has a member in the half spectrum, so its bins list all pairs.
@@ -106,8 +107,12 @@ def _pair_table(dims: tuple[int, int, int]):
     at = np.empty(canonical.size, dtype=np.intp)
     at[src[flip]] = np.flatnonzero(flip) + 1
     at[src[~flip]] = np.flatnonzero(~flip) + 1
-    return (canonical, flat[at - 1] == partner[at - 1], np.concatenate(([canonical.size], src)),
-            np.concatenate(([False], flip)), at, flip[at - 1])
+    tables = (canonical, np.flatnonzero(flat[at - 1] == partner[at - 1]),
+              np.concatenate(([canonical.size], src)), np.concatenate(([False], flip)),
+              at, flip[at - 1])
+    for a in tables:
+        a.flags.writeable = False
+    return tables
 
 
 def forward(stack: ImageStack) -> SpectralStack:
@@ -121,7 +126,7 @@ def forward(stack: ImageStack) -> SpectralStack:
     n = prod(data.shape)
     # A DC within rounding of zero has no sign: the stack has no positive mean.
     dc = half[0, 0, 0].real
-    zero = abs(dc) <= n * np.finfo(float).eps * np.abs(data).max()
+    zero = abs(dc) <= n * np.finfo(float).eps * max(data.max(), -data.min())
     return SpectralStack(half=half, dims=data.shape, mean_lum=0.0 if zero else dc / n)
 
 
@@ -175,18 +180,28 @@ def sensitivity(spec: SpectralStack, vc: ViewingConditions) -> np.ndarray:
 
     Signed DFT indices fold onto frequency magnitudes; |u| depends only on
     (kx, ky) and w only on kt, so the CSF is evaluated once per distinct
-    (|u|, w) and gathered onto the bins.  The formula is elementwise, so the
-    values equal a per-bin evaluation bit for bit.
+    (|u|, w) and gathered onto the bins (both cached per dims and viewing point).
+    The formula is elementwise, so the values equal a per-bin evaluation bit for bit.
     """
-    nx, ny, nt = spec.dims
+    u, w, at = _frequency_table(spec.dims, vc.ssr, vc.browse_speed)
+    return csf(u, w, FieldGeometry(x0=spec.dims[0] / vc.ssr, l_avg=spec.mean_lum)).take(at)
+
+
+@lru_cache(maxsize=8)
+def _frequency_table(dims: tuple[int, int, int], ssr: float, browse_speed: float):
+    """Distinct |u| (a column) and w (a row), and each canonical bin's flat index into
+    their table; all read-only."""
+    nx, ny, nt = dims
     kx, ky, kt = np.arange(nx), np.arange(ny), np.arange(nt)
-    u1 = np.minimum(kx, nx - kx) / nx * vc.ssr
-    u2 = np.minimum(ky, ny - ky) / ny * vc.ssr
+    u1 = np.minimum(kx, nx - kx) / nx * ssr
+    u2 = np.minimum(ky, ny - ky) / ny * ssr
     u, iu = np.unique(np.sqrt(u1[:, None] ** 2 + u2[None, :] ** 2), return_inverse=True)
-    w, iw = np.unique(np.minimum(kt, nt - kt) / nt * vc.browse_speed, return_inverse=True)
-    table = csf(u[:, None], w[None, :], FieldGeometry(x0=nx / vc.ssr, l_avg=spec.mean_lum))
-    canonical = _pair_table(spec.dims)[0]
-    return table[iu.ravel()[canonical // nt], iw[canonical % nt]]
+    w, iw = np.unique(np.minimum(kt, nt - kt) / nt * browse_speed, return_inverse=True)
+    canonical = _pair_table(dims)[0]
+    tables = (u[:, None], w[None, :], iu.ravel()[canonical // nt] * w.size + iw[canonical % nt])
+    for a in tables:
+        a.flags.writeable = False
+    return tables
 
 
 def _canonical(spec: SpectralStack) -> np.ndarray:
@@ -207,12 +222,13 @@ def _polar(spec: SpectralStack):
         raise DegenerateStackError("PM/MC need a positive mean luminance")
     self_conj = _pair_table(spec.dims)[1]
     n = prod(spec.dims)
-    scale = np.where(self_conj, n * spec.mean_lum, n * spec.mean_lum / 2.0)
     c = _canonical(spec)
-    amps = np.abs(c)
-    phase = np.where(amps > 0, c / np.where(amps > 0, amps, 1.0), 1.0)
-    phase = np.where(self_conj, np.where(c.real < 0, -1.0, 1.0), phase)
-    return amps / scale, scale, phase
+    scale = np.full(c.size, n * spec.mean_lum / 2.0)
+    scale[self_conj] = n * spec.mean_lum
+    m = np.abs(c)
+    phase = np.divide(c, m, out=np.ones_like(c), where=m > 0)
+    phase[self_conj] = np.where(c.real[self_conj] < 0, -1.0, 1.0)
+    return np.divide(m, scale, out=m), scale, phase
 
 
 def visibility(spec: SpectralStack, s) -> np.ndarray:
@@ -223,7 +239,10 @@ def visibility(spec: SpectralStack, s) -> np.ndarray:
 def _assemble(dims, dc: complex, new: np.ndarray) -> SpectralStack:
     # DC, `new` on the canonical bins and its conjugate on their partners.
     src, flip = _pair_table(dims)[2:4]
-    flat = np.append(new, dc)[src]
+    flat = np.empty(src.size, dtype=complex)
+    flat[0] = dc
+    # Every index is in range; mode="raise" would buffer the whole output.
+    np.take(new, src[1:], out=flat[1:], mode="clip")
     np.negative(flat.imag, out=flat.imag, where=flip)
     return SpectralStack(half=flat.reshape(dims[0], dims[1], -1), dims=dims,
                          mean_lum=dc.real / prod(dims))
@@ -256,10 +275,10 @@ class McSource:
 
 def apply_lf(spec: SpectralStack, vc: ViewingConditions, *, s=None) -> SpectralStack:
     """Scale every non-DC component by the sensitivity at its frequency."""
-    self_conj = _pair_table(spec.dims)[1]
     s = sensitivity(spec, vc) if s is None else s
     new = _canonical(spec) * s
-    return _assemble(spec.dims, spec.half[0, 0, 0], np.where(self_conj, new.real, new))
+    new.imag[_pair_table(spec.dims)[1]] = 0.0
+    return _assemble(spec.dims, spec.half[0, 0, 0], new)
 
 
 def apply_pm(spec: SpectralStack, vc: ViewingConditions, *, s=None, p=None) -> SpectralStack:

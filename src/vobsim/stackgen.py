@@ -15,6 +15,7 @@ import os
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -95,14 +96,10 @@ class ViewingConditions:
     browse_speed: float = 25.0  # slices per second
 
     def __post_init__(self):
-        if not self.l_max > 0:
-            raise DomainError(f"l_max must be positive, got {self.l_max!r}")
-        if not self.contrast > 1:
-            raise DomainError(f"contrast must exceed 1, got {self.contrast!r}")
-        if not self.ssr > 0:
-            raise DomainError(f"ssr must be positive, got {self.ssr!r}")
-        if not self.browse_speed > 0:
-            raise DomainError(f"browse_speed must be positive, got {self.browse_speed!r}")
+        for name, value in vars(self).items():
+            least = 1 if name == "contrast" else 0
+            if not least < value < np.inf:  # NaN compares false
+                raise DomainError(f"{name} must be finite and exceed {least}, got {value!r}")
 
     @property
     def l_min(self) -> float:
@@ -144,19 +141,25 @@ def generate_background(nx: int, ny: int, nt: int, beta: float, seed) -> ImageSt
     rng = np.random.default_rng(ss)
     noise = rng.standard_normal((nx, ny, nt))
     spectrum = np.fft.fftn(noise)
+    spectrum *= _shaping_filter(nx, ny, nt, beta)
+    shaped = np.fft.ifftn(spectrum).real
+    lo, hi = shaped.min(), shaped.max()
+    data = (shaped - lo) / (hi - lo)
+    seed_int = int(ss.generate_state(1, np.uint64)[0])
+    return ImageStack(data=data, label=LABEL_ABSENT, seed=seed_int)
 
+
+@lru_cache(maxsize=4)
+def _shaping_filter(nx: int, ny: int, nt: int, beta: float) -> np.ndarray:
+    """Radial amplitude |f|^(-beta/2), 0 at the DC; read-only, shared by every call."""
     fx = np.fft.fftfreq(nx)[:, None, None]
     fy = np.fft.fftfreq(ny)[None, :, None]
     ft = np.fft.fftfreq(nt)[None, None, :]
     radius = np.sqrt(fx**2 + fy**2 + ft**2)
     with np.errstate(divide="ignore"):
         shaping = np.where(radius > 0, radius ** (-beta / 2.0), 0.0)
-
-    shaped = np.fft.ifftn(spectrum * shaping).real
-    lo, hi = shaped.min(), shaped.max()
-    data = (shaped - lo) / (hi - lo)
-    seed_int = int(ss.generate_state(1, np.uint64)[0])
-    return ImageStack(data=data, label=LABEL_ABSENT, seed=seed_int)
+    shaping.flags.writeable = False
+    return shaping
 
 
 def _lesion_profile(stack: ImageStack, lesion: LesionSpec) -> np.ndarray:
@@ -186,7 +189,9 @@ def normalize_to_display(stack: ImageStack, vc: ViewingConditions) -> ImageStack
     if hi == lo:
         raise DegenerateStackError("cannot normalize a constant stack")
     span = vc.l_max - vc.l_min
-    data = vc.l_min + (stack.data - lo) * (span / (hi - lo))
+    data = stack.data - lo  # then l_min + data * (span / (hi - lo)), in place
+    data *= span / (hi - lo)
+    data += vc.l_min
     return replace(stack, data=data)
 
 

@@ -161,7 +161,13 @@ class TestSweepCommand:
 class TestBadInputs:
     CASES = [
         ("config not UTF-8", [], "ConfigError", "JSON"),
-        ("negative MC seed", ["--mc-seed", "-1"], "DomainError", "seed"),
+        ("negative MC seed", ["--method", "MC", "--mc-seed", "-1"], "DomainError", "seed"),
+        ("infinite browse speed", ["--method", "PM", "--normalize", "--browse-speed", "inf"],
+         "DomainError", "browse_speed"),
+        ("infinite contrast", ["--method", "PM", "--normalize", "--contrast", "inf"],
+         "DomainError", "contrast"),
+        ("infinite l_max", ["--method", "LF", "--normalize", "--l-max", "inf"],
+         "DomainError", "l_max"),
         ("negative corpus seed", ["--seed", "-1"], "DomainError", "seed"),
         ("NaN beta", ["--beta", "nan"], "DomainError", "beta"),
         ("infinite beta", ["--beta", "inf"], "DomainError", "beta"),
@@ -174,10 +180,10 @@ class TestBadInputs:
             cfg = tmp_path / "cfg.json"
             cfg.write_bytes('{"methods": ["PM"]}'.encode("utf-16"))
             argv = ["sweep", "--config", str(cfg), "--out", str(out)]
-        elif case == "negative MC seed":
+        elif "--method" in extra:
             stack = tmp_path / "in.vstk"
             write_stack(generate_background(16, 16, 8, 2.5, seed=7), stack)
-            argv = ["perceive", "--input", str(stack), "--output", str(out), "--method", "MC"]
+            argv = ["perceive", "--input", str(stack), "--output", str(out)]
         else:
             argv = ["gen-corpus", "--out", str(out), "--n-pairs", "2",
                     "--nx", "16", "--ny", "16", "--nt", "8"]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.special import erf
 
 import oracle_csf
 from vobsim.csf import (
@@ -204,3 +205,13 @@ class TestDetectionProbability:
     def test_rejects_negative_modulation(self):
         with pytest.raises(DomainError):
             detection_probability(-0.1, 5.0)
+
+    def test_inputs_untouched_and_scalars_give_float(self):
+        m, s = np.linspace(0.0, 1.0, 50), np.linspace(0.0, 20.0, 50)
+        m0, s0 = m.copy(), s.copy()
+        p = detection_probability(m, s)
+        assert np.array_equal(m, m0) and np.array_equal(s, s0)
+        assert not np.shares_memory(p, m) and not np.shares_memory(p, s)
+        assert np.array_equal(p, 0.5 + 0.5 * erf(3.0 * (m0 * s0 - 1.0) / np.sqrt(2.0)))
+        assert type(detection_probability(0.1, 5.0)) is float
+        assert type(detection_probability(np.float64(0.1), np.array(5.0))) is float

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracle_csf
+from vobsim import percept
 from vobsim.csf import FieldGeometry, csf
 from vobsim.errors import DegenerateStackError, DimensionMismatchError, DomainError
 from vobsim.percept import (
@@ -303,21 +304,40 @@ class TestSensitivity:
     def test_table_equals_per_bin_csf(self, dims, ssr, browse_speed, l_avg):
         vc = ViewingConditions(ssr=ssr, browse_speed=browse_speed)
         spec = SpectralStack(half=np.zeros(dims, dtype=complex), dims=dims, mean_lum=l_avg)
-        # One canonical bin per conjugate pair, DC excluded, in C order.
-        nx, ny, nt = dims
-        kx, ky, kt = np.indices(dims)
-        flat = (kx * ny + ky) * nt + kt
-        partner = (((-kx) % nx) * ny + (-ky) % ny) * nt + (-kt) % nt
-        canonical = (flat <= partner) & (flat != 0)
+        assert np.array_equal(sensitivity(spec, vc), _per_bin_csf(dims, vc, l_avg))
 
-        def folded(k, n, rate):
-            # |signed DFT frequency|: index n - k is -k, and the Nyquist index n/2 stays n/2.
-            return np.abs((k + n // 2) % n - n // 2) / n * rate
+    def test_cache_follows_viewing_point(self):
+        # The frequency tables are cached per (dims, ssr, browse_speed):
+        # A, then B, then A again must each match a per-bin evaluation.
+        dims = (16, 16, 8)
+        spec = SpectralStack(half=np.zeros(dims, dtype=complex), dims=dims, mean_lum=120.0)
+        a, b = ViewingConditions(), ViewingConditions(ssr=30.0, browse_speed=200.0)
+        for vc in (a, b, a):
+            assert np.array_equal(sensitivity(spec, vc), _per_bin_csf(dims, vc, 120.0))
 
-        u = np.sqrt(folded(kx, nx, ssr) ** 2 + folded(ky, ny, ssr) ** 2)
-        w = folded(kt, nt, browse_speed)
-        want = csf(u[canonical], w[canonical], FieldGeometry(x0=nx / ssr, l_avg=l_avg))
-        assert np.array_equal(sensitivity(spec, vc), want)
+    def test_cached_tables_are_read_only(self):
+        dims = (16, 16, 8)
+        sensitivity(SpectralStack(np.zeros(dims, dtype=complex), dims, 120.0), ViewingConditions())
+        for table in (*percept._frequency_table(dims, 7.0, 25.0), *percept._pair_table(dims)):
+            with pytest.raises(ValueError):
+                table[...] = 0
+
+
+def _per_bin_csf(dims, vc, l_avg):
+    """S on the canonical bins (one per conjugate pair, DC excluded, in C order), bin by bin."""
+    nx, ny, nt = dims
+    kx, ky, kt = np.indices(dims)
+    flat = (kx * ny + ky) * nt + kt
+    partner = (((-kx) % nx) * ny + (-ky) % ny) * nt + (-kt) % nt
+    canonical = (flat <= partner) & (flat != 0)
+
+    def folded(k, n, rate):
+        # |signed DFT frequency|: index n - k is -k, and the Nyquist index n/2 stays n/2.
+        return np.abs((k + n // 2) % n - n // 2) / n * rate
+
+    u = np.sqrt(folded(kx, nx, vc.ssr) ** 2 + folded(ky, ny, vc.ssr) ** 2)
+    w = folded(kt, nt, vc.browse_speed)
+    return csf(u[canonical], w[canonical], FieldGeometry(x0=nx / vc.ssr, l_avg=l_avg))
 
 
 class TestPerceivedLayout:

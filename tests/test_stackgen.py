@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vobsim import stackgen
 from vobsim.errors import (
     DegenerateStackError,
     DimensionMismatchError,
@@ -126,6 +127,27 @@ class TestGenerateBackground:
         with pytest.raises(DomainError):
             generate_background(16, 16, 8, -1.0, seed=0)
 
+    def test_cached_filter_matches_fresh_evaluation(self):
+        # The shaping filter is cached per (dims, beta); alternating beta
+        # must give what filtering with a freshly built filter gives.
+        fx = np.fft.fftfreq(16)[:, None, None]
+        fy = np.fft.fftfreq(16)[None, :, None]
+        ft = np.fft.fftfreq(8)[None, None, :]
+        radius = np.sqrt(fx**2 + fy**2 + ft**2)
+        for beta in (0.0, 3.0, 0.0, 3.0):
+            ss = np.random.SeedSequence(9)
+            with np.errstate(divide="ignore"):
+                shaping = np.where(radius > 0, radius ** (-beta / 2.0), 0.0)
+            noise = np.random.default_rng(ss).standard_normal((16, 16, 8))
+            shaped = np.fft.ifftn(np.fft.fftn(noise) * shaping).real
+            want = (shaped - shaped.min()) / (shaped.max() - shaped.min())
+            assert np.array_equal(generate_background(16, 16, 8, beta, ss).data, want)
+
+    def test_cached_filter_is_read_only(self):
+        generate_background(16, 16, 8, 3.0, seed=0)
+        with pytest.raises(ValueError):
+            stackgen._shaping_filter(16, 16, 8, 3.0)[1, 1, 1] = 0.0
+
     @pytest.mark.parametrize("beta", [float("nan"), float("inf")])
     def test_rejects_non_finite_beta(self, beta):
         with pytest.raises(DomainError, match="beta"):
@@ -190,6 +212,14 @@ class TestNormalizeToDisplay:
         gain = (vc.l_max - vc.l_min) / (hi - lo)
         want = vc.l_min + (bg.data.mean() - lo) * gain
         assert out.data.mean() == pytest.approx(want, rel=1e-12)
+
+    def test_leaves_input_untouched(self):
+        # A sweep normalizes the shared corpus stacks at every point.
+        bg = generate_background(16, 16, 8, 1.0, seed=2)
+        before = bg.data.tobytes()
+        out = normalize_to_display(bg, ViewingConditions())
+        assert bg.data.tobytes() == before
+        assert not np.shares_memory(out.data, bg.data)
 
     def test_constant_stack_rejected(self):
         flat = ImageStack(data=np.full((8, 8, 8), 3.0))

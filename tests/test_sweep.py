@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vobsim import observer, percept
+from vobsim import observer, percept, sweep
 from vobsim.errors import ConfigError, DomainError
 from vobsim.stackgen import ImageStack, ViewingConditions
 from vobsim.sweep import (
@@ -309,6 +309,22 @@ class TestRunSweep:
         n_stacks = 2 * cfg.n_pairs
         assert calls == {"forward": len(methods) * len(cfg.values) * n_stacks, "inverse": 0}
         assert live_stacks and max(live_stacks) == n_stacks
+
+    def test_corpus_left_as_generated(self, tmp_path, monkeypatch):
+        # Every point and sweep thread reads the same corpus stacks, so no
+        # method may write into one.
+        generated = []
+        real_generate = sweep.generate_corpus
+
+        def generate(*args, **kwargs):
+            corpus = real_generate(*args, **kwargs)
+            generated.extend((s, s.data.tobytes()) for s in corpus)
+            return corpus
+
+        monkeypatch.setattr(sweep, "generate_corpus", generate)
+        run_sweep(tiny_config(methods=("LF", "PM", "MC")), tmp_path / "c.csv", threads=2)
+        assert len(generated) == 12
+        assert all(s.data.tobytes() == data for s, data in generated)
 
     def test_mc_method_runs(self, tmp_path):
         cfg = tiny_config(methods=("MC",), values=(100.0, 200.0, 400.0))
