@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import percept, sweep as sweep_mod
@@ -23,6 +23,9 @@ from .stackgen import (
 )
 
 
+_VIEWING = [f.name for f in fields(ViewingConditions)]
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="simulate",
@@ -36,27 +39,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--threads", type=int, default=1)
     p_sweep.add_argument("--report", help="optional JSON trend-report path")
 
-    p_gen = sub.add_parser("gen-corpus", help="generate a labeled stack corpus")
+    p_gen = sub.add_parser("gen-corpus", help="generate a labeled stack corpus (square slices)")
     p_gen.add_argument("--out", required=True, help="output directory")
-    p_gen.add_argument("--n-pairs", type=int, default=200)
-    p_gen.add_argument("--nx", type=int, default=64)
-    p_gen.add_argument("--ny", type=int, default=64)
-    p_gen.add_argument("--nt", type=int, default=32)
-    p_gen.add_argument("--beta", type=float, default=3.0)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--n-pairs", type=int, default=sweep_mod.SweepConfig.n_pairs)
+    p_gen.add_argument("--nx", type=int, default=sweep_mod.SweepConfig.nx)
+    p_gen.add_argument("--nt", type=int, default=sweep_mod.SweepConfig.nt)
+    p_gen.add_argument("--beta", type=float, default=sweep_mod.SweepConfig.beta)
+    p_gen.add_argument("--seed", type=int, default=sweep_mod.SweepConfig.master_seed)
     p_gen.add_argument("--amplitude", type=float, default=sweep_mod.DEFAULT_LESION_AMPLITUDE)
-    p_gen.add_argument("--sigma-xy", type=float, default=6.0)
-    p_gen.add_argument("--sigma-t", type=float, default=3.0)
+    p_gen.add_argument("--sigma-xy", type=float, default=LesionSpec.sigma_xy)
+    p_gen.add_argument("--sigma-t", type=float, default=LesionSpec.sigma_t)
 
     p_perc = sub.add_parser("perceive", help="apply one perception method to a stack file")
     p_perc.add_argument("--input", required=True)
     p_perc.add_argument("--output", required=True)
-    p_perc.add_argument("--method", required=True, choices=["LF", "PM", "MC", "lf", "pm", "mc"])
+    p_perc.add_argument("--method", required=True, type=str.upper, choices=percept.METHODS)
     p_perc.add_argument("--mc-seed", type=int)
-    p_perc.add_argument("--l-max", type=float, default=300.0)
-    p_perc.add_argument("--contrast", type=float, default=200.0)
-    p_perc.add_argument("--ssr", type=float, default=7.0)
-    p_perc.add_argument("--browse-speed", type=float, default=25.0)
+    for name in _VIEWING:
+        p_perc.add_argument(f"--{name.replace('_', '-')}", type=float,
+                            default=getattr(ViewingConditions, name))
     p_perc.add_argument(
         "--normalize", action="store_true",
         help="normalize the stack to the display range before perceiving",
@@ -85,9 +86,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_gen_corpus(args) -> int:
     lesion = LesionSpec(amplitude=args.amplitude, sigma_xy=args.sigma_xy, sigma_t=args.sigma_t)
-    stacks = generate_corpus(
-        args.n_pairs, args.nx, args.ny, args.nt, args.beta, lesion, args.seed
-    )
+    stacks = generate_corpus(args.n_pairs, args.nx, args.nx, args.nt, args.beta, lesion, args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths, labels = [], []
@@ -102,14 +101,11 @@ def _cmd_gen_corpus(args) -> int:
 
 
 def _cmd_perceive(args) -> int:
-    vc = ViewingConditions(
-        l_max=args.l_max, contrast=args.contrast, ssr=args.ssr,
-        browse_speed=args.browse_speed,
-    )
+    vc = ViewingConditions(**{name: getattr(args, name) for name in _VIEWING})
     stack = read_stack(args.input)
     if args.normalize:
         stack = normalize_to_display(stack, vc)
-    out = percept.perceive(stack, args.method.upper(), vc, mc_seed=args.mc_seed)
+    out = percept.perceive(stack, args.method, vc, mc_seed=args.mc_seed)
     write_stack(out, args.output)
     return 0
 

@@ -67,6 +67,9 @@ class BartenParams:
 
 DEFAULT_PARAMS = BartenParams()
 
+# Slope k of the psychometric function z = k*(m*s - 1) (see detection_probability).
+PSYCHOMETRIC_SLOPE = 3.0
+
 
 @dataclass(frozen=True)
 class FieldGeometry:
@@ -110,13 +113,13 @@ def retinal_illuminance(l_avg: float, d_pupil: float) -> float:
     )
 
 
-def line_spread_sigma(d_pupil: float, params: BartenParams = DEFAULT_PARAMS) -> float:
+def line_spread_sigma(d_pupil: float) -> float:
     """Std of the eye's line-spread function, in degrees.
 
     sigma0 and c_ab are stored in arcmin and arcmin/mm; the 1/60 converts
     the combined value to degrees.
     """
-    return np.sqrt(params.sigma0**2 + (params.c_ab * d_pupil) ** 2) / 60.0
+    return np.sqrt(DEFAULT_PARAMS.sigma0**2 + (DEFAULT_PARAMS.c_ab * d_pupil) ** 2) / 60.0
 
 
 def optical_mtf(u, sigma: float):
@@ -124,7 +127,7 @@ def optical_mtf(u, sigma: float):
     return np.exp(-2.0 * (np.pi * sigma * np.asarray(u, dtype=float)) ** 2)
 
 
-def low_freq_attenuation(u, u0: float = 7.0):
+def low_freq_attenuation(u, u0: float = DEFAULT_PARAMS.u0):
     """Lateral-inhibition roll-off F(u) = 1 - sqrt(1 - exp(-(u/u0)^2))."""
     u = np.asarray(u, dtype=float)
     return 1.0 - np.sqrt(1.0 - np.exp(-((u / u0) ** 2)))
@@ -136,49 +139,48 @@ def temporal_filter(w, tau: float, n: float):
     return (1.0 + (2.0 * np.pi * tau * w) ** 2) ** (-n / 2.0)
 
 
-def temporal_time_constants(
-    e_troland: float, x0: float, params: BartenParams = DEFAULT_PARAMS
-) -> tuple[float, float]:
+def temporal_time_constants(e_troland: float, x0: float) -> tuple[float, float]:
     """Luminance-dependent time constants (tau1, tau2) of the two temporal stages.
 
     D = 2*X0/sqrt(pi) is the diameter of the disk with the field's area.
     """
     d_field = 2.0 * x0 / np.sqrt(np.pi)
-    tau1 = params.tau10 / (
+    tau1 = DEFAULT_PARAMS.tau10 / (
         1.0 + 0.55 * np.log(1.0 + (1.0 + d_field) ** 0.6 * e_troland / 3.5)
     )
-    tau2 = params.tau20 / (
+    tau2 = DEFAULT_PARAMS.tau20 / (
         1.0 + 0.37 * np.log(1.0 + (1.0 + d_field / 3.2) ** 5 * e_troland / 120.0)
     )
     return tau1, tau2
 
 
-def csf(u, w, geom: FieldGeometry, params: BartenParams = DEFAULT_PARAMS):
-    """Spatiotemporal contrast sensitivity S(u, w).
+def csf(u, w, geom: FieldGeometry):
+    """Spatiotemporal contrast sensitivity S(u, w), with the DEFAULT_PARAMS constants.
 
     Parameters
     ----------
     u, w : scalar or ndarray
         Non-negative spatial (cycles/deg) and temporal (cycles/s) frequency
-        magnitudes.  Negative arguments are rejected; folding signed DFT
-        frequencies onto magnitudes is the caller's job.
+        magnitudes.  Negative or NaN arguments are rejected; folding signed
+        DFT frequencies onto magnitudes is the caller's job.
     geom : FieldGeometry
         Apparent field size and average luminance.
     """
     u = np.asarray(u, dtype=float)
     w = np.asarray(w, dtype=float)
-    if np.any(u < 0):
+    if not (u >= 0).all():  # NaN compares false
         raise DomainError("spatial frequency u must be non-negative")
-    if np.any(w < 0):
+    if not (w >= 0).all():
         raise DomainError("temporal frequency w must be non-negative")
 
+    params = DEFAULT_PARAMS
     d = pupil_diameter(geom.l_avg, geom.x0)
     e = retinal_illuminance(geom.l_avg, d)
-    tau1, tau2 = temporal_time_constants(e, geom.x0, params)
-    sigma = line_spread_sigma(d, params)
+    tau1, tau2 = temporal_time_constants(e, geom.x0)
+    sigma = line_spread_sigma(d)
 
     m_opt = optical_mtf(u, sigma)
-    f_u = low_freq_attenuation(u, params.u0)
+    f_u = low_freq_attenuation(u)
     h1 = temporal_filter(w, tau1, params.n1)
     h2 = temporal_filter(w, tau2, params.n2)
 
@@ -197,21 +199,22 @@ def csf(u, w, geom: FieldGeometry, params: BartenParams = DEFAULT_PARAMS):
     return s
 
 
-def detection_probability(m, s, k: float = 3.0):
+def detection_probability(m, s):
     """Probability of detecting a component of modulation m at sensitivity s.
 
-    p = 1/2 + 1/2*erf(z/sqrt(2)) with z = k*(m*s - 1); strictly increasing
-    in m*s and equal to 1/2 exactly at the visibility threshold m = 1/s.
+    p = 1/2 + 1/2*erf(z/sqrt(2)) with z = k*(m*s - 1), k = PSYCHOMETRIC_SLOPE;
+    strictly increasing in m*s and equal to 1/2 exactly at the visibility
+    threshold m = 1/s.  Negative or NaN arguments are rejected.
     """
     m = np.asarray(m, dtype=float)
     s = np.asarray(s, dtype=float)
-    if np.any(m < 0):
+    if not (m >= 0).all():  # NaN compares false
         raise DomainError("modulation m must be non-negative")
-    if np.any(s < 0):
+    if not (s >= 0).all():
         raise DomainError("sensitivity s must be non-negative")
     p = np.asarray(m * s)  # then 0.5 + 0.5*erf(k*(p - 1)/sqrt(2)), in place
     p -= 1.0
-    p *= k
+    p *= PSYCHOMETRIC_SLOPE
     p /= np.sqrt(2.0)
     erf(p, out=p)
     p *= 0.5

@@ -27,8 +27,8 @@ one pass gathers the canonical values and yields each pair's modulation m
 to p and MC keeps it with probability p.  The field's apparent size comes
 from the pixel count and sampling rate (orthogonal viewing) and its
 luminance from the stack's mean, with the default Barten constants.  The
-``s=``/``p=`` arguments of the methods replace S or p with any array or
-scalar that broadcasts onto the canonical bins.
+``s=``/``p=`` arguments of ``apply_lf``/``apply_pm`` replace S or p with any
+array or scalar that broadcasts onto the canonical bins.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ __all__ = [
     "check_residue",
     "modulation",
     "sensitivity",
-    "visibility",
     "McSource",
     "apply_lf",
     "apply_pm",
@@ -132,22 +131,21 @@ def forward(stack: ImageStack) -> SpectralStack:
 
 def inverse(spec: SpectralStack) -> np.ndarray:
     """Inverse 3D real FFT as a contiguous real array, after ``check_residue``."""
-    out = scipy.fft.irfftn(spec.half, s=spec.dims)
-    check_residue(spec, out)
-    return out
+    check_residue(spec)
+    return scipy.fft.irfftn(spec.half, s=spec.dims)
 
 
-def check_residue(spec: SpectralStack, out: np.ndarray | None = None) -> None:
+def check_residue(spec: SpectralStack) -> None:
     """Raise if ``ifftn(spec.coeffs)`` would leave a non-negligible imaginary part.
 
     That part is (B0 + (-1)^t B1) / nt, with B0, B1 the 2D inverse transforms of
     the anti-Hermitian parts of the kt = 0 and nt/2 planes (mirroring fixes all
-    others).  ``out``, the real part, is computed only if those planes are not Hermitian.
+    others).  The real part, for scale, is computed only if those planes are not Hermitian.
     """
     planes = spec.half[:, :, [0, -1]]
     anti = planes - np.conj(_mirror_xy(planes))  # twice the anti-Hermitian parts
     if anti.any():
-        out = scipy.fft.irfftn(spec.half, s=spec.dims) if out is None else out
+        out = scipy.fft.irfftn(spec.half, s=spec.dims)
         b = scipy.fft.ifft2(anti, axes=(0, 1)).imag / (2 * spec.dims[2])
         imag = b[:, :, :1] + np.where(np.arange(spec.dims[2]) % 2, -1.0, 1.0) * b[:, :, 1:]
         scale = np.hypot(out, imag).max()
@@ -231,11 +229,6 @@ def _polar(spec: SpectralStack):
     return np.divide(m, scale, out=m), scale, phase
 
 
-def visibility(spec: SpectralStack, s) -> np.ndarray:
-    """Detection probability p on every canonical bin, at sensitivity ``s``."""
-    return detection_probability(_polar(spec)[0], s)
-
-
 def _assemble(dims, dc: complex, new: np.ndarray) -> SpectralStack:
     # DC, `new` on the canonical bins and its conjugate on their partners.
     src, flip = _pair_table(dims)[2:4]
@@ -260,10 +253,10 @@ class McSource:
     phasor: SpectralStack
 
     @classmethod
-    def of(cls, spec: SpectralStack, vc: ViewingConditions, *, p=None) -> "McSource":
+    def of(cls, spec: SpectralStack, vc: ViewingConditions) -> "McSource":
         m, scale, phase = _polar(spec)
-        p = detection_probability(m, sensitivity(spec, vc)) if p is None else p
-        return cls(p, _assemble(spec.dims, spec.half[0, 0, 0], scale * phase))
+        return cls(detection_probability(m, sensitivity(spec, vc)),
+                   _assemble(spec.dims, spec.half[0, 0, 0], scale * phase))
 
     def draw(self, seed) -> SpectralStack:
         """Keep each conjugate pair with probability p, at unit modulation."""
@@ -289,11 +282,11 @@ def apply_pm(spec: SpectralStack, vc: ViewingConditions, *, s=None, p=None) -> S
     return _assemble(spec.dims, spec.half[0, 0, 0], p * scale * phase)
 
 
-def apply_mc(spec: SpectralStack, vc: ViewingConditions, seed=None, *, p=None) -> SpectralStack:
+def apply_mc(spec: SpectralStack, vc: ViewingConditions, seed=None) -> SpectralStack:
     """Bernoulli keep/discard per conjugate pair; kept pairs get unit modulation."""
     if seed is None or np.any(np.asarray(seed) < 0):
         raise DomainError(f"the MC method requires an explicit non-negative seed, got {seed!r}")
-    return McSource.of(spec, vc, p=p).draw(seed)
+    return McSource.of(spec, vc).draw(seed)
 
 
 def perceive(stack: ImageStack, method: str, vc: ViewingConditions, *, mc_seed=None) -> ImageStack:

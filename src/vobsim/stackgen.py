@@ -116,10 +116,12 @@ class LesionSpec:
     center: tuple[float, float, float] | None = None  # defaults to the volume center
 
     def __post_init__(self):
-        if not self.amplitude >= 0:
-            raise DomainError(f"lesion amplitude must be non-negative, got {self.amplitude!r}")
-        if not (self.sigma_xy > 0 and self.sigma_t > 0):
-            raise DomainError("lesion sigmas must be positive")
+        for name in ("amplitude", "sigma_xy", "sigma_t"):
+            value = getattr(self, name)
+            low_ok = value >= 0 if name == "amplitude" else value > 0  # NaN compares false
+            if not (low_ok and value < np.inf):
+                rule = "non-negative" if name == "amplitude" else "positive"
+                raise DomainError(f"lesion {name} must be finite and {rule}, got {value!r}")
 
 
 def generate_background(nx: int, ny: int, nt: int, beta: float, seed) -> ImageStack:
@@ -260,13 +262,7 @@ def read_stack(path) -> ImageStack:
 
 
 def generate_corpus(
-    n_pairs: int,
-    nx: int = 64,
-    ny: int = 64,
-    nt: int = 32,
-    beta: float = 3.0,
-    lesion: LesionSpec | None = None,
-    master_seed: int = 0,
+    n_pairs: int, nx: int, ny: int, nt: int, beta: float, lesion: LesionSpec, master_seed: int
 ) -> list[ImageStack]:
     """Generate n_pairs (absent, present) stack pairs from one master seed.
 
@@ -280,8 +276,6 @@ def generate_corpus(
         raise DomainError(f"slices must be square, got {nx}x{ny}")
     if master_seed < 0:
         raise DomainError(f"master_seed must be non-negative, got {master_seed}")
-    if lesion is None:
-        lesion = LesionSpec(amplitude=0.5)
     children = np.random.SeedSequence(master_seed).spawn(n_pairs)
     stacks = []
     for child in children:

@@ -64,7 +64,7 @@ class McmcResult:
     auc_mean: float
     auc_variance: float
     error_bar: float  # 2 * std, a 95% confidence half-width
-    d_prime: float
+    d_prime: float  # at the clamped AUC, see mrmc_one_shot
     n_readers: int
     n_absent: int
     n_present: int
@@ -129,22 +129,21 @@ def _one_shot_variance(s: np.ndarray) -> float:
 def mrmc_one_shot(inp: McmcInput) -> McmcResult:
     """Reader-averaged AUC with its one-shot MRMC variance and d'.
 
-    With a single reader the variance falls back to the case-only
-    U-statistic variance and the result is flagged accordingly.
+    d' is taken at the AUC clamped to [eps, 1 - eps], eps = 1/(2 n0 n1), so a
+    perfectly separated finite sample still has a finite d'.  With a single
+    reader the variance falls back to the case-only U-statistic variance and
+    the result is flagged accordingly.
     """
     s = np.stack([_success_matrix(r) for r in inp.readers])
     r, n0, n1 = s.shape
     variance = _one_shot_variance(s)
     auc_mean = float(s.mean())
-    try:
-        dp = d_prime(auc_mean)
-    except SaturationError:
-        dp = float("inf") if auc_mean >= 1.0 else float("-inf")
+    eps = 1.0 / (2.0 * n0 * n1)
     return McmcResult(
         auc_mean=auc_mean,
         auc_variance=variance,
         error_bar=2.0 * float(np.sqrt(variance)),
-        d_prime=dp,
+        d_prime=d_prime(min(max(auc_mean, eps), 1.0 - eps)),
         n_readers=r,
         n_absent=n0,
         n_present=n1,

@@ -63,22 +63,20 @@ DISPLAY_WIDTH_CM = 3.0
 DISPLAY_WIDTH_PX = 64
 
 
-def viewing_distance(
-    ssr: float, width_cm: float = DISPLAY_WIDTH_CM, width_px: int = DISPLAY_WIDTH_PX
-) -> float:
+def viewing_distance(ssr: float) -> float:
     """Viewing distance in cm for a sampling rate of ``ssr`` pixels/degree.
 
-    Assumes ``width_px`` pixels displayed across ``width_cm`` on the panel,
-    viewed orthogonally: d = width / (2 * tan(width_px * pi / (360 * ssr))).
+    Assumes DISPLAY_WIDTH_PX pixels displayed across DISPLAY_WIDTH_CM on the
+    panel, viewed orthogonally: d = width / (2 * tan(width_px * pi / (360 * ssr))).
     """
     if not ssr > 0:
         raise DomainError(f"ssr must be positive, got {ssr!r}")
-    half_angle = width_px * math.pi / (360.0 * ssr)
+    half_angle = DISPLAY_WIDTH_PX * math.pi / (360.0 * ssr)
     if half_angle >= math.pi / 2:
         raise DomainError(
             f"ssr {ssr!r} puts the display outside the orthogonal-viewing model"
         )
-    return width_cm / (2.0 * math.tan(half_angle))
+    return DISPLAY_WIDTH_CM / (2.0 * math.tan(half_angle))
 
 
 def classify_trend(d_primes, error_bars) -> str:
@@ -131,13 +129,13 @@ def _finite(name: str, value) -> float:
 class SweepConfig:
     """A validated run configuration (see ``SweepConfig.from_dict``)."""
 
-    methods: tuple[str, ...] = ("LF", "PM", "MC")
+    methods: tuple[str, ...] = percept.METHODS
     parameter: str = "contrast"
     values: tuple[float, ...] = ()
     viewing: ViewingConditions = field(default_factory=ViewingConditions)
     n_pairs: int = 200
     nx: int = 64
-    ny: int = 64
+    ny: int | None = None  # defaults to nx
     nt: int = 32
     beta: float = 3.0
     lesion: LesionSpec = field(
@@ -163,6 +161,13 @@ class SweepConfig:
             raise ConfigError(f"sweep.values: need 3 or more for a trend, got {len(self.values)}")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ConfigError("sweep.values: must be strictly increasing")
+        for v in self.values:  # every point's viewing conditions and distance must exist
+            try:
+                viewing_distance(self.vc_at(v).ssr)
+            except DomainError as exc:
+                raise ConfigError(f"sweep.values: {exc}") from exc
+        if self.ny is None:
+            object.__setattr__(self, "ny", self.nx)
         for name, least in _LEAST_INT.items():
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -258,12 +263,6 @@ class TrendReport:
     inconclusive: dict[str, bool]
 
 
-def _clamped_auc(auc_mean: float, n0: int, n1: int) -> float:
-    # Keep d' finite on a perfectly separated finite sample.
-    eps = 1.0 / (2.0 * n0 * n1)
-    return min(max(auc_mean, eps), 1.0 - eps)
-
-
 def _run_point(config: SweepConfig, corpus: list[ImageStack], method: str, point: int):
     vc = config.vc_at(config.values[point])
     spectral = observer.spectral_channels(
@@ -287,7 +286,6 @@ def _run_point(config: SweepConfig, corpus: list[ImageStack], method: str, point
     reader_scores = stats.make_readers(features, [s.signal_present for s in corpus],
                                        config.master_seed, train_fraction=config.train_fraction)
     res = stats.mrmc_one_shot(stats.McmcInput(readers=reader_scores))
-    dp = stats.d_prime(_clamped_auc(res.auc_mean, res.n_absent, res.n_present))
     return {
         "method": method,
         "contrast": vc.contrast,
@@ -298,7 +296,7 @@ def _run_point(config: SweepConfig, corpus: list[ImageStack], method: str, point
         "auc": res.auc_mean,
         "auc_var": res.auc_variance,
         "error_bar": res.error_bar,
-        "d_prime": dp,
+        "d_prime": res.d_prime,
         "n_cases": res.n_absent + res.n_present,
         "n_readers": res.n_readers,
         "master_seed": config.master_seed,

@@ -14,8 +14,6 @@ from vobsim.percept import (
     apply_pm,
     forward,
     inverse,
-    sensitivity,
-    visibility,
 )
 from vobsim.stackgen import ImageStack, ViewingConditions
 
@@ -51,7 +49,7 @@ def test_half_spectrum_matches_full_fft(dims, seed):
     assert np.array_equal(drawn.half, outs["MC"].half)
     assert np.array_equal(inverse(drawn), inverse(outs["MC"]))
     # A draw keeps each pair at unit modulation: PM with p set to the keep mask.
-    p = visibility(spec, sensitivity(spec, vc))
+    p = McSource.of(spec, vc).p
     keep = np.random.default_rng(seed).random(p.size) < p
     assert np.array_equal(inverse(drawn), inverse(apply_pm(spec, vc, p=keep * 1.0)))
 

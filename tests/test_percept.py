@@ -19,7 +19,6 @@ from vobsim.percept import (
     modulation,
     perceive,
     sensitivity,
-    visibility,
 )
 from vobsim.stackgen import ImageStack, ViewingConditions
 
@@ -168,7 +167,7 @@ class TestApplyMc:
         rng = np.random.default_rng(5)
         stack = ImageStack(data=rng.random((8, 8, 8)) + 1.0)
         spec = forward(stack)
-        out = apply_mc(spec, ViewingConditions(), seed=0, p=1.0)
+        out = McSource(1.0, McSource.of(spec, ViewingConditions()).phasor).draw(0)
         canonical = np.abs(out.coeffs).ravel()
         n = spec.coeffs.size
         # every non-DC pair at unit modulation
@@ -180,7 +179,7 @@ class TestApplyMc:
         rng = np.random.default_rng(6)
         stack = ImageStack(data=rng.random((8, 8, 8)) + 1.0)
         spec = forward(stack)
-        out = apply_mc(spec, ViewingConditions(), seed=0, p=0.0)
+        out = McSource(0.0, McSource.of(spec, ViewingConditions()).phasor).draw(0)
         off_dc = out.coeffs.copy()
         off_dc[0, 0, 0] = 0
         assert np.abs(off_dc).max() == 0.0
@@ -194,12 +193,11 @@ class TestApplyMc:
         stack = cosine_stack((8, 8, 8), (1, 0, 0), 1.0, 10.0)
         spec = forward(stack)
         p_target = 0.3
+        source = McSource(p_target, McSource.of(spec, ViewingConditions()).phasor)
         kept = 0
         trials = 10_000
         for i in range(trials):
-            out = apply_mc(
-                spec, ViewingConditions(), seed=i, p=p_target,
-            )
+            out = source.draw(i)
             if np.abs(out.coeffs[1, 0, 0]) > 0:
                 kept += 1
         sigma = math.sqrt(p_target * (1 - p_target) / trials)
@@ -253,7 +251,7 @@ class TestPerceive:
         rng = np.random.default_rng(12)
         stack = ImageStack(data=rng.random((16, 16, 8)) + 1)
         spec = forward(stack)
-        visited = visibility(spec, sensitivity(spec, ViewingConditions())).size
+        visited = McSource.of(spec, ViewingConditions()).p.size
         n = 16 * 16 * 8
         assert visited == (n - 8) // 2 + 7
         assert abs(visited - n / 2) <= 8

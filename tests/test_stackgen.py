@@ -369,11 +369,11 @@ class TestCorpus:
 
     def test_rejects_non_square_slices(self):
         with pytest.raises(DomainError, match="square"):
-            generate_corpus(1, 16, 8, 8)
+            generate_corpus(1, 16, 8, 8, 3.0, LesionSpec(amplitude=0.25), 0)
 
     def test_rejects_negative_master_seed(self):
         with pytest.raises(DomainError, match="master_seed"):
-            generate_corpus(1, 16, 16, 8, master_seed=-1)
+            generate_corpus(1, 16, 16, 8, 3.0, LesionSpec(amplitude=0.25), -1)
 
     def test_pipeline_preserves_display_range(self):
         vc = ViewingConditions()

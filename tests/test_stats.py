@@ -77,7 +77,8 @@ class TestMrmcOneShot:
         res = mrmc_one_shot(McmcInput(readers=readers))
         assert res.auc_mean == 1.0
         assert res.auc_variance == 0.0
-        assert res.d_prime == float("inf")
+        # d' is taken at the AUC clamped to 1 - 1/(2 n0 n1), with 3 cases per class.
+        assert res.d_prime == d_prime(1 - 1 / 18)
         assert not res.single_reader_fallback
 
     def test_single_reader_fallback_matches_ustat(self):

@@ -34,11 +34,6 @@ class TestViewingDistance:
         ds = [viewing_distance(s) for s in (3, 5, 7, 10, 14)]
         assert all(b > a for a, b in zip(ds, ds[1:]))
 
-    def test_proportional_to_width(self):
-        assert viewing_distance(7.0, width_cm=6.0) == pytest.approx(
-            2.0 * viewing_distance(7.0, width_cm=3.0), rel=1e-12
-        )
-
     def test_rejects_degenerate_geometry(self):
         with pytest.raises(DomainError):
             viewing_distance(0.0)
@@ -183,10 +178,19 @@ class TestConfigValidation:
         ({"corpus": {"lesion": {"sigma_t": "3"}}}, "corpus.lesion.sigma_t"),
         ({"observer": []}, "observer"),
         ([], "config"),
+        ({"sweep": {"parameter": "browse_speed", "values": [-5, 25, 50]}}, "sweep.values"),
+        ({"sweep": {"parameter": "ssr", "values": [0.1, 1, 2]}}, "sweep.values"),
+        ({"sweep": {"parameter": "contrast", "values": [1, 2, 4]}}, "sweep.values"),
     ])
     def test_bad_shape_named(self, raw, where):
         with pytest.raises(ConfigError, match=where):
             SweepConfig.from_dict(raw)
+
+    def test_ny_follows_nx(self):
+        assert SweepConfig.from_dict({"corpus": {"nx": 32}}).ny == 32
+        assert SweepConfig(nx=16).ny == 16
+        with pytest.raises(ConfigError, match="corpus.ny"):
+            SweepConfig.from_dict({"corpus": {"nx": 32, "ny": 16}})
 
     def test_two_value_sweep_rejected_before_running(self, tmp_path):
         with pytest.raises(ConfigError, match="sweep.values"):
@@ -339,12 +343,14 @@ class TestRunSweep:
 
     def test_failure_writes_manifest(self, tmp_path):
         # A negative browse speed is rejected by the viewing-condition
-        # model, so that sweep point fails while the others complete.
+        # model, so that sweep point fails while the others complete.  The
+        # config checks refuse it up front, so it is set past them here.
         cfg = SweepConfig(
-            methods=("LF",), parameter="browse_speed", values=(-5.0, 25.0, 50.0),
+            methods=("LF",), parameter="browse_speed", values=(5.0, 25.0, 50.0),
             n_pairs=6, nx=16, ny=16, nt=8, n_channels=8, spread=5.0,
             n_readers=2,
         )
+        object.__setattr__(cfg, "values", (-5.0, 25.0, 50.0))
         out = tmp_path / "fail.csv"
         with pytest.raises(DomainError, match="sweep point"):
             run_sweep(cfg, out)
