@@ -76,6 +76,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_sweep(args) -> int:
     config = sweep_mod.SweepConfig.from_json(args.config)
+    for flag, path in (("--out", args.out), ("--report", args.report)):
+        if path is not None and not Path(path).parent.is_dir():
+            raise FileNotFoundError(f"{flag}: directory {Path(path).parent} does not exist")
     report = sweep_mod.run_sweep(config, args.out, threads=args.threads)
     if args.report:
         write_json(args.report, asdict(report))

@@ -204,14 +204,14 @@ def detection_probability(m, s):
 
     p = 1/2 + 1/2*erf(z/sqrt(2)) with z = k*(m*s - 1), k = PSYCHOMETRIC_SLOPE;
     strictly increasing in m*s and equal to 1/2 exactly at the visibility
-    threshold m = 1/s.  Negative or NaN arguments are rejected.
+    threshold m = 1/s.  Negative, infinite or NaN arguments are rejected.
     """
     m = np.asarray(m, dtype=float)
     s = np.asarray(s, dtype=float)
-    if not (m >= 0).all():  # NaN compares false
-        raise DomainError("modulation m must be non-negative")
-    if not (s >= 0).all():
-        raise DomainError("sensitivity s must be non-negative")
+    if not ((m >= 0) & (m < np.inf)).all():  # NaN compares false
+        raise DomainError("modulation m must be finite and non-negative")
+    if not ((s >= 0) & (s < np.inf)).all():
+        raise DomainError("sensitivity s must be finite and non-negative")
     p = np.asarray(m * s)  # then 0.5 + 0.5*erf(k*(p - 1)/sqrt(2)), in place
     p -= 1.0
     p *= PSYCHOMETRIC_SLOPE

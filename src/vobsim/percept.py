@@ -13,22 +13,23 @@ result is inverse-transformed:
 
 Because the input is real, coefficients come in conjugate pairs and only the
 half spectrum is stored (``scipy.fft.rfftn`` layout: 1.1 MB, not 2.1 MB, at
-64x64x32).  Each method processes each pair once, on its canonical bin; a
-per-dims table gathers the results onto the half spectrum, conjugated where
-it holds the partner, so the output is exactly conjugate-symmetric and the
-DC (mean luminance) passes through untouched.  ``check_residue`` takes the
-imaginary residue of an inverse transform from the kt = 0 and kt = nt/2
-planes alone; ``inverse`` and ``observer.channelize_spectrum`` both run it.
+64x64x32).  Only its kt = 0 and kt = nt/2 planes hold both bins of a pair;
+``forward`` makes those two planes exactly Hermitian, so every per-bin
+array (S, m, phase, p, the MC keep mask) has the half spectrum's shape,
+the methods are elementwise on it, and the output is exactly
+conjugate-symmetric with the DC (mean luminance) passed through untouched.
+``check_residue`` takes the imaginary residue of an inverse transform from
+the kt = 0 and kt = nt/2 planes alone; ``inverse`` and
+``observer.channelize_spectrum`` both run it.
 
-Per stack, the sensitivity S and the detection probability p are arrays over
-the canonical bins (one per conjugate pair).  PM and MC both start from p:
-one pass gathers the canonical values and yields each pair's modulation m
-(which p needs), its unit-modulation scale and its phase; PM scales the pair
-to p and MC keeps it with probability p.  The field's apparent size comes
-from the pixel count and sampling rate (orthogonal viewing) and its
-luminance from the stack's mean, with the default Barten constants.  The
-``s=``/``p=`` arguments of ``apply_lf``/``apply_pm`` replace S or p with any
-array or scalar that broadcasts onto the canonical bins.
+PM and MC both start from p: one pass over the half spectrum yields each
+bin's modulation m (which p needs), its unit-modulation scale and its
+phase; PM scales the bin to p and MC keeps it with probability p, one draw
+per conjugate pair.  The field's apparent size comes from the pixel count
+and sampling rate (orthogonal viewing) and its luminance from the stack's
+mean, with the default Barten constants.  The ``s=``/``p=`` arguments of
+``apply_lf``/``apply_pm`` replace S or p with any array or scalar that
+broadcasts onto the half spectrum.
 """
 
 from __future__ import annotations
@@ -86,42 +87,38 @@ def _mirror_xy(a: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _pair_table(dims: tuple[int, int, int]):
-    """Canonical bins, one per conjugate pair (DC excluded), and their half-spectrum layout.
+    """The conjugate pairs of the half spectrum.
 
-    Returns (canonical, self_conj, src, flip, at, at_flip): canonical holds the
-    smaller full-layout flat index of each pair, sorted; self_conj the positions of the
-    self-conjugate ones; half bin h holds value src[h] of the canonical values with the
-    DC appended, conjugated where flip[h]; canonical bin i is read from half bin at[i],
-    conjugated where at_flip[i].
+    Returns (n_pairs, rank, self_conj, later): rank numbers each bin's pair by
+    the smaller full-layout flat index of its two bins (0 for the DC, 1 to
+    n_pairs for the others); self_conj indexes the self-conjugate bins; later
+    marks the (kx, ky) of the kt = 0 and nt/2 planes whose partner in the same
+    plane comes first.
     """
     nx, ny, nt = dims
-    # Every pair has a member in the half spectrum, so its bins list all pairs.
-    kx, ky, kt = (a.ravel()[1:] for a in np.indices((nx, ny, nt // 2 + 1)))
+    kx, ky, kt = np.indices((nx, ny, nt // 2 + 1))
     flat = (kx * ny + ky) * nt + kt
     partner = (((-kx) % nx) * ny + (-ky) % ny) * nt + (-kt) % nt
-    canonical, src = np.unique(np.minimum(flat, partner), return_inverse=True)
-    flip = flat > partner
-    # Read a canonical bin where the half holds it as itself; one with
-    # kt > nt/2 is held only as its partner's conjugate.
-    at = np.empty(canonical.size, dtype=np.intp)
-    at[src[flip]] = np.flatnonzero(flip) + 1
-    at[src[~flip]] = np.flatnonzero(~flip) + 1
-    tables = (canonical, np.flatnonzero(flat[at - 1] == partner[at - 1]),
-              np.concatenate(([canonical.size], src)), np.concatenate(([False], flip)),
-              at, flip[at - 1])
-    for a in tables:
-        a.flags.writeable = False
-    return tables
+    pairs, rank = np.unique(np.minimum(flat, partner).ravel(), return_inverse=True)
+    rank, later = rank.reshape(flat.shape), flat[:, :, 0] > partner[:, :, 0]
+    rank.flags.writeable = later.flags.writeable = False
+    return pairs.size - 1, rank, tuple(slice(None, None, n // 2) for n in dims), later
 
 
 def forward(stack: ImageStack) -> SpectralStack:
-    """3D FFT of a real stack.  Dimensions must be even."""
+    """3D FFT of a real stack.  Dimensions must be even.
+
+    In the kt = 0 and nt/2 planes, each bin whose partner comes first becomes
+    the exact conjugate of that partner, so that elementwise maths on the half
+    spectrum keeps every pair conjugate.
+    """
     data = stack.data
-    if np.iscomplexobj(data):
-        raise DomainError("forward transform expects a real-valued stack")
     if any(n % 2 for n in data.shape):
         raise DimensionMismatchError(f"stack dimensions must be even, got {data.shape}")
     half = scipy.fft.rfftn(data)
+    later = _pair_table(data.shape)[3]
+    for plane in (half[:, :, 0], half[:, :, -1]):
+        np.copyto(plane, np.conj(_mirror_xy(plane)), where=later)
     n = prod(data.shape)
     # A DC within rounding of zero has no sign: the stack has no positive mean.
     dc = half[0, 0, 0].real
@@ -174,11 +171,11 @@ def modulation(spec: SpectralStack, k: tuple[int, int, int]) -> float:
 
 
 def sensitivity(spec: SpectralStack, vc: ViewingConditions) -> np.ndarray:
-    """Sensitivity S(u, w) on every canonical bin (one per conjugate pair).
+    """Sensitivity S(u, w) on every bin of the half spectrum.
 
     Signed DFT indices fold onto frequency magnitudes; |u| depends only on
-    (kx, ky) and w only on kt, so the CSF is evaluated once per distinct
-    (|u|, w) and gathered onto the bins (both cached per dims and viewing point).
+    (kx, ky) and w only on kt, so the CSF is evaluated once per distinct |u|
+    and kt and gathered onto the bins (both cached per dims and viewing point).
     The formula is elementwise, so the values equal a per-bin evaluation bit for bit.
     """
     u, w, at = _frequency_table(spec.dims, vc.ssr, vc.browse_speed)
@@ -187,41 +184,32 @@ def sensitivity(spec: SpectralStack, vc: ViewingConditions) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _frequency_table(dims: tuple[int, int, int], ssr: float, browse_speed: float):
-    """Distinct |u| (a column) and w (a row), and each canonical bin's flat index into
+    """Distinct |u| (a column), w per kt (a row), and each half bin's flat index into
     their table; all read-only."""
     nx, ny, nt = dims
-    kx, ky, kt = np.arange(nx), np.arange(ny), np.arange(nt)
+    kx, ky = np.arange(nx), np.arange(ny)
     u1 = np.minimum(kx, nx - kx) / nx * ssr
     u2 = np.minimum(ky, ny - ky) / ny * ssr
     u, iu = np.unique(np.sqrt(u1[:, None] ** 2 + u2[None, :] ** 2), return_inverse=True)
-    w, iw = np.unique(np.minimum(kt, nt - kt) / nt * browse_speed, return_inverse=True)
-    canonical = _pair_table(dims)[0]
-    tables = (u[:, None], w[None, :], iu.ravel()[canonical // nt] * w.size + iw[canonical % nt])
+    w = np.arange(nt // 2 + 1) / nt * browse_speed
+    tables = (u[:, None], w[None, :], iu.reshape(nx, ny, 1) * w.size + np.arange(w.size))
     for a in tables:
         a.flags.writeable = False
     return tables
 
 
-def _canonical(spec: SpectralStack) -> np.ndarray:
-    # Full-spectrum values of the canonical bins, gathered from the half.
-    at, at_flip = _pair_table(spec.dims)[4:]
-    c = spec.half.ravel()[at]
-    np.negative(c.imag, out=c.imag, where=at_flip)
-    return c
-
-
 def _polar(spec: SpectralStack):
-    """Modulation m, unit-modulation amplitude and phase on every canonical bin.
+    """Modulation m, unit-modulation amplitude and phase on every half-spectrum bin.
 
     A paired bin carries half of its cosine, a self-conjugate bin all of it;
     self-conjugate bins are real, so only their sign is a phase.
     """
     if spec.mean_lum <= 0:
         raise DegenerateStackError("PM/MC need a positive mean luminance")
-    self_conj = _pair_table(spec.dims)[1]
+    self_conj = _pair_table(spec.dims)[2]
     n = prod(spec.dims)
-    c = _canonical(spec)
-    scale = np.full(c.size, n * spec.mean_lum / 2.0)
+    c = spec.half
+    scale = np.full(c.shape, n * spec.mean_lum / 2.0)
     scale[self_conj] = n * spec.mean_lum
     m = np.abs(c)
     phase = np.divide(c, m, out=np.ones_like(c), where=m > 0)
@@ -229,24 +217,19 @@ def _polar(spec: SpectralStack):
     return np.divide(m, scale, out=m), scale, phase
 
 
-def _assemble(dims, dc: complex, new: np.ndarray) -> SpectralStack:
-    # DC, `new` on the canonical bins and its conjugate on their partners.
-    src, flip = _pair_table(dims)[2:4]
-    flat = np.empty(src.size, dtype=complex)
-    flat[0] = dc
-    # Every index is in range; mode="raise" would buffer the whole output.
-    np.take(new, src[1:], out=flat[1:], mode="clip")
-    np.negative(flat.imag, out=flat.imag, where=flip)
-    return SpectralStack(half=flat.reshape(dims[0], dims[1], -1), dims=dims,
-                         mean_lum=dc.real / prod(dims))
+def _keep_dc(spec: SpectralStack, half: np.ndarray) -> SpectralStack:
+    # `half` as the spectrum of `spec`, whose DC (mean luminance) it takes over.
+    half[0, 0, 0] = spec.half[0, 0, 0]
+    return replace(spec, half=half)
 
 
 @dataclass(frozen=True)
 class McSource:
     """One stack's MC inputs, shared by all its draws.
 
-    ``p`` holds the keep probability per canonical bin, and ``phasor`` the
-    stack's spectrum with every pair kept at unit modulation.
+    ``p`` holds the keep probability of every half-spectrum bin (equal on the
+    two bins of a pair), and ``phasor`` the stack's spectrum with every pair
+    kept at unit modulation.
     """
 
     p: np.ndarray
@@ -255,23 +238,22 @@ class McSource:
     @classmethod
     def of(cls, spec: SpectralStack, vc: ViewingConditions) -> "McSource":
         m, scale, phase = _polar(spec)
-        return cls(detection_probability(m, sensitivity(spec, vc)),
-                   _assemble(spec.dims, spec.half[0, 0, 0], scale * phase))
+        return cls(detection_probability(m, sensitivity(spec, vc)), _keep_dc(spec, scale * phase))
 
     def draw(self, seed) -> SpectralStack:
-        """Keep each conjugate pair with probability p, at unit modulation."""
-        canonical, _, src = _pair_table(self.phasor.dims)[:3]
-        keep = np.random.default_rng(seed).random(canonical.size) < self.p
-        kept = np.append(keep, True)[src].reshape(self.phasor.half.shape)
-        return replace(self.phasor, half=np.where(kept, self.phasor.half, 0))
+        """Keep each conjugate pair with probability p, at unit modulation; one uniform per pair."""
+        n_pairs, rank = _pair_table(self.phasor.dims)[:2]
+        u = np.empty(n_pairs + 1)
+        u[0] = -1.0  # the DC's, so it is always kept
+        np.random.default_rng(seed).random(out=u[1:])
+        return replace(self.phasor, half=np.where(u[rank] < self.p, self.phasor.half, 0))
 
 
 def apply_lf(spec: SpectralStack, vc: ViewingConditions, *, s=None) -> SpectralStack:
     """Scale every non-DC component by the sensitivity at its frequency."""
-    s = sensitivity(spec, vc) if s is None else s
-    new = _canonical(spec) * s
-    new.imag[_pair_table(spec.dims)[1]] = 0.0
-    return _assemble(spec.dims, spec.half[0, 0, 0], new)
+    new = spec.half * (sensitivity(spec, vc) if s is None else s)
+    new.imag[_pair_table(spec.dims)[2]] = 0.0
+    return _keep_dc(spec, new)
 
 
 def apply_pm(spec: SpectralStack, vc: ViewingConditions, *, s=None, p=None) -> SpectralStack:
@@ -279,7 +261,7 @@ def apply_pm(spec: SpectralStack, vc: ViewingConditions, *, s=None, p=None) -> S
     m, scale, phase = _polar(spec)
     if p is None:
         p = detection_probability(m, sensitivity(spec, vc) if s is None else s)
-    return _assemble(spec.dims, spec.half[0, 0, 0], p * scale * phase)
+    return _keep_dc(spec, p * scale * phase)
 
 
 def apply_mc(spec: SpectralStack, vc: ViewingConditions, seed=None) -> SpectralStack:

@@ -63,6 +63,8 @@ class ImageStack:
     seed: int = 0
 
     def __post_init__(self):
+        if np.iscomplexobj(self.data):
+            raise DomainError("stack data must be real-valued")
         self.data = np.asarray(self.data, dtype=np.float64)
         if self.data.ndim != 3:
             raise DimensionMismatchError(f"stack data must be 3D, got shape {self.data.shape}")
@@ -211,9 +213,9 @@ def atomic_open(path, mode: str = "w", **kwargs):
 
 
 def write_json(path, obj) -> None:
-    """Write ``obj`` as indented JSON, atomically."""
+    """Write ``obj`` as indented, strictly valid JSON (no NaN or infinity), atomically."""
     with atomic_open(path) as fh:
-        json.dump(obj, fh, indent=2)
+        json.dump(obj, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 

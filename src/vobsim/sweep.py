@@ -252,13 +252,13 @@ class SweepConfig:
 
 @dataclass
 class TrendReport:
-    """Per-method d' trends over the sweep, with normalized values and labels."""
+    """Per-method d' trends over the sweep, with labels and d' over its peak (None if peak <= 0)."""
 
     parameter: str
     values: tuple[float, ...]
     d_primes: dict[str, list[float]]
     error_bars: dict[str, list[float]]
-    normalized: dict[str, list[float]]
+    normalized: dict[str, list[float | None]]
     labels: dict[str, str]
     inconclusive: dict[str, bool]
 
@@ -311,6 +311,8 @@ def run_sweep(config: SweepConfig, csv_path, threads: int = 1) -> TrendReport:
     the output does not depend on scheduling.  A mid-run failure leaves the
     completed rows in the CSV plus an error manifest alongside it.
     """
+    if threads < 1:
+        raise ConfigError(f"threads: must be at least 1, got {threads!r}")
     corpus = generate_corpus(
         config.n_pairs, config.nx, config.ny, config.nt, config.beta,
         config.lesion, config.master_seed,
@@ -318,7 +320,7 @@ def run_sweep(config: SweepConfig, csv_path, threads: int = 1) -> TrendReport:
     jobs = [(m, i) for m in config.methods for i in range(len(config.values))]
     rows: dict[tuple[str, int], dict] = {}
     failures = []
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = {
             key: pool.submit(_run_point, config, corpus, key[0], key[1]) for key in jobs
         }
@@ -353,7 +355,7 @@ def run_sweep(config: SweepConfig, csv_path, threads: int = 1) -> TrendReport:
                                    for r in points]
         peak = max(dp)
         inconclusive[method] = peak <= 0
-        normalized[method] = [v / peak if peak > 0 else float("nan") for v in dp]
+        normalized[method] = [v / peak if peak > 0 else None for v in dp]
         labels[method] = classify_trend(dp, eb)
     return TrendReport(config.parameter, config.values, d_primes, error_bars, normalized,
                        labels, inconclusive)

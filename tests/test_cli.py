@@ -1,8 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
+from vobsim import sweep
 from vobsim.cli import main
 from vobsim.csf import FieldGeometry, csf, detection_probability
 from vobsim.stackgen import (
@@ -97,8 +99,10 @@ class TestPerceive:
 
 class TestSweepCommand:
     def test_sweep_writes_csv_and_report(self, tmp_path, capsys):
+        # PM scores no better than chance on this tiny corpus, so its d' peak
+        # is not positive and there is nothing to normalize by.
         cfg = {
-            "methods": ["LF"],
+            "methods": ["LF", "PM"],
             "sweep": {"parameter": "contrast", "values": [100, 200, 400]},
             "corpus": {"n_pairs": 6, "nx": 16, "ny": 16, "nt": 8,
                        "lesion": {"amplitude": 0.3}},
@@ -113,12 +117,44 @@ class TestSweepCommand:
             "--report", str(report_path),
         ])
         assert rc == 0
-        assert len(csv_path.read_text().strip().splitlines()) == 4
-        report = json.loads(report_path.read_text())
+        assert len(csv_path.read_text().strip().splitlines()) == 7
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        report = json.loads(report_path.read_text(), parse_constant=refuse)
         assert report["parameter"] == "contrast"
         assert report["labels"]["LF"] in {"increasing", "decreasing", "peaked", "constant"}
+        assert report["inconclusive"]["PM"] and report["normalized"]["PM"] == [None] * 3
         line = capsys.readouterr().out.strip()
         assert line.startswith("LF\tcontrast\t")
+
+    @pytest.mark.parametrize("case", ["missing --out directory", "missing --report directory",
+                                      "--threads 0", "--threads -3"])
+    def test_bad_outputs_and_threads_fail_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                          case):
+        calls = []
+        monkeypatch.setattr(sweep, "generate_corpus", lambda *a: calls.append(a))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"corpus": {"n_pairs": 4, "nx": 8, "nt": 8}}))
+        out, extra = tmp_path / "o.csv", []
+        if case == "missing --out directory":
+            out = tmp_path / "missing" / "o.csv"
+        elif case == "missing --report directory":
+            extra = ["--report", str(tmp_path / "missing" / "r.json")]
+        else:
+            extra = case.split()
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out), *extra]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        report = json.loads(err)
+        if "threads" in case:
+            assert report["error"] == "ConfigError" and "threads" in report["message"]
+        else:
+            assert report["error"] == "FileNotFoundError"
+            assert "missing" in report["message"] and ".tmp" not in report["message"]
+        assert calls == []
+        assert os.listdir(tmp_path) == ["cfg.json"]
 
     def test_bad_config_reports_json(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -167,6 +203,7 @@ class TestBadInputs:
         ("csf NaN u", ["--u", "nan"], "DomainError", "spatial"),
         ("csf NaN w", ["--w", "nan"], "DomainError", "temporal"),
         ("csf NaN m", ["--m", "nan"], "DomainError", "modulation"),
+        ("csf infinite m", ["--u", "0", "--w", "0", "--m", "inf"], "DomainError", "modulation"),
     ]
 
     @pytest.mark.parametrize("case, extra, error, word", CASES, ids=[c[0] for c in CASES])

@@ -206,6 +206,15 @@ class TestDetectionProbability:
         with pytest.raises(DomainError):
             detection_probability(-0.1, 5.0)
 
+    @pytest.mark.parametrize("m, s, word", [
+        (np.inf, 0.0, "modulation"), (np.inf, 5.0, "modulation"),
+        ([0.1, np.inf], 5.0, "modulation"), (0.1, np.inf, "sensitivity"),
+    ])
+    def test_rejects_infinite_arguments(self, m, s, word):
+        # inf * 0 would be a NaN probability.
+        with pytest.raises(DomainError, match=f"{word} . must be finite"):
+            detection_probability(m, s)
+
     def test_inputs_untouched_and_scalars_give_float(self):
         m, s = np.linspace(0.0, 1.0, 50), np.linspace(0.0, 20.0, 50)
         m0, s0 = m.copy(), s.copy()

@@ -36,6 +36,12 @@ def test_half_spectrum_matches_full_fft(dims, seed):
     assert spec.half.shape == (dims[0], dims[1], dims[2] // 2 + 1)
     want = np.fft.fftn(stack.data)
     assert np.abs(spec.coeffs - want).max() <= 1e-12 * np.abs(want).max()
+    # Away from the self-conjugate bins, whose imaginary parts are rounding
+    # noise, the kt = 0 and nt/2 planes hold exact conjugate pairs.
+    planes = spec.half[:, :, [0, -1]]
+    anti = planes - np.conj(np.roll(planes[::-1, ::-1], 1, axis=(0, 1)))  # partner (-kx, -ky)
+    anti[::dims[0] // 2, ::dims[1] // 2] = 0
+    assert not anti.any()
 
     vc = ViewingConditions()
     outs = {"LF": apply_lf(spec, vc), "PM": apply_pm(spec, vc), "MC": apply_mc(spec, vc, seed=seed)}
@@ -48,9 +54,17 @@ def test_half_spectrum_matches_full_fft(dims, seed):
     drawn = McSource.of(spec, vc).draw(seed)
     assert np.array_equal(drawn.half, outs["MC"].half)
     assert np.array_equal(inverse(drawn), inverse(outs["MC"]))
+    # One uniform per pair, drawn in the order of the pair's smaller full-layout
+    # flat index; the DC is always kept.
+    flat = np.arange(np.prod(dims)).reshape(dims)
+    first = np.minimum(flat, np.roll(flat[::-1, ::-1, ::-1], 1, axis=(0, 1, 2)))
+    pairs = np.unique(first)[1:]
+    u = np.full(flat.size, -1.0)
+    u[pairs] = np.random.default_rng(seed).random(pairs.size)
+    p = SpectralStack(half=McSource.of(spec, vc).p + 0j, dims=dims, mean_lum=1.0).coeffs.real
+    assert np.array_equal(drawn.coeffs != 0, u[first] < p)
     # A draw keeps each pair at unit modulation: PM with p set to the keep mask.
-    p = McSource.of(spec, vc).p
-    keep = np.random.default_rng(seed).random(p.size) < p
+    keep = drawn.half != 0
     assert np.array_equal(inverse(drawn), inverse(apply_pm(spec, vc, p=keep * 1.0)))
 
 

@@ -248,13 +248,18 @@ class TestPerceive:
         assert np.array_equal(out.coeffs, conj_mirror(out.coeffs))
 
     def test_visit_counter_half_of_bins(self):
-        rng = np.random.default_rng(12)
-        stack = ImageStack(data=rng.random((16, 16, 8)) + 1)
-        spec = forward(stack)
-        visited = McSource.of(spec, ViewingConditions()).p.size
+        # One MC uniform per conjugate pair; S and p agree on the two bins of
+        # every pair that the half spectrum stores twice (kt = 0 and nt/2).
+        dims = (16, 16, 8)
         n = 16 * 16 * 8
-        assert visited == (n - 8) // 2 + 7
-        assert abs(visited - n / 2) <= 8
+        assert percept._pair_table(dims)[0] == (n - 8) // 2 + 7
+        rng = np.random.default_rng(12)
+        spec = forward(ImageStack(data=rng.random(dims) + 1))
+        vc = ViewingConditions()
+        for per_bin in (sensitivity(spec, vc), McSource.of(spec, vc).p):
+            assert per_bin.shape == spec.half.shape
+            planes = per_bin[:, :, [0, -1]]
+            assert np.array_equal(planes, np.roll(planes[::-1, ::-1], 1, axis=(0, 1)))
 
     def test_lf_linearity(self):
         rng = np.random.default_rng(13)
@@ -316,18 +321,18 @@ class TestSensitivity:
     def test_cached_tables_are_read_only(self):
         dims = (16, 16, 8)
         sensitivity(SpectralStack(np.zeros(dims, dtype=complex), dims, 120.0), ViewingConditions())
-        for table in (*percept._frequency_table(dims, 7.0, 25.0), *percept._pair_table(dims)):
+        tables = [*percept._frequency_table(dims, 7.0, 25.0), *percept._pair_table(dims)]
+        arrays = [t for t in tables if isinstance(t, np.ndarray)]
+        assert len(arrays) == 5
+        for table in arrays:
             with pytest.raises(ValueError):
                 table[...] = 0
 
 
 def _per_bin_csf(dims, vc, l_avg):
-    """S on the canonical bins (one per conjugate pair, DC excluded, in C order), bin by bin."""
+    """S on every bin of the half spectrum (rfftn layout), bin by bin."""
     nx, ny, nt = dims
-    kx, ky, kt = np.indices(dims)
-    flat = (kx * ny + ky) * nt + kt
-    partner = (((-kx) % nx) * ny + (-ky) % ny) * nt + (-kt) % nt
-    canonical = (flat <= partner) & (flat != 0)
+    kx, ky, kt = np.indices((nx, ny, nt // 2 + 1))
 
     def folded(k, n, rate):
         # |signed DFT frequency|: index n - k is -k, and the Nyquist index n/2 stays n/2.
@@ -335,7 +340,7 @@ def _per_bin_csf(dims, vc, l_avg):
 
     u = np.sqrt(folded(kx, nx, vc.ssr) ** 2 + folded(ky, ny, vc.ssr) ** 2)
     w = folded(kt, nt, vc.browse_speed)
-    return csf(u[canonical], w[canonical], FieldGeometry(x0=nx / vc.ssr, l_avg=l_avg))
+    return csf(u, w, FieldGeometry(x0=nx / vc.ssr, l_avg=l_avg))
 
 
 class TestPerceivedLayout:

@@ -51,6 +51,9 @@ class TestAtomicWrites:
             write_json(path, {"a": 2, "b": object()})
         assert path.read_text() == '{\n  "a": 1\n}\n'
         assert os.listdir(tmp_path) == ["report.json"]
+        with pytest.raises(ValueError):  # NaN and infinity are not JSON
+            write_json(path, {"a": float("nan")})
+        assert path.read_text() == '{\n  "a": 1\n}\n'
 
     def test_success_replaces_file(self, tmp_path):
         path = tmp_path / "s.vstk"
@@ -59,6 +62,14 @@ class TestAtomicWrites:
         write_stack(stack, path)
         assert np.array_equal(read_stack(path).data, stack.data)
         assert os.listdir(tmp_path) == ["s.vstk"]
+
+
+class TestImageStack:
+    def test_rejects_complex_data(self):
+        data = np.ones((8, 8, 8), dtype=complex)
+        data[1, 2, 3] = 1 + 2j
+        with pytest.raises(DomainError, match="real-valued"):
+            ImageStack(data=data)
 
 
 class TestViewingConditions:
