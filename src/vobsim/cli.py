@@ -74,11 +74,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_sweep(args) -> int:
-    config = sweep_mod.SweepConfig.from_json(args.config)
-    for flag, path in (("--out", args.out), ("--report", args.report)):
+def _check_output_dirs(*flagged) -> None:
+    """Fail before any work when the directory of an output path does not exist."""
+    for flag, path in flagged:
         if path is not None and not Path(path).parent.is_dir():
             raise FileNotFoundError(f"{flag}: directory {Path(path).parent} does not exist")
+
+
+def _cmd_sweep(args) -> int:
+    config = sweep_mod.SweepConfig.from_json(args.config)
+    _check_output_dirs(("--out", args.out), ("--report", args.report))
     report = sweep_mod.run_sweep(config, args.out, threads=args.threads)
     if args.report:
         write_json(args.report, asdict(report))
@@ -105,6 +110,7 @@ def _cmd_gen_corpus(args) -> int:
 
 def _cmd_perceive(args) -> int:
     vc = ViewingConditions(**{name: getattr(args, name) for name in _VIEWING})
+    _check_output_dirs(("--output", args.output))
     stack = read_stack(args.input)
     if args.normalize:
         stack = normalize_to_display(stack, vc)

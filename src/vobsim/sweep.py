@@ -1,9 +1,10 @@
 """Experiment orchestration: parameter sweeps over viewing conditions.
 
-A sweep regenerates the viewing conditions at each point, renormalizes the
-shared corpus, runs perceive -> observe -> MRMC per method, and writes one
-CSV row per (method, sweep value).  Everything is derived from one master
-seed, so identical configs produce byte-identical CSV output.
+A sweep transforms each corpus stack once, as displayed at the base viewing
+conditions; each point rescales those spectra to its own display, runs
+perceive -> observe -> MRMC per method, and writes one CSV row per (method,
+sweep value).  Everything is derived from one master seed, so identical
+configs produce byte-identical CSV output.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 from . import observer, percept, stats
 from .errors import ConfigError, DomainError
 from .stackgen import (
-    ImageStack,
     LesionSpec,
     ViewingConditions,
     atomic_open,
@@ -263,17 +263,30 @@ class TrendReport:
     inconclusive: dict[str, bool]
 
 
-def _run_point(config: SweepConfig, corpus: list[ImageStack], method: str, point: int):
+def _displayed(spec: percept.SpectralStack, base: ViewingConditions,
+               vc: ViewingConditions) -> percept.SpectralStack:
+    """``spec``, of a stack displayed at ``base``, as displayed at ``vc``: every bin scales by
+    the span ratio k (real, so pairs stay exact conjugates) and the DC also moves with l_min."""
+    if (vc.l_max, vc.l_min) == (base.l_max, base.l_min):
+        return spec
+    k, n = (vc.l_max - vc.l_min) / (base.l_max - base.l_min), math.prod(spec.dims)
+    half = spec.half * k
+    half[0, 0, 0] = k * (spec.half[0, 0, 0] - n * base.l_min) + n * vc.l_min
+    return dc_replace(spec, half=half, mean_lum=half[0, 0, 0].real / n)
+
+
+def _run_point(config: SweepConfig, spectra: list[percept.SpectralStack], method: str,
+               point: int, labels: list[bool]):
     vc = config.vc_at(config.values[point])
     spectral = observer.spectral_channels(
         observer.make_channels(config.nx, config.ny, config.n_channels, config.spread))
-    # Each stack is transformed once and reduced to (nt, C) channel features
-    # straight from its perceived spectrum; only the features outlive it.
-    specs = (percept.forward(normalize_to_display(s, vc)) for s in corpus)
+    # Each stack's spectrum is rescaled to this point's display and reduced to
+    # (nt, C) channel features; only the features outlive the point.
+    specs = (_displayed(s, config.viewing, vc) for s in spectra)
     if method == "MC":
         # Only the keep/discard draw differs between readers, so each stack's
         # draws for all readers come from one McSource, dropped right after.
-        features = np.empty((config.n_readers, len(corpus), config.nt, config.n_channels))
+        features = np.empty((config.n_readers, len(spectra), config.nt, config.n_channels))
         for i, spec in enumerate(specs):
             source = percept.McSource.of(spec, vc)
             for reader, feats in enumerate(features):
@@ -283,8 +296,8 @@ def _run_point(config: SweepConfig, corpus: list[ImageStack], method: str, point
         apply = percept.apply_lf if method == "LF" else percept.apply_pm
         features = [np.stack([observer.channelize_spectrum(apply(spec, vc), spectral)
                               for spec in specs])] * config.n_readers
-    reader_scores = stats.make_readers(features, [s.signal_present for s in corpus],
-                                       config.master_seed, train_fraction=config.train_fraction)
+    reader_scores = stats.make_readers(features, labels, config.master_seed,
+                                       train_fraction=config.train_fraction)
     res = stats.mrmc_one_shot(stats.McmcInput(readers=reader_scores))
     return {
         "method": method,
@@ -317,12 +330,16 @@ def run_sweep(config: SweepConfig, csv_path, threads: int = 1) -> TrendReport:
         config.n_pairs, config.nx, config.ny, config.nt, config.beta,
         config.lesion, config.master_seed,
     )
+    # Each stack is displayed and transformed once, in place: the corpus is never held twice.
+    labels = [s.signal_present for s in corpus]
+    for i in range(len(corpus)):
+        corpus[i] = percept.forward(normalize_to_display(corpus[i], config.viewing))
     jobs = [(m, i) for m in config.methods for i in range(len(config.values))]
     rows: dict[tuple[str, int], dict] = {}
     failures = []
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = {
-            key: pool.submit(_run_point, config, corpus, key[0], key[1]) for key in jobs
+            key: pool.submit(_run_point, config, corpus, *key, labels) for key in jobs
         }
         for key, fut in futures.items():
             try:

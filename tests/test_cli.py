@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from vobsim import sweep
+from vobsim import cli, sweep
 from vobsim.cli import main
 from vobsim.csf import FieldGeometry, csf, detection_probability
 from vobsim.stackgen import (
@@ -229,3 +229,22 @@ class TestBadInputs:
         assert report["error"] == error
         assert word in report["message"]
         assert not out.exists()
+
+    def test_perceive_missing_output_dir_fails_before_reading(self, tmp_path, capsys,
+                                                              monkeypatch):
+        stack = tmp_path / "in.vstk"
+        write_stack(generate_background(16, 16, 8, 2.5, seed=7), stack)
+
+        def unexpected(path):
+            raise AssertionError("read_stack called")
+
+        monkeypatch.setattr(cli, "read_stack", unexpected)
+        out = tmp_path / "missing" / "out.vstk"
+        argv = ["perceive", "--input", str(stack), "--output", str(out), "--method", "PM"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        report = json.loads(err)
+        assert report["error"] == "FileNotFoundError"
+        assert report["message"].startswith("--output: ")
+        assert os.listdir(tmp_path) == ["in.vstk"]

@@ -4,14 +4,22 @@ import hashlib
 import json
 import math
 import os
+from dataclasses import replace as dc_replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from vobsim import observer, percept, sweep
-from vobsim.errors import ConfigError, DomainError
-from vobsim.stackgen import ImageStack, ViewingConditions
+from vobsim.errors import ConfigError, DegenerateStackError, DomainError
+from vobsim.stackgen import (
+    ImageStack,
+    LesionSpec,
+    ViewingConditions,
+    generate_background,
+    insert_lesion,
+    normalize_to_display,
+)
 from vobsim.sweep import (
     CSV_COLUMNS,
     DEFAULT_GRIDS,
@@ -233,6 +241,46 @@ def tiny_config(**overrides):
     return SweepConfig(**base)
 
 
+class TestDisplayed:
+    """A point rescales the spectrum of a stack displayed at the base viewing
+    conditions instead of displaying and transforming the stack again."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        half_dims=st.tuples(st.integers(4, 8), st.integers(4, 6)),
+        beta=st.floats(0.0, 4.0),
+        amplitude=st.one_of(st.none(), st.floats(0.0, 1.0)),
+        seed=st.integers(0, 2**16),
+        base=st.builds(ViewingConditions, l_max=st.floats(1.0, 2000.0),
+                       contrast=st.floats(1.01, 2000.0), ssr=st.floats(1.0, 100.0),
+                       browse_speed=st.floats(1.0, 500.0)),
+        parameter=st.sampled_from(SWEEPABLE),
+        value=st.floats(1.01, 2000.0),
+    )
+    def test_matches_transform_of_redisplayed_stack(self, half_dims, beta, amplitude, seed,
+                                                     base, parameter, value):
+        nx, nt = 2 * half_dims[0], 2 * half_dims[1]
+        stack = generate_background(nx, nx, nt, beta, seed)
+        if amplitude is not None:
+            stack = insert_lesion(stack, LesionSpec(amplitude=amplitude, sigma_xy=2.0,
+                                                    sigma_t=1.5))
+        vc = dc_replace(base, **{parameter: value})
+        spec = percept.forward(normalize_to_display(stack, base))
+        mapped = sweep._displayed(spec, base, vc)
+        if parameter in ("ssr", "browse_speed"):
+            assert mapped is spec
+        want = percept.forward(normalize_to_display(stack, vc))
+        assert np.abs(mapped.half - want.half).max() <= 1e-12 * np.abs(want.half).max()
+        assert mapped.mean_lum == pytest.approx(want.mean_lum, rel=1e-12, abs=0)
+        # Every conjugate pair in the kt = 0 and nt/2 planes stays exact; the
+        # self-conjugate bins keep forward's rounding residue in their imaginary parts.
+        planes = mapped.half[:, :, [0, -1]]
+        mirrored = np.roll(planes[::-1, ::-1], 1, axis=(0, 1))
+        paired = np.ones(planes.shape, dtype=bool)
+        paired[::nx // 2, ::nx // 2] = False
+        assert np.array_equal(planes[paired], np.conj(mirrored[paired]))
+
+
 class TestRunSweep:
     def test_row_count_and_schema(self, tmp_path):
         cfg = tiny_config(methods=("LF", "PM"))
@@ -281,15 +329,15 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("methods", [("MC",), ("LF", "PM")])
     def test_forward_once_per_stack_and_point(self, tmp_path, monkeypatch, methods):
-        # MC readers differ only in their keep/discard draws, so the forward
-        # transform (and the CSF and p behind it) must not run per reader.
+        # Viewing parameters only change how a stack is displayed, so each
+        # stack is displayed and transformed once per sweep, whatever the
+        # methods, points or readers; points rescale the stored spectra.
         # Features come straight from the perceived spectra: no inverse
-        # transform runs, and while readers train, the only stacks alive
-        # are the corpus's own.
-        calls = {"forward": 0, "inverse": 0}
+        # transform runs, and while readers train, no stack is alive.
+        calls = {"normalize_to_display": 0, "forward": 0, "inverse": 0}
         live_stacks = []
         real_forward, real_inverse = percept.forward, percept.inverse
-        real_hotelling = observer.hotelling_weights
+        real_normalize, real_hotelling = sweep.normalize_to_display, observer.hotelling_weights
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -304,6 +352,8 @@ class TestRunSweep:
             live_stacks.append(count_stacks() - before)
             return real_hotelling(*args, **kwargs)
 
+        monkeypatch.setattr(sweep, "normalize_to_display",
+                            counting("normalize_to_display", real_normalize))
         monkeypatch.setattr(percept, "forward", counting("forward", real_forward))
         monkeypatch.setattr(percept, "inverse", counting("inverse", real_inverse))
         monkeypatch.setattr(observer, "hotelling_weights", hotelling)
@@ -311,24 +361,52 @@ class TestRunSweep:
         before = count_stacks()
         run_sweep(cfg, tmp_path / "count.csv")
         n_stacks = 2 * cfg.n_pairs
-        assert calls == {"forward": len(methods) * len(cfg.values) * n_stacks, "inverse": 0}
-        assert live_stacks and max(live_stacks) == n_stacks
+        assert calls == {"normalize_to_display": n_stacks, "forward": n_stacks, "inverse": 0}
+        assert live_stacks and max(live_stacks) == 0
 
     def test_corpus_left_as_generated(self, tmp_path, monkeypatch):
-        # Every point and sweep thread reads the same corpus stacks, so no
-        # method may write into one.
-        generated = []
-        real_generate = sweep.generate_corpus
+        # Every point and sweep thread reads the same stored spectra (the base
+        # point uses them as they are), so no method may write into one, nor
+        # into a corpus stack.
+        generated, stored = [], []
+        real_generate, real_forward = sweep.generate_corpus, percept.forward
 
         def generate(*args, **kwargs):
             corpus = real_generate(*args, **kwargs)
             generated.extend((s, s.data.tobytes()) for s in corpus)
             return corpus
 
+        def forward(stack):
+            spec = real_forward(stack)
+            stored.append((spec, spec.half.tobytes(), spec.mean_lum))
+            return spec
+
         monkeypatch.setattr(sweep, "generate_corpus", generate)
+        monkeypatch.setattr(percept, "forward", forward)
         run_sweep(tiny_config(methods=("LF", "PM", "MC")), tmp_path / "c.csv", threads=2)
-        assert len(generated) == 12
+        assert len(generated) == len(stored) == 12
         assert all(s.data.tobytes() == data for s, data in generated)
+        assert all(s.half.tobytes() == half and s.mean_lum == mean
+                   for s, half, mean in stored)
+
+    def test_constant_stack_fails_before_any_point(self, tmp_path, monkeypatch):
+        # The corpus is displayed once, before the points run, so a stack that
+        # cannot be displayed ends the sweep there and nothing is written.
+        real_generate = sweep.generate_corpus
+        points = []
+
+        def generate(*args, **kwargs):
+            corpus = real_generate(*args, **kwargs)
+            corpus[3] = ImageStack(data=np.full_like(corpus[3].data, 0.5),
+                                   label=corpus[3].label)
+            return corpus
+
+        monkeypatch.setattr(sweep, "generate_corpus", generate)
+        monkeypatch.setattr(sweep, "_run_point", lambda *args: points.append(args))
+        with pytest.raises(DegenerateStackError, match="constant"):
+            run_sweep(tiny_config(methods=("LF", "PM", "MC")), tmp_path / "k.csv")
+        assert points == []
+        assert os.listdir(tmp_path) == []
 
     def test_mc_method_runs(self, tmp_path):
         cfg = tiny_config(methods=("MC",), values=(100.0, 200.0, 400.0))
