@@ -94,8 +94,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_gen_corpus(args) -> int:
     lesion = LesionSpec(amplitude=args.amplitude, sigma_xy=args.sigma_xy, sigma_t=args.sigma_t)
-    stacks = generate_corpus(args.n_pairs, args.nx, args.nx, args.nt, args.beta, lesion, args.seed)
     out_dir = Path(args.out)
+    if not next(p for p in (out_dir, *out_dir.parents) if p.exists()).is_dir():
+        raise FileExistsError(f"--out: {out_dir} or one of its parents is not a directory")
+    stacks = generate_corpus(args.n_pairs, args.nx, args.nx, args.nt, args.beta, lesion, args.seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths, labels = [], []
     for i, stack in enumerate(stacks):

@@ -118,6 +118,8 @@ class LesionSpec:
     center: tuple[float, float, float] | None = None  # defaults to the volume center
 
     def __post_init__(self):
+        if self.center is not None:  # hashable, so the bump can be cached per lesion
+            object.__setattr__(self, "center", tuple(self.center))
         for name in ("amplitude", "sigma_xy", "sigma_t"):
             value = getattr(self, name)
             low_ok = value >= 0 if name == "amplitude" else value > 0  # NaN compares false
@@ -133,6 +135,11 @@ def generate_background(nx: int, ny: int, nt: int, beta: float, seed) -> ImageSt
     |f|^(-beta/2) (power spectrum slope -beta); beta = 0 reproduces white
     noise.  Deterministic given the seed.
     """
+    return next(_backgrounds(nx, ny, nt, beta, [seed]))
+
+
+def _backgrounds(nx: int, ny: int, nt: int, beta: float, seeds):
+    """Yield the background of each seed, all drawn and filtered in one pair of buffers."""
     for name, n in (("nx", nx), ("ny", ny), ("nt", nt)):
         if n < 8:
             raise DomainError(f"{name} must be at least 8, got {n}")
@@ -140,17 +147,20 @@ def generate_background(nx: int, ny: int, nt: int, beta: float, seed) -> ImageSt
             raise DomainError(f"{name} must be even for the spectral pipeline, got {n}")
     if not 0 <= beta < np.inf:  # NaN compares false
         raise DomainError(f"beta must be finite and non-negative, got {beta!r}")
-
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    rng = np.random.default_rng(ss)
-    noise = rng.standard_normal((nx, ny, nt))
-    spectrum = np.fft.fftn(noise)
-    spectrum *= _shaping_filter(nx, ny, nt, beta)
-    shaped = np.fft.ifftn(spectrum).real
-    lo, hi = shaped.min(), shaped.max()
-    data = (shaped - lo) / (hi - lo)
-    seed_int = int(ss.generate_state(1, np.uint64)[0])
-    return ImageStack(data=data, label=LABEL_ABSENT, seed=seed_int)
+    noise, work = np.empty((nx, ny, nt)), np.empty((nx, ny, nt), dtype=complex)
+    for seed in seeds:
+        ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+        np.random.default_rng(ss).standard_normal(out=noise)
+        np.copyto(work, noise)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite range raises below
+            np.fft.fftn(work, out=work)
+            work *= _shaping_filter(nx, ny, nt, beta)
+            shaped = np.fft.ifftn(work, out=work).real
+            lo, hi = shaped.min(), shaped.max()
+            span = hi - lo
+        if not 0 < span < np.inf:  # NaN compares false
+            raise DomainError(f"beta {beta!r} leaves the background without a finite range")
+        yield ImageStack((shaped - lo) / span, seed=int(ss.generate_state(1, np.uint64)[0]))
 
 
 @lru_cache(maxsize=4)
@@ -160,14 +170,16 @@ def _shaping_filter(nx: int, ny: int, nt: int, beta: float) -> np.ndarray:
     fy = np.fft.fftfreq(ny)[None, :, None]
     ft = np.fft.fftfreq(nt)[None, None, :]
     radius = np.sqrt(fx**2 + fy**2 + ft**2)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         shaping = np.where(radius > 0, radius ** (-beta / 2.0), 0.0)
     shaping.flags.writeable = False
     return shaping
 
 
-def _lesion_profile(stack: ImageStack, lesion: LesionSpec) -> np.ndarray:
-    nx, ny, nt = stack.data.shape
+@lru_cache(maxsize=4)
+def _lesion_profile(shape: tuple[int, int, int], lesion: LesionSpec) -> np.ndarray:
+    """The lesion's bump on a volume of ``shape``; read-only, shared by every call."""
+    nx, ny, nt = shape
     if lesion.center is None:
         cx, cy, ct = (nx - 1) / 2.0, (ny - 1) / 2.0, (nt - 1) / 2.0
     else:
@@ -177,12 +189,14 @@ def _lesion_profile(stack: ImageStack, lesion: LesionSpec) -> np.ndarray:
     gx = np.exp(-((np.arange(nx) - cx) ** 2) / (2.0 * lesion.sigma_xy**2))
     gy = np.exp(-((np.arange(ny) - cy) ** 2) / (2.0 * lesion.sigma_xy**2))
     gt = np.exp(-((np.arange(nt) - ct) ** 2) / (2.0 * lesion.sigma_t**2))
-    return lesion.amplitude * gx[:, None, None] * gy[None, :, None] * gt[None, None, :]
+    bump = lesion.amplitude * gx[:, None, None] * gy[None, :, None] * gt[None, None, :]
+    bump.flags.writeable = False
+    return bump
 
 
 def insert_lesion(stack: ImageStack, lesion: LesionSpec) -> ImageStack:
     """Return a signal-present copy of the stack with the Gaussian bump added."""
-    bump = _lesion_profile(stack, lesion)
+    bump = _lesion_profile(stack.data.shape, lesion)
     return ImageStack(data=stack.data + bump, label=LABEL_PRESENT, seed=stack.seed)
 
 
@@ -280,8 +294,7 @@ def generate_corpus(
         raise DomainError(f"master_seed must be non-negative, got {master_seed}")
     children = np.random.SeedSequence(master_seed).spawn(n_pairs)
     stacks = []
-    for child in children:
-        absent = generate_background(nx, ny, nt, beta, child)
+    for absent in _backgrounds(nx, ny, nt, beta, children):
         stacks.append(absent)
         stacks.append(insert_lesion(absent, lesion))
     return stacks

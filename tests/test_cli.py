@@ -156,6 +156,23 @@ class TestSweepCommand:
         assert calls == []
         assert os.listdir(tmp_path) == ["cfg.json"]
 
+    def test_overflowing_beta_fails_before_any_point(self, tmp_path, capsys, monkeypatch):
+        # A finite beta that overflows the power-law filter stops the sweep
+        # in corpus generation: no point runs, and no CSV or manifest is written.
+        calls = []
+        monkeypatch.setattr(sweep, "_run_point", lambda *a: calls.append(a))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"methods": ["PM"],
+                                        "corpus": {"n_pairs": 4, "nx": 16, "nt": 8,
+                                                   "beta": 1000}}))
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        report = json.loads(err)
+        assert report["error"] == "DomainError" and "beta" in report["message"]
+        assert calls == []
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
     def test_bad_config_reports_json(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"sweep": {"parameter": "humidity"}}))
@@ -197,6 +214,8 @@ class TestBadInputs:
         ("negative corpus seed", ["--seed", "-1"], "DomainError", "seed"),
         ("NaN beta", ["--beta", "nan"], "DomainError", "beta"),
         ("infinite beta", ["--beta", "inf"], "DomainError", "beta"),
+        ("beta overflows the filter", ["--nx", "64", "--nt", "32", "--beta", "400"],
+         "DomainError", "beta"),
         ("infinite amplitude", ["--amplitude", "inf"], "DomainError", "amplitude"),
         ("infinite sigma_xy", ["--sigma-xy", "inf"], "DomainError", "sigma_xy"),
         ("infinite sigma_t", ["--sigma-t", "inf"], "DomainError", "sigma_t"),
@@ -229,6 +248,23 @@ class TestBadInputs:
         assert report["error"] == error
         assert word in report["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("out", ["file", "file/corpus"])
+    def test_gen_corpus_out_under_a_file_fails_before_generating(self, tmp_path, capsys,
+                                                                  monkeypatch, out):
+        calls = []
+        monkeypatch.setattr(cli, "generate_corpus", lambda *a: calls.append(a))
+        (tmp_path / "file").write_text("kept\n")
+        argv = ["gen-corpus", "--out", str(tmp_path / out), "--nx", "16", "--nt", "8"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        report = json.loads(err)
+        assert report["error"] == "FileExistsError"
+        assert report["message"].startswith("--out: ")
+        assert calls == []
+        assert os.listdir(tmp_path) == ["file"]
+        assert (tmp_path / "file").read_text() == "kept\n"
 
     def test_perceive_missing_output_dir_fails_before_reading(self, tmp_path, capsys,
                                                               monkeypatch):

@@ -1,5 +1,10 @@
+import hashlib
 import os
+import platform
+import subprocess
+import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -164,6 +169,15 @@ class TestGenerateBackground:
         with pytest.raises(DomainError, match="beta"):
             generate_background(16, 16, 8, beta, seed=0)
 
+    @pytest.mark.parametrize("dims, beta", [((64, 64, 32), 400.0), ((16, 16, 8), 1000.0)])
+    def test_overflowing_beta_raises_instead_of_nan(self, dims, beta):
+        # The power-law filter overflows; the error names beta, with no
+        # RuntimeWarning on the way and no all-NaN stack.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="beta"):
+                generate_background(*dims, beta, seed=0)
+
 
 class TestInsertLesion:
     def test_zero_amplitude_only_flips_label(self):
@@ -198,6 +212,19 @@ class TestInsertLesion:
         bg = generate_background(16, 16, 8, 1.0, seed=5)
         with pytest.raises(DomainError):
             insert_lesion(bg, LesionSpec(amplitude=1.0, center=(20, 8, 4)))
+
+    def test_cached_bump_is_read_only(self):
+        lesion = LesionSpec(amplitude=0.5, sigma_xy=2, sigma_t=1)
+        insert_lesion(generate_background(16, 16, 8, 1.0, seed=5), lesion)
+        with pytest.raises(ValueError):
+            stackgen._lesion_profile((16, 16, 8), lesion)[8, 8, 4] = 0.0
+
+    def test_list_center_gives_the_tuple_center_bump(self):
+        bg = generate_background(16, 16, 8, 1.0, seed=5)
+        listed = LesionSpec(amplitude=0.7, sigma_xy=2, sigma_t=1, center=[8, 7, 4])
+        tupled = LesionSpec(amplitude=0.7, sigma_xy=2, sigma_t=1, center=(8, 7, 4))
+        assert listed == tupled
+        assert np.array_equal(insert_lesion(bg, listed).data, insert_lesion(bg, tupled).data)
 
 
 class TestNormalizeToDisplay:
@@ -359,7 +386,82 @@ class TestManifest:
         assert [e["label"] for e in m["stacks"]] == [LABEL_ABSENT, LABEL_PRESENT]
 
 
+# sha256 over the data bytes, seed and label of every stack of
+# generate_corpus(n_pairs, nx, nx, nt, 3.0, LesionSpec(amplitude=0.05), 0),
+# recorded with numpy 2.4.6 on x86-64 with AVX-512.
+CORPUS_SHA256 = {
+    (6, 16, 8): "7e1bdf6a4017df20a531f9e34f7f79851ebf60e90734db3a2c1f34fc539a473e",
+    (3, 64, 32): "37d09e8118e0f33b42e902cf9e279eef213cb03266b0b9ba133f82572ba8d666",
+}
+
+# Grows the corpus after a one-pair warm-up and prints how far the peak RSS
+# rose beyond the bytes the corpus keeps.  The peak is VmHWM, which is what
+# ru_maxrss reports minus the floor it inherits across exec from the parent
+# process (a test runner's own RSS would hide the growth).
+_RSS_PROBE = """
+from vobsim.stackgen import LesionSpec, generate_corpus
+
+def peak():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM:"))
+
+lesion = LesionSpec(amplitude=0.25)
+generate_corpus(1, 64, 64, 32, 3.0, lesion, 0)
+before = peak()
+corpus = generate_corpus(40, 64, 64, 32, 3.0, lesion, 1)
+print(peak() - before - sum(s.data.nbytes for s in corpus))
+"""
+
+
 class TestCorpus:
+    @pytest.mark.skipif(np.__version__ != "2.4.6", reason="digest recorded with numpy 2.4.6")
+    @pytest.mark.parametrize("n_pairs, side, nt", list(CORPUS_SHA256))
+    def test_bytes_pinned(self, n_pairs, side, nt):
+        digest = hashlib.sha256()
+        for s in generate_corpus(n_pairs, side, side, nt, 3.0, LesionSpec(amplitude=0.05), 0):
+            digest.update(s.data.tobytes())
+            digest.update(str(s.seed).encode())
+            digest.update(s.label.encode())
+        assert digest.hexdigest() == CORPUS_SHA256[(n_pairs, side, nt)]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        side=st.integers(4, 12).map(lambda n: 2 * n),
+        nt=st.integers(4, 8).map(lambda n: 2 * n),
+        n_pairs=st.integers(1, 3),
+        beta=st.floats(0.0, 4.0),
+        amplitude=st.floats(0.0, 1.0),
+        sigma_xy=st.floats(0.5, 8.0),
+        sigma_t=st.floats(0.5, 4.0),
+        master_seed=st.integers(0, 2**64),
+    )
+    def test_corpus_is_public_background_and_lesion(self, side, nt, n_pairs, beta, amplitude,
+                                                   sigma_xy, sigma_t, master_seed):
+        # The shared-buffer corpus path gives, pair by pair, the stacks the
+        # public one-stack functions give from the same spawned seeds.
+        lesion = LesionSpec(amplitude=amplitude, sigma_xy=sigma_xy, sigma_t=sigma_t)
+        corpus = generate_corpus(n_pairs, side, side, nt, beta, lesion, master_seed)
+        children = np.random.SeedSequence(master_seed).spawn(n_pairs)
+        assert len(corpus) == 2 * n_pairs
+        for i, child in enumerate(children):
+            absent = generate_background(side, side, nt, beta, child)
+            present = insert_lesion(absent, lesion)
+            for got, want in ((corpus[2 * i], absent), (corpus[2 * i + 1], present)):
+                assert np.array_equal(got.data, want.data)
+                assert (got.label, got.seed) == (want.label, want.seed)
+
+    @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                        reason="measures glibc heap retention through Linux VmHWM")
+    def test_no_retained_transients(self):
+        # Per pair, only the two kept stacks are allocated at full size; freed
+        # temporaries between them would stay in the heap and raise the peak.
+        src = os.path.dirname(os.path.dirname(stackgen.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        out = subprocess.run([sys.executable, "-c", _RSS_PROBE], env=env, check=True,
+                             capture_output=True, text=True)
+        assert int(out.stdout) <= 8 * 2**20
+
     def test_pairs_share_background(self):
         lesion = LesionSpec(amplitude=0.5, sigma_xy=2, sigma_t=1, center=(8, 8, 4))
         stacks = generate_corpus(3, 16, 16, 8, 2.0, lesion, 5)
