@@ -79,8 +79,10 @@ class FieldGeometry:
     l_avg: float
 
     def __post_init__(self):
-        if not (self.x0 > 0 and np.isfinite(self.x0)):
-            raise DomainError(f"FieldGeometry.x0 must be positive, got {self.x0!r}")
+        # Orthogonal viewing sees at most 180 deg, and the CSF divides by x0^2.
+        if not (0 < self.x0 <= 180 and self.x0 * self.x0 > 0):
+            raise DomainError(f"FieldGeometry.x0 must be in (0, 180] deg and its square "
+                              f"non-zero, got {self.x0!r}")
         if not (self.l_avg > 0 and np.isfinite(self.l_avg)):
             raise DomainError(f"FieldGeometry.l_avg must be positive, got {self.l_avg!r}")
 

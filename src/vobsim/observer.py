@@ -23,7 +23,7 @@ import scipy.fft
 from scipy.special import eval_laguerre
 
 from .errors import DimensionMismatchError, DomainError, SingularCovarianceError
-from .percept import SpectralStack, check_residue
+from .percept import SpectralStack, check_symmetric
 from .stackgen import ImageStack
 
 __all__ = [
@@ -102,12 +102,12 @@ def spectral_channels(channels: LgChannelSet) -> np.ndarray:
 def channelize_spectrum(spec: SpectralStack, spectral: np.ndarray) -> np.ndarray:
     """Features of every slice of ``inverse(spec)``, shape (nt, C), with no 3D transform.
 
-    ``spectral`` is from ``spectral_channels``; the residue is checked as ``inverse`` does.
+    ``spectral`` is from ``spectral_channels``; the symmetry is checked as ``inverse`` does.
     """
     nx, ny, nt = spec.dims
     if spectral.shape[1] != nx * ny:
         raise DimensionMismatchError(f"{nx}x{ny} slices, {spectral.shape[1]} channel bins")
-    check_residue(spec)
+    check_symmetric(spec)
     return scipy.fft.irfft(spectral @ spec.half.reshape(nx * ny, -1), n=nt, axis=1).T
 
 

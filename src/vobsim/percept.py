@@ -13,14 +13,13 @@ result is inverse-transformed:
 
 Because the input is real, coefficients come in conjugate pairs and only the
 half spectrum is stored (``scipy.fft.rfftn`` layout: 1.1 MB, not 2.1 MB, at
-64x64x32).  Only its kt = 0 and kt = nt/2 planes hold both bins of a pair;
-``forward`` makes those two planes exactly Hermitian, so every per-bin
-array (S, m, phase, p, the MC keep mask) has the half spectrum's shape,
-the methods are elementwise on it, and the output is exactly
-conjugate-symmetric with the DC (mean luminance) passed through untouched.
-``check_residue`` takes the imaginary residue of an inverse transform from
-the kt = 0 and kt = nt/2 planes alone; ``inverse`` and
-``observer.channelize_spectrum`` both run it.
+64x64x32).  Only its kt = 0 and kt = nt/2 planes hold both bins of a pair or
+a self-conjugate bin; ``forward`` makes them exactly Hermitian.  Every
+per-bin array (S, m, phase, p, the MC keep mask) has the half spectrum's
+shape and the methods are elementwise on it, so every spectrum the program
+makes is exactly conjugate-symmetric, with the DC (mean luminance) passed
+through untouched.  ``inverse`` and ``observer.channelize_spectrum`` reject
+any other spectrum (``check_symmetric``).
 
 PM and MC both start from p: one pass over the half spectrum yields each
 bin's modulation m (which p needs), its unit-modulation scale and its
@@ -50,7 +49,7 @@ __all__ = [
     "METHODS",
     "forward",
     "inverse",
-    "check_residue",
+    "check_symmetric",
     "modulation",
     "sensitivity",
     "McSource",
@@ -61,8 +60,6 @@ __all__ = [
 ]
 
 METHODS = ("LF", "PM", "MC")
-
-_IMAG_RESIDUE_TOL = 1e-9
 
 
 @dataclass
@@ -109,16 +106,17 @@ def forward(stack: ImageStack) -> SpectralStack:
     """3D FFT of a real stack.  Dimensions must be even.
 
     In the kt = 0 and nt/2 planes, each bin whose partner comes first becomes
-    the exact conjugate of that partner, so that elementwise maths on the half
-    spectrum keeps every pair conjugate.
+    the exact conjugate of that partner and each self-conjugate bin becomes
+    real, so that elementwise maths on the half spectrum keeps it Hermitian.
     """
     data = stack.data
     if any(n % 2 for n in data.shape):
         raise DimensionMismatchError(f"stack dimensions must be even, got {data.shape}")
     half = scipy.fft.rfftn(data)
-    later = _pair_table(data.shape)[3]
+    _, _, self_conj, later = _pair_table(data.shape)
     for plane in (half[:, :, 0], half[:, :, -1]):
         np.copyto(plane, np.conj(_mirror_xy(plane)), where=later)
+    half.imag[self_conj] = 0.0
     n = prod(data.shape)
     # A DC within rounding of zero has no sign: the stack has no positive mean.
     dc = half[0, 0, 0].real
@@ -127,27 +125,21 @@ def forward(stack: ImageStack) -> SpectralStack:
 
 
 def inverse(spec: SpectralStack) -> np.ndarray:
-    """Inverse 3D real FFT as a contiguous real array, after ``check_residue``."""
-    check_residue(spec)
+    """Inverse 3D real FFT as a contiguous real array, after ``check_symmetric``."""
+    check_symmetric(spec)
     return scipy.fft.irfftn(spec.half, s=spec.dims)
 
 
-def check_residue(spec: SpectralStack) -> None:
-    """Raise if ``ifftn(spec.coeffs)`` would leave a non-negligible imaginary part.
+def check_symmetric(spec: SpectralStack) -> None:
+    """Raise unless ``spec`` is exactly the spectrum of a real stack.
 
-    That part is (B0 + (-1)^t B1) / nt, with B0, B1 the 2D inverse transforms of
-    the anti-Hermitian parts of the kt = 0 and nt/2 planes (mirroring fixes all
-    others).  The real part, for scale, is computed only if those planes are not Hermitian.
+    The half spectrum stores both bins of a pair only in its kt = 0 and nt/2
+    planes, so those must equal the conjugate of their (-kx, -ky) mirror bit for bit.
     """
     planes = spec.half[:, :, [0, -1]]
-    anti = planes - np.conj(_mirror_xy(planes))  # twice the anti-Hermitian parts
-    if anti.any():
-        out = scipy.fft.irfftn(spec.half, s=spec.dims)
-        b = scipy.fft.ifft2(anti, axes=(0, 1)).imag / (2 * spec.dims[2])
-        imag = b[:, :, :1] + np.where(np.arange(spec.dims[2]) % 2, -1.0, 1.0) * b[:, :, 1:]
-        scale = np.hypot(out, imag).max()
-        if scale > 0 and np.abs(imag).max() > _IMAG_RESIDUE_TOL * scale:
-            raise DomainError("inverse transform left a non-negligible imaginary part")
+    if not np.array_equal(planes, np.conj(_mirror_xy(planes))):
+        raise DomainError("spectrum is not conjugate-symmetric: "
+                          "its inverse transform would have an imaginary part")
 
 
 def modulation(spec: SpectralStack, k: tuple[int, int, int]) -> float:
@@ -178,8 +170,9 @@ def sensitivity(spec: SpectralStack, vc: ViewingConditions) -> np.ndarray:
     and kt and gathered onto the bins (both cached per dims and viewing point).
     The formula is elementwise, so the values equal a per-bin evaluation bit for bit.
     """
+    geom = FieldGeometry(x0=spec.dims[0] / vc.ssr, l_avg=spec.mean_lum)
     u, w, at = _frequency_table(spec.dims, vc.ssr, vc.browse_speed)
-    return csf(u, w, FieldGeometry(x0=spec.dims[0] / vc.ssr, l_avg=spec.mean_lum)).take(at)
+    return csf(u, w, geom).take(at)
 
 
 @lru_cache(maxsize=8)
@@ -201,8 +194,7 @@ def _frequency_table(dims: tuple[int, int, int], ssr: float, browse_speed: float
 def _polar(spec: SpectralStack):
     """Modulation m, unit-modulation amplitude and phase on every half-spectrum bin.
 
-    A paired bin carries half of its cosine, a self-conjugate bin all of it;
-    self-conjugate bins are real, so only their sign is a phase.
+    A paired bin carries half of its cosine, a self-conjugate bin all of it.
     """
     if spec.mean_lum <= 0:
         raise DegenerateStackError("PM/MC need a positive mean luminance")
@@ -213,7 +205,6 @@ def _polar(spec: SpectralStack):
     scale[self_conj] = n * spec.mean_lum
     m = np.abs(c)
     phase = np.divide(c, m, out=np.ones_like(c), where=m > 0)
-    phase[self_conj] = np.where(c.real[self_conj] < 0, -1.0, 1.0)
     return np.divide(m, scale, out=m), scale, phase
 
 
@@ -251,9 +242,7 @@ class McSource:
 
 def apply_lf(spec: SpectralStack, vc: ViewingConditions, *, s=None) -> SpectralStack:
     """Scale every non-DC component by the sensitivity at its frequency."""
-    new = spec.half * (sensitivity(spec, vc) if s is None else s)
-    new.imag[_pair_table(spec.dims)[2]] = 0.0
-    return _keep_dc(spec, new)
+    return _keep_dc(spec, spec.half * (sensitivity(spec, vc) if s is None else s))
 
 
 def apply_pm(spec: SpectralStack, vc: ViewingConditions, *, s=None, p=None) -> SpectralStack:

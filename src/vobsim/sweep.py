@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace as dc_replace
 import numpy as np
 
 from . import observer, percept, stats
+from .csf import FieldGeometry
 from .errors import ConfigError, DomainError
 from .stackgen import (
     LesionSpec,
@@ -161,11 +162,6 @@ class SweepConfig:
             raise ConfigError(f"sweep.values: need 3 or more for a trend, got {len(self.values)}")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ConfigError("sweep.values: must be strictly increasing")
-        for v in self.values:  # every point's viewing conditions and distance must exist
-            try:
-                viewing_distance(self.vc_at(v).ssr)
-            except DomainError as exc:
-                raise ConfigError(f"sweep.values: {exc}") from exc
         if self.ny is None:
             object.__setattr__(self, "ny", self.nx)
         for name, least in _LEAST_INT.items():
@@ -177,6 +173,13 @@ class SweepConfig:
                                   f"{' and even' if least == 8 else ''}, got {value}")
         if self.ny != self.nx:  # the viewing geometry takes the field size from one side
             raise ConfigError(f"corpus.ny: slices must be square, got ny {self.ny} != nx {self.nx}")
+        for v in self.values:  # every point's viewing conditions, distance and field must exist
+            try:
+                vc = self.vc_at(v)
+                viewing_distance(vc.ssr)
+                FieldGeometry(x0=self.nx / vc.ssr, l_avg=vc.l_max)
+            except DomainError as exc:
+                raise ConfigError(f"sweep.values: {exc}") from exc
         for name, valid, rule in (("beta", lambda v: v >= 0, "non-negative"),
                                   ("spread", lambda v: v > 0, "positive"),
                                   ("train_fraction", lambda v: 0 < v <= 1, "in (0, 1]")):

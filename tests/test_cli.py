@@ -223,6 +223,10 @@ class TestBadInputs:
         ("csf NaN w", ["--w", "nan"], "DomainError", "temporal"),
         ("csf NaN m", ["--m", "nan"], "DomainError", "modulation"),
         ("csf infinite m", ["--u", "0", "--w", "0", "--m", "inf"], "DomainError", "modulation"),
+        ("csf x0 beyond 180 deg", ["--x0", "1e300"], "DomainError", "x0"),
+        ("csf x0 squared underflows", ["--x0", "1e-300"], "DomainError", "x0"),
+        ("huge ssr", ["--method", "PM", "--normalize", "--ssr", "1e300"], "DomainError", "x0"),
+        ("tiny ssr", ["--method", "PM", "--normalize", "--ssr", "1e-300"], "DomainError", "x0"),
     ]
 
     @pytest.mark.parametrize("case, extra, error, word", CASES, ids=[c[0] for c in CASES])

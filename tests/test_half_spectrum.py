@@ -12,6 +12,7 @@ from vobsim.percept import (
     apply_lf,
     apply_mc,
     apply_pm,
+    check_symmetric,
     forward,
     inverse,
 )
@@ -36,12 +37,10 @@ def test_half_spectrum_matches_full_fft(dims, seed):
     assert spec.half.shape == (dims[0], dims[1], dims[2] // 2 + 1)
     want = np.fft.fftn(stack.data)
     assert np.abs(spec.coeffs - want).max() <= 1e-12 * np.abs(want).max()
-    # Away from the self-conjugate bins, whose imaginary parts are rounding
-    # noise, the kt = 0 and nt/2 planes hold exact conjugate pairs.
+    # The kt = 0 and nt/2 planes are exactly Hermitian: conjugate pairs and
+    # real self-conjugate bins.
     planes = spec.half[:, :, [0, -1]]
-    anti = planes - np.conj(np.roll(planes[::-1, ::-1], 1, axis=(0, 1)))  # partner (-kx, -ky)
-    anti[::dims[0] // 2, ::dims[1] // 2] = 0
-    assert not anti.any()
+    assert np.array_equal(planes, np.conj(np.roll(planes[::-1, ::-1], 1, axis=(0, 1))))
 
     vc = ViewingConditions()
     outs = {"LF": apply_lf(spec, vc), "PM": apply_pm(spec, vc), "MC": apply_mc(spec, vc, seed=seed)}
@@ -111,17 +110,47 @@ def test_non_hermitian_half_is_rejected(dims, where):
         channelize_spectrum(bad, spectral)
 
 
+@settings(max_examples=60, deadline=None)
+@given(dims=st.tuples(even, even, even), seed=st.integers(0, 2**32 - 1), data=st.data())
+@example(dims=(12, 10, 6), seed=0, data=None)  # rfftn leaves rounding noise here
+@example(dims=(2, 2, 2), seed=1, data=None)
+def test_every_spectrum_is_exactly_symmetric_and_one_ulp_off_is_rejected(dims, seed, data):
+    spec = forward(_stack(dims, seed))
+    vc = ViewingConditions()
+    outs = [spec, apply_lf(spec, vc), apply_pm(spec, vc), apply_mc(spec, vc, seed=seed),
+            McSource.of(spec, vc).draw(seed)]
+    for out in outs:
+        check_symmetric(out)
+    if data is None:
+        return
+    # One ulp on one bin of the kt = 0 or nt/2 plane: either part of a
+    # paired bin, or the imaginary part of a self-conjugate bin.
+    kx, ky = data.draw(st.integers(0, dims[0] - 1)), data.draw(st.integers(0, dims[1] - 1))
+    kt = data.draw(st.sampled_from([0, -1]))
+    self_conj = kx % (dims[0] // 2) == 0 and ky % (dims[1] // 2) == 0
+    part = "imag" if self_conj else data.draw(st.sampled_from(["real", "imag"]))
+    half = data.draw(st.sampled_from(outs)).half.copy()
+    values = getattr(half, part)
+    toward = data.draw(st.sampled_from([-np.inf, np.inf]))
+    values[kx, ky, kt] = np.nextafter(values[kx, ky, kt], toward)
+    bad = SpectralStack(half=half, dims=dims, mean_lum=spec.mean_lum)
+    with pytest.raises(DomainError, match="imaginary"):
+        inverse(bad)
+    spectral = spectral_channels(make_channels(dims[0], dims[1], 2, spread=2.0))
+    with pytest.raises(DomainError, match="imaginary"):
+        channelize_spectrum(bad, spectral)
+
+
 @pytest.mark.parametrize("factor", [0.01, 0.5, 0.8, 1.25, 2.0, 100.0])
 @pytest.mark.parametrize("planes", ["kt=0", "kt=nt/2", "both", "opposite"])
 @settings(max_examples=5, deadline=None)
 @given(dims=st.tuples(even, even, even), seed=st.integers(0, 2**32 - 1))
 def test_residue_check_agrees_with_full_inverse(factor, planes, dims, seed):
     # Noise on the kt = 0 and/or kt = nt/2 planes, scaled so that the
-    # imaginary part of ifftn(coeffs) is `factor` times the 1e-9 tolerance:
-    # inverse raises exactly when factor > 1 and otherwise returns the real
-    # part, and so does the channelization of the spectrum.  "opposite" puts
-    # the negated kt = 0 noise on the kt = nt/2 plane, so the residue
-    # vanishes on even slices and doubles on odd ones.
+    # imaginary part of ifftn(coeffs) is `factor` * 1e-9 of its largest
+    # magnitude: inverse and the channelization of the spectrum reject it at
+    # every size.  "opposite" puts the negated kt = 0 noise on the kt = nt/2
+    # plane, so the residue vanishes on even slices and doubles on odd ones.
     spec = _hermitian_half(dims, seed)
     rng = np.random.default_rng(seed)
     shape = (dims[0], dims[1], 2)
@@ -136,21 +165,15 @@ def test_residue_check_agrees_with_full_inverse(factor, planes, dims, seed):
 
     def imag_ratio(s):
         full = np.fft.ifftn(s.coeffs)
-        return np.abs(full.imag).max() / np.abs(full).max(), full
+        return np.abs(full.imag).max() / np.abs(full).max()
 
     unit = 1e-9 * np.abs(spec.half).max()
-    bad = perturbed(unit * factor * 1e-9 / imag_ratio(perturbed(unit))[0])
-    ratio, full = imag_ratio(bad)
-    assert ratio == pytest.approx(factor * 1e-9, rel=1e-3)
-    spectral = spectral_channels(make_channels(dims[0], dims[1], 2, spread=2.0))
-    if factor > 1:
-        with pytest.raises(DomainError):
-            inverse(bad)
-        with pytest.raises(DomainError):
-            channelize_spectrum(bad, spectral)
-    else:
-        assert np.abs(inverse(bad) - full.real).max() <= 1e-12 * np.abs(full).max()
-        channelize_spectrum(bad, spectral)
+    bad = perturbed(unit * factor * 1e-9 / imag_ratio(perturbed(unit)))
+    assert imag_ratio(bad) == pytest.approx(factor * 1e-9, rel=1e-3)
+    with pytest.raises(DomainError):
+        inverse(bad)
+    with pytest.raises(DomainError):
+        channelize_spectrum(bad, spectral_channels(make_channels(dims[0], dims[1], 2, spread=2.0)))
 
 
 def test_zero_mean_stack_has_no_mean_luminance():
