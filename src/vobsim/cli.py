@@ -46,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--nt", type=int, default=sweep_mod.SweepConfig.nt)
     p_gen.add_argument("--beta", type=float, default=sweep_mod.SweepConfig.beta)
     p_gen.add_argument("--seed", type=int, default=sweep_mod.SweepConfig.master_seed)
-    p_gen.add_argument("--amplitude", type=float, default=sweep_mod.DEFAULT_LESION_AMPLITUDE)
+    p_gen.add_argument("--amplitude", type=float, default=LesionSpec.amplitude)
     p_gen.add_argument("--sigma-xy", type=float, default=LesionSpec.sigma_xy)
     p_gen.add_argument("--sigma-t", type=float, default=LesionSpec.sigma_t)
 

@@ -176,26 +176,27 @@ def csf(u, w, geom: FieldGeometry):
         raise DomainError("temporal frequency w must be non-negative")
 
     params = DEFAULT_PARAMS
-    d = pupil_diameter(geom.l_avg, geom.x0)
-    e = retinal_illuminance(geom.l_avg, d)
-    tau1, tau2 = temporal_time_constants(e, geom.x0)
-    sigma = line_spread_sigma(d)
+    # Overflow to inf is the model's own limit: a huge u or w gives S = 0 and a huge
+    # l_avg no photon noise.  neural_gain is 0 at u = w = 0; the 1/gain^2 noise
+    # term then diverges and S is correctly 0 there.
+    with np.errstate(divide="ignore", over="ignore"):
+        d = pupil_diameter(geom.l_avg, geom.x0)
+        e = retinal_illuminance(geom.l_avg, d)
+        tau1, tau2 = temporal_time_constants(e, geom.x0)
+        sigma = line_spread_sigma(d)
 
-    m_opt = optical_mtf(u, sigma)
-    f_u = low_freq_attenuation(u)
-    h1 = temporal_filter(w, tau1, params.n1)
-    h2 = temporal_filter(w, tau2, params.n2)
+        m_opt = optical_mtf(u, sigma)
+        f_u = low_freq_attenuation(u)
+        h1 = temporal_filter(w, tau1, params.n1)
+        h2 = temporal_filter(w, tau2, params.n2)
 
-    photon_term = 1.0 / (params.eta * params.p_photon * e)
-    neural_gain = h1 * (1.0 - h2 * f_u)
-    # neural_gain is 0 at u = w = 0; the 1/gain^2 noise term then diverges
-    # and S is correctly 0 there.
-    with np.errstate(divide="ignore"):
+        photon_term = 1.0 / (params.eta * params.p_photon * e)
+        neural_gain = h1 * (1.0 - h2 * f_u)
         neural_term = params.phi0 / neural_gain**2
-    bandwidth = (2.0 / params.t_int) * (
-        1.0 / geom.x0**2 + 1.0 / params.x_max**2 + u**2 / params.n_max**2
-    )
-    s = m_opt / (params.k_crozier * np.sqrt(bandwidth * (photon_term + neural_term)))
+        bandwidth = (2.0 / params.t_int) * (
+            1.0 / geom.x0**2 + 1.0 / params.x_max**2 + u**2 / params.n_max**2
+        )
+        s = m_opt / (params.k_crozier * np.sqrt(bandwidth * (photon_term + neural_term)))
     if u.ndim == 0 and w.ndim == 0:
         return float(s)
     return s
@@ -214,10 +215,11 @@ def detection_probability(m, s):
         raise DomainError("modulation m must be finite and non-negative")
     if not ((s >= 0) & (s < np.inf)).all():
         raise DomainError("sensitivity s must be finite and non-negative")
-    p = np.asarray(m * s)  # then 0.5 + 0.5*erf(k*(p - 1)/sqrt(2)), in place
-    p -= 1.0
-    p *= PSYCHOMETRIC_SLOPE
-    p /= np.sqrt(2.0)
+    with np.errstate(over="ignore"):  # an m*s past the float range is far above threshold: p = 1
+        p = np.asarray(m * s)  # then 0.5 + 0.5*erf(k*(p - 1)/sqrt(2)), in place
+        p -= 1.0
+        p *= PSYCHOMETRIC_SLOPE
+        p /= np.sqrt(2.0)
     erf(p, out=p)
     p *= 0.5
     p += 0.5

@@ -145,21 +145,17 @@ def check_symmetric(spec: SpectralStack) -> None:
 def modulation(spec: SpectralStack, k: tuple[int, int, int]) -> float:
     """Modulation of the component at index k: amplitude over mean luminance.
 
-    A non-self-conjugate bin and its partner form one cosine, so its
-    amplitude counts twice: m = 2*|c| / (N * mean_lum); self-conjugate bins
-    count once.  The DC bin has no modulation.
+    A bin and its conjugate partner form one cosine with one modulation,
+    read from ``_polar`` at whichever of the two the half spectrum stores.
+    The DC bin has no modulation.
     """
-    kx, ky, kt = (int(k[0]) % spec.dims[0], int(k[1]) % spec.dims[1], int(k[2]) % spec.dims[2])
+    nx, ny, nt = spec.dims
+    kx, ky, kt = (int(k[0]) % nx, int(k[1]) % ny, int(k[2]) % nt)
     if (kx, ky, kt) == (0, 0, 0):
         raise DomainError("the DC component has no modulation")
-    if spec.mean_lum <= 0:
-        raise DegenerateStackError("mean luminance must be positive to define modulation")
-    partner = ((-kx) % spec.dims[0], (-ky) % spec.dims[1], (-kt) % spec.dims[2])
-    pair_weight = 1.0 if partner == (kx, ky, kt) else 2.0
-    n = prod(spec.dims)
-    # |c| of a bin equals |c| of its partner, one of which is in the half.
-    stored = min((kx, ky, kt), partner, key=lambda b: b[2])
-    return pair_weight * abs(spec.half[stored]) / (n * spec.mean_lum)
+    if kt > nt // 2:  # the half spectrum stores its partner
+        kx, ky, kt = (-kx) % nx, (-ky) % ny, nt - kt
+    return _polar(spec)[0][kx, ky, kt]
 
 
 def sensitivity(spec: SpectralStack, vc: ViewingConditions) -> np.ndarray:

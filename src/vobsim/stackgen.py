@@ -15,7 +15,6 @@ import os
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -102,6 +101,8 @@ class ViewingConditions:
             least = 1 if name == "contrast" else 0
             if not least < value < np.inf:  # NaN compares false
                 raise DomainError(f"{name} must be finite and exceed {least}, got {value!r}")
+        if not (self.l_max <= 1e6 and self.l_min >= 1e-6):  # far beyond any display
+            raise DomainError(f"l_max must be <= 1e6 and l_max/contrast >= 1e-6 cd/m^2, got {self}")
 
     @property
     def l_min(self) -> float:
@@ -112,13 +113,16 @@ class ViewingConditions:
 class LesionSpec:
     """A separable Gaussian bump: peak height, spatial/temporal widths, center voxel."""
 
-    amplitude: float
+    # Peak height (in nominal [0, 1] background units) frozen after a one-time
+    # calibration: the PM method at the default viewing conditions then lands
+    # at a mid-range d' (between 1 and 2), clear of floor and ceiling.
+    amplitude: float = 0.25
     sigma_xy: float = 6.0  # pixels
     sigma_t: float = 3.0  # slices
     center: tuple[float, float, float] | None = None  # defaults to the volume center
 
     def __post_init__(self):
-        if self.center is not None:  # hashable, so the bump can be cached per lesion
+        if self.center is not None:  # a list center gives an equal spec
             object.__setattr__(self, "center", tuple(self.center))
         for name in ("amplitude", "sigma_xy", "sigma_t"):
             value = getattr(self, name)
@@ -148,13 +152,14 @@ def _backgrounds(nx: int, ny: int, nt: int, beta: float, seeds):
     if not 0 <= beta < np.inf:  # NaN compares false
         raise DomainError(f"beta must be finite and non-negative, got {beta!r}")
     noise, work = np.empty((nx, ny, nt)), np.empty((nx, ny, nt), dtype=complex)
+    shaping = _shaping_filter(nx, ny, nt, beta)
     for seed in seeds:
         ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         np.random.default_rng(ss).standard_normal(out=noise)
         np.copyto(work, noise)
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite range raises below
             np.fft.fftn(work, out=work)
-            work *= _shaping_filter(nx, ny, nt, beta)
+            work *= shaping
             shaped = np.fft.ifftn(work, out=work).real
             lo, hi = shaped.min(), shaped.max()
             span = hi - lo
@@ -163,22 +168,18 @@ def _backgrounds(nx: int, ny: int, nt: int, beta: float, seeds):
         yield ImageStack((shaped - lo) / span, seed=int(ss.generate_state(1, np.uint64)[0]))
 
 
-@lru_cache(maxsize=4)
 def _shaping_filter(nx: int, ny: int, nt: int, beta: float) -> np.ndarray:
-    """Radial amplitude |f|^(-beta/2), 0 at the DC; read-only, shared by every call."""
+    """Radial amplitude |f|^(-beta/2), 0 at the DC."""
     fx = np.fft.fftfreq(nx)[:, None, None]
     fy = np.fft.fftfreq(ny)[None, :, None]
     ft = np.fft.fftfreq(nt)[None, None, :]
     radius = np.sqrt(fx**2 + fy**2 + ft**2)
     with np.errstate(divide="ignore", over="ignore"):
-        shaping = np.where(radius > 0, radius ** (-beta / 2.0), 0.0)
-    shaping.flags.writeable = False
-    return shaping
+        return np.where(radius > 0, radius ** (-beta / 2.0), 0.0)
 
 
-@lru_cache(maxsize=4)
 def _lesion_profile(shape: tuple[int, int, int], lesion: LesionSpec) -> np.ndarray:
-    """The lesion's bump on a volume of ``shape``; read-only, shared by every call."""
+    """The lesion's bump on a volume of ``shape``."""
     nx, ny, nt = shape
     if lesion.center is None:
         cx, cy, ct = (nx - 1) / 2.0, (ny - 1) / 2.0, (nt - 1) / 2.0
@@ -189,14 +190,15 @@ def _lesion_profile(shape: tuple[int, int, int], lesion: LesionSpec) -> np.ndarr
     gx = np.exp(-((np.arange(nx) - cx) ** 2) / (2.0 * lesion.sigma_xy**2))
     gy = np.exp(-((np.arange(ny) - cy) ** 2) / (2.0 * lesion.sigma_xy**2))
     gt = np.exp(-((np.arange(nt) - ct) ** 2) / (2.0 * lesion.sigma_t**2))
-    bump = lesion.amplitude * gx[:, None, None] * gy[None, :, None] * gt[None, None, :]
-    bump.flags.writeable = False
-    return bump
+    return lesion.amplitude * gx[:, None, None] * gy[None, :, None] * gt[None, None, :]
 
 
 def insert_lesion(stack: ImageStack, lesion: LesionSpec) -> ImageStack:
     """Return a signal-present copy of the stack with the Gaussian bump added."""
-    bump = _lesion_profile(stack.data.shape, lesion)
+    return _with_bump(stack, _lesion_profile(stack.data.shape, lesion))
+
+
+def _with_bump(stack: ImageStack, bump: np.ndarray) -> ImageStack:
     return ImageStack(data=stack.data + bump, label=LABEL_PRESENT, seed=stack.seed)
 
 
@@ -293,10 +295,12 @@ def generate_corpus(
     if master_seed < 0:
         raise DomainError(f"master_seed must be non-negative, got {master_seed}")
     children = np.random.SeedSequence(master_seed).spawn(n_pairs)
-    stacks = []
+    stacks, bump = [], None
     for absent in _backgrounds(nx, ny, nt, beta, children):
+        if bump is None:  # after the first background, so bad dims raise there first
+            bump = _lesion_profile((nx, ny, nt), lesion)
         stacks.append(absent)
-        stacks.append(insert_lesion(absent, lesion))
+        stacks.append(_with_bump(absent, bump))
     return stacks
 
 

@@ -14,7 +14,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field, fields, replace as dc_replace
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .errors import ConfigError, DomainError
 from .stackgen import (
     LesionSpec,
     ViewingConditions,
+    _lesion_profile,
     atomic_open,
     generate_corpus,
     normalize_to_display,
@@ -35,7 +36,6 @@ __all__ = [
     "TrendReport",
     "CSV_COLUMNS",
     "DEFAULT_GRIDS",
-    "DEFAULT_LESION_AMPLITUDE",
     "viewing_distance",
     "classify_trend",
     "run_sweep",
@@ -54,11 +54,6 @@ DEFAULT_GRIDS = {
     "ssr": [1.5, 30.0, 120.0, 250.0, 500.0],
     "browse_speed": [10.0, 50.0, 200.0, 800.0, 3200.0],
 }
-
-# Lesion peak height (in nominal [0, 1] background units) frozen after a
-# one-time calibration: the PM method at the default viewing conditions then
-# lands at a mid-range d' (between 1 and 2), clear of floor and ceiling.
-DEFAULT_LESION_AMPLITUDE = 0.25
 
 DISPLAY_WIDTH_CM = 3.0
 DISPLAY_WIDTH_PX = 64
@@ -139,9 +134,7 @@ class SweepConfig:
     ny: int | None = None  # defaults to nx
     nt: int = 32
     beta: float = 3.0
-    lesion: LesionSpec = field(
-        default_factory=lambda: LesionSpec(amplitude=DEFAULT_LESION_AMPLITUDE)
-    )
+    lesion: LesionSpec = field(default_factory=LesionSpec)
     master_seed: int = 0
     n_channels: int = 15
     spread: float = 10.0
@@ -173,6 +166,10 @@ class SweepConfig:
                                   f"{' and even' if least == 8 else ''}, got {value}")
         if self.ny != self.nx:  # the viewing geometry takes the field size from one side
             raise ConfigError(f"corpus.ny: slices must be square, got ny {self.ny} != nx {self.nx}")
+        try:
+            _lesion_profile((self.nx, self.ny, self.nt), self.lesion)
+        except DomainError as exc:
+            raise ConfigError(f"corpus.lesion.center: {exc}") from exc
         for v in self.values:  # every point's viewing conditions, distance and field must exist
             try:
                 vc = self.vc_at(v)
@@ -212,13 +209,12 @@ class SweepConfig:
             kwargs["parameter"] = sweep["parameter"]
         if "values" in sweep:
             kwargs["values"] = listed(sweep["values"], "sweep.values")
-        viewing = take(raw.get("viewing", {}), ["l_max", "contrast", "ssr", "browse_speed"],
+        viewing = take(raw.get("viewing", {}), [f.name for f in fields(ViewingConditions)],
                        "viewing")
         corpus = take(raw.get("corpus", {}),
                       ["n_pairs", "nx", "ny", "nt", "beta", "lesion", "master_seed"], "corpus")
-        lesion = take(corpus.pop("lesion", {}), ["amplitude", "sigma_xy", "sigma_t", "center"],
+        lesion = take(corpus.pop("lesion", {}), [f.name for f in fields(LesionSpec)],
                       "corpus.lesion")
-        lesion.setdefault("amplitude", DEFAULT_LESION_AMPLITUDE)
         if lesion.get("center") is not None:
             center = listed(lesion["center"], "corpus.lesion.center")
             if len(center) != 3:

@@ -253,6 +253,46 @@ class TestBadInputs:
         assert word in report["message"]
         assert not out.exists()
 
+    # Huge or tiny finite inputs give a result or the one-line JSON error
+    # naming the field, never a numpy warning on the way.
+    EXTREMES = [
+        ("csf u 1e308", ["--u", "1e308"], None),
+        ("csf w 1e308", ["--w", "1e308"], None),
+        ("csf l_avg 1e308", ["--l-avg", "1e308"], None),
+        ("csf m 1e308", ["--m", "1e308"], None),
+        ("browse speed 1e308", ["--browse-speed", "1e308"], None),
+        ("l_max 1e308", ["--l-max", "1e308"], "l_max"),
+        ("l_max 1e-308", ["--l-max", "1e-308"], "l_max"),
+        ("lesion center outside the volume", None, "corpus.lesion.center"),
+    ]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case, extra, word", EXTREMES, ids=[c[0] for c in EXTREMES])
+    def test_extreme_values_without_warnings(self, tmp_path, capsys, case, extra, word):
+        out = tmp_path / "out"
+        if extra is None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"corpus": {"n_pairs": 6, "nx": 16, "ny": 16, "nt": 8,
+                                                  "lesion": {"center": [100, 0, 0]}}}))
+            argv = ["sweep", "--config", str(cfg), "--out", str(out)]
+        elif case.startswith("csf"):  # the last of two equal flags wins
+            argv = ["csf", "eval", "--u", "4", "--w", "0", "--l-avg", "150", "--x0", "9",
+                    "--m", "0.01", *extra]
+        else:
+            stack = tmp_path / "in.vstk"
+            write_stack(generate_background(16, 16, 8, 2.5, seed=7), stack)
+            argv = ["perceive", "--input", str(stack), "--output", str(out), "--normalize",
+                    "--method", "PM", *extra]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        if word is None:
+            assert (rc, err) == (0, "")
+            return
+        assert rc == 1
+        assert len(err.splitlines()) == 1
+        assert word in json.loads(err)["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("out", ["file", "file/corpus"])
     def test_gen_corpus_out_under_a_file_fails_before_generating(self, tmp_path, capsys,
                                                                   monkeypatch, out):

@@ -190,6 +190,9 @@ class TestConfigValidation:
         ({"sweep": {"parameter": "ssr", "values": [0.1, 1, 2]}}, "sweep.values"),
         ({"sweep": {"parameter": "contrast", "values": [1, 2, 4]}}, "sweep.values"),
         ({"sweep": {"parameter": "ssr", "values": [1e300, 2e300, 3e300]}}, "sweep.values"),
+        ({"sweep": {"parameter": "l_max", "values": [1e5, 1e6, 1e7]}}, "sweep.values"),
+        ({"viewing": {"l_max": 1e308}}, "viewing: l_max"),
+        ({"corpus": {"lesion": {"center": [100, 0, 0]}}}, "corpus.lesion.center"),
     ])
     def test_bad_shape_named(self, raw, where):
         with pytest.raises(ConfigError, match=where):
