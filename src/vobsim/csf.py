@@ -129,10 +129,10 @@ def optical_mtf(u, sigma: float):
     return np.exp(-2.0 * (np.pi * sigma * np.asarray(u, dtype=float)) ** 2)
 
 
-def low_freq_attenuation(u, u0: float = DEFAULT_PARAMS.u0):
+def low_freq_attenuation(u):
     """Lateral-inhibition roll-off F(u) = 1 - sqrt(1 - exp(-(u/u0)^2))."""
     u = np.asarray(u, dtype=float)
-    return 1.0 - np.sqrt(1.0 - np.exp(-((u / u0) ** 2)))
+    return 1.0 - np.sqrt(1.0 - np.exp(-((u / DEFAULT_PARAMS.u0) ** 2)))
 
 
 def temporal_filter(w, tau: float, n: float):
@@ -163,17 +163,17 @@ def csf(u, w, geom: FieldGeometry):
     ----------
     u, w : scalar or ndarray
         Non-negative spatial (cycles/deg) and temporal (cycles/s) frequency
-        magnitudes.  Negative or NaN arguments are rejected; folding signed
-        DFT frequencies onto magnitudes is the caller's job.
+        magnitudes.  Negative, infinite or NaN arguments are rejected; folding
+        signed DFT frequencies onto magnitudes is the caller's job.
     geom : FieldGeometry
         Apparent field size and average luminance.
     """
     u = np.asarray(u, dtype=float)
     w = np.asarray(w, dtype=float)
-    if not (u >= 0).all():  # NaN compares false
-        raise DomainError("spatial frequency u must be non-negative")
-    if not (w >= 0).all():
-        raise DomainError("temporal frequency w must be non-negative")
+    if not ((u >= 0) & (u < np.inf)).all():  # NaN compares false
+        raise DomainError("spatial frequency u must be finite and non-negative")
+    if not ((w >= 0) & (w < np.inf)).all():
+        raise DomainError("temporal frequency w must be finite and non-negative")
 
     params = DEFAULT_PARAMS
     # Overflow to inf is the model's own limit: a huge u or w gives S = 0 and a huge

@@ -55,7 +55,7 @@ class LgChannelSet:
     matrix: np.ndarray
 
 
-def make_channels(nx: int, ny: int, n_channels: int = 15, spread: float = 10.0) -> LgChannelSet:
+def make_channels(nx: int, ny: int, n_channels: int, spread: float = 10.0) -> LgChannelSet:
     if n_channels < 1:
         raise DomainError(f"n_channels must be at least 1, got {n_channels}")
     if spread <= 0:

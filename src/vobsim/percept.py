@@ -26,9 +26,7 @@ bin's modulation m (which p needs), its unit-modulation scale and its
 phase; PM scales the bin to p and MC keeps it with probability p, one draw
 per conjugate pair.  The field's apparent size comes from the pixel count
 and sampling rate (orthogonal viewing) and its luminance from the stack's
-mean, with the default Barten constants.  The ``s=``/``p=`` arguments of
-``apply_lf``/``apply_pm`` replace S or p with any array or scalar that
-broadcasts onto the half spectrum.
+mean, with the default Barten constants.
 """
 
 from __future__ import annotations
@@ -103,7 +101,7 @@ def _pair_table(dims: tuple[int, int, int]):
 
 
 def forward(stack: ImageStack) -> SpectralStack:
-    """3D FFT of a real stack.  Dimensions must be even.
+    """3D FFT of a real stack.  Dimensions must be even and every bin finite.
 
     In the kt = 0 and nt/2 planes, each bin whose partner comes first becomes
     the exact conjugate of that partner and each self-conjugate bin becomes
@@ -112,15 +110,17 @@ def forward(stack: ImageStack) -> SpectralStack:
     data = stack.data
     if any(n % 2 for n in data.shape):
         raise DimensionMismatchError(f"stack dimensions must be even, got {data.shape}")
+    n, peak = prod(data.shape), float(max(data.max(), -data.min()))
+    if not n * peak < np.finfo(float).max:  # bounds every bin; NaN compares false
+        raise DomainError(f"stack values: {n} x max |x| = {n * peak!r} must be a finite float")
     half = scipy.fft.rfftn(data)
     _, _, self_conj, later = _pair_table(data.shape)
     for plane in (half[:, :, 0], half[:, :, -1]):
         np.copyto(plane, np.conj(_mirror_xy(plane)), where=later)
     half.imag[self_conj] = 0.0
-    n = prod(data.shape)
     # A DC within rounding of zero has no sign: the stack has no positive mean.
     dc = half[0, 0, 0].real
-    zero = abs(dc) <= n * np.finfo(float).eps * max(data.max(), -data.min())
+    zero = abs(dc) <= n * np.finfo(float).eps * peak
     return SpectralStack(half=half, dims=data.shape, mean_lum=0.0 if zero else dc / n)
 
 
@@ -236,20 +236,18 @@ class McSource:
         return replace(self.phasor, half=np.where(u[rank] < self.p, self.phasor.half, 0))
 
 
-def apply_lf(spec: SpectralStack, vc: ViewingConditions, *, s=None) -> SpectralStack:
+def apply_lf(spec: SpectralStack, vc: ViewingConditions) -> SpectralStack:
     """Scale every non-DC component by the sensitivity at its frequency."""
-    return _keep_dc(spec, spec.half * (sensitivity(spec, vc) if s is None else s))
+    return _keep_dc(spec, spec.half * sensitivity(spec, vc))
 
 
-def apply_pm(spec: SpectralStack, vc: ViewingConditions, *, s=None, p=None) -> SpectralStack:
+def apply_pm(spec: SpectralStack, vc: ViewingConditions) -> SpectralStack:
     """Replace every non-DC component's modulation by its detection probability."""
     m, scale, phase = _polar(spec)
-    if p is None:
-        p = detection_probability(m, sensitivity(spec, vc) if s is None else s)
-    return _keep_dc(spec, p * scale * phase)
+    return _keep_dc(spec, detection_probability(m, sensitivity(spec, vc)) * scale * phase)
 
 
-def apply_mc(spec: SpectralStack, vc: ViewingConditions, seed=None) -> SpectralStack:
+def apply_mc(spec: SpectralStack, vc: ViewingConditions, seed) -> SpectralStack:
     """Bernoulli keep/discard per conjugate pair; kept pairs get unit modulation."""
     if seed is None or np.any(np.asarray(seed) < 0):
         raise DomainError(f"the MC method requires an explicit non-negative seed, got {seed!r}")

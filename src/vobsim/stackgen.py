@@ -124,12 +124,14 @@ class LesionSpec:
     def __post_init__(self):
         if self.center is not None:  # a list center gives an equal spec
             object.__setattr__(self, "center", tuple(self.center))
-        for name in ("amplitude", "sigma_xy", "sigma_t"):
+        if not 0 <= self.amplitude < np.inf:  # NaN compares false
+            raise DomainError(f"lesion amplitude must be finite and non-negative, "
+                              f"got {self.amplitude!r}")
+        for name in ("sigma_xy", "sigma_t"):  # the bump divides by 2 sigma^2
             value = getattr(self, name)
-            low_ok = value >= 0 if name == "amplitude" else value > 0  # NaN compares false
-            if not (low_ok and value < np.inf):
-                rule = "non-negative" if name == "amplitude" else "positive"
-                raise DomainError(f"lesion {name} must be finite and {rule}, got {value!r}")
+            if not (value > 0 and 0 < 2.0 * float(value) * float(value) < np.inf):
+                raise DomainError(f"lesion {name} must be positive with 2 {name}^2 a positive "
+                                  f"finite float, got {value!r}")
 
 
 def generate_background(nx: int, ny: int, nt: int, beta: float, seed) -> ImageStack:
@@ -187,9 +189,10 @@ def _lesion_profile(shape: tuple[int, int, int], lesion: LesionSpec) -> np.ndarr
         cx, cy, ct = lesion.center
     if not (0 <= cx < nx and 0 <= cy < ny and 0 <= ct < nt):
         raise DomainError(f"lesion center {(cx, cy, ct)} outside volume {(nx, ny, nt)}")
-    gx = np.exp(-((np.arange(nx) - cx) ** 2) / (2.0 * lesion.sigma_xy**2))
-    gy = np.exp(-((np.arange(ny) - cy) ** 2) / (2.0 * lesion.sigma_xy**2))
-    gt = np.exp(-((np.arange(nt) - ct) ** 2) / (2.0 * lesion.sigma_t**2))
+    with np.errstate(over="ignore"):  # far narrower than a voxel: exp(-inf) = 0 off center
+        gx = np.exp(-((np.arange(nx) - cx) ** 2) / (2.0 * lesion.sigma_xy**2))
+        gy = np.exp(-((np.arange(ny) - cy) ** 2) / (2.0 * lesion.sigma_xy**2))
+        gt = np.exp(-((np.arange(nt) - ct) ** 2) / (2.0 * lesion.sigma_t**2))
     return lesion.amplitude * gx[:, None, None] * gy[None, :, None] * gt[None, None, :]
 
 

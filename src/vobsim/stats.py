@@ -68,7 +68,6 @@ class McmcResult:
     n_readers: int
     n_absent: int
     n_present: int
-    single_reader_fallback: bool = False
 
 
 def _success_matrix(scores: CaseScores) -> np.ndarray:
@@ -131,8 +130,7 @@ def mrmc_one_shot(inp: McmcInput) -> McmcResult:
 
     d' is taken at the AUC clamped to [eps, 1 - eps], eps = 1/(2 n0 n1), so a
     perfectly separated finite sample still has a finite d'.  With a single
-    reader the variance falls back to the case-only U-statistic variance and
-    the result is flagged accordingly.
+    reader the variance falls back to the case-only U-statistic variance.
     """
     s = np.stack([_success_matrix(r) for r in inp.readers])
     r, n0, n1 = s.shape
@@ -147,7 +145,6 @@ def mrmc_one_shot(inp: McmcInput) -> McmcResult:
         n_readers=r,
         n_absent=n0,
         n_present=n1,
-        single_reader_fallback=(r < 2),
     )
 
 
@@ -158,7 +155,11 @@ def d_prime(auc_value: float) -> float:
     return float(2.0 * erfinv(2.0 * auc_value - 1.0))
 
 
-def make_readers(features, labels, master_seed: int, *, train_fraction: float) -> list[CaseScores]:
+# Each reader trains on its own 80 % of the pool, so LF and PM readers differ too.
+_TRAIN_FRACTION = 0.8
+
+
+def make_readers(features, labels, master_seed: int) -> list[CaseScores]:
     """Train one virtual reader per feature tensor and score them on a common test half.
 
     ``features`` holds one (N, nt, C) channel-feature tensor of the labeled
@@ -167,12 +168,10 @@ def make_readers(features, labels, master_seed: int, *, train_fraction: float) -
     Cases are split 50/50 per class into a training pool and a test half
     shared by all readers (the one-shot estimator assumes a fully-crossed
     reader-by-case design); each reader trains on its own seeded random
-    subset of the pool.
+    subset of the pool (``_TRAIN_FRACTION`` of it).
     """
     if len(features) == 0:
         raise DomainError("at least one reader's feature tensor is required")
-    if not 0 < train_fraction <= 1:
-        raise DomainError(f"train_fraction must be in (0, 1], got {train_fraction!r}")
     labels = np.asarray(labels, dtype=bool)
     idx_absent, idx_present = np.flatnonzero(~labels), np.flatnonzero(labels)
     if idx_absent.size < 4 or idx_present.size < 4:
@@ -185,7 +184,7 @@ def make_readers(features, labels, master_seed: int, *, train_fraction: float) -
         pools.append(perm[:idx.size // 2])
         tests.append(perm[idx.size // 2:])
     test_idx = np.concatenate(tests)
-    n_train = [min(max(2, int(round(train_fraction * pool.size))), pool.size) for pool in pools]
+    n_train = [min(max(2, int(round(_TRAIN_FRACTION * pool.size))), pool.size) for pool in pools]
 
     reader_scores = []
     for reader, feats in enumerate(features):

@@ -106,10 +106,10 @@ def classify_trend(d_primes, error_bars) -> str:
 # dimensions of at least 8 and a non-negative seed.
 _LEAST_INT = {"n_pairs": 4, "nx": 8, "ny": 8, "nt": 8, "master_seed": 0,
               "n_channels": 1, "n_readers": 1}
-_OBSERVER_KEYS = ["n_channels", "spread", "n_readers", "train_fraction"]
+_OBSERVER_KEYS = ["n_channels", "spread", "n_readers"]
 # The config key of each numeric SweepConfig field, for error messages.
 _KEY = {n: f"{'observer' if n in _OBSERVER_KEYS else 'corpus'}.{n}"
-        for n in [*_LEAST_INT, "beta", "spread", "train_fraction"]}
+        for n in [*_LEAST_INT, "beta", "spread"]}
 
 
 def _finite(name: str, value) -> float:
@@ -139,7 +139,6 @@ class SweepConfig:
     n_channels: int = 15
     spread: float = 10.0
     n_readers: int = 4
-    train_fraction: float = 0.8
 
     def __post_init__(self):
         if not self.methods:
@@ -178,8 +177,7 @@ class SweepConfig:
             except DomainError as exc:
                 raise ConfigError(f"sweep.values: {exc}") from exc
         for name, valid, rule in (("beta", lambda v: v >= 0, "non-negative"),
-                                  ("spread", lambda v: v > 0, "positive"),
-                                  ("train_fraction", lambda v: 0 < v <= 1, "in (0, 1]")):
+                                  ("spread", lambda v: v > 0, "positive")):
             if not valid(_finite(_KEY[name], getattr(self, name))):
                 raise ConfigError(f"{_KEY[name]}: must be {rule}, got {getattr(self, name)!r}")
 
@@ -188,9 +186,9 @@ class SweepConfig:
         def take(mapping, allowed, context):
             if not isinstance(mapping, dict):
                 raise ConfigError(f"{context}: must be an object, got {mapping!r}")
-            unknown = set(mapping) - set(allowed)
+            unknown = sorted(set(mapping) - set(allowed))
             if unknown:
-                raise ConfigError(f"{context}: unknown key(s) {sorted(unknown)}")
+                raise ConfigError(f"{', '.join(f'{context}.{k}' for k in unknown)}: unknown key")
             return dict(mapping)
 
         def listed(value, context):
@@ -295,8 +293,7 @@ def _run_point(config: SweepConfig, spectra: list[percept.SpectralStack], method
         apply = percept.apply_lf if method == "LF" else percept.apply_pm
         features = [np.stack([observer.channelize_spectrum(apply(spec, vc), spectral)
                               for spec in specs])] * config.n_readers
-    reader_scores = stats.make_readers(features, labels, config.master_seed,
-                                       train_fraction=config.train_fraction)
+    reader_scores = stats.make_readers(features, labels, config.master_seed)
     res = stats.mrmc_one_shot(stats.McmcInput(readers=reader_scores))
     return {
         "method": method,

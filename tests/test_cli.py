@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
+import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vobsim import cli, sweep
 from vobsim.cli import main
@@ -10,8 +15,11 @@ from vobsim.csf import FieldGeometry, csf, detection_probability
 from vobsim.stackgen import (
     LABEL_PRESENT,
     ImageStack,
+    LesionSpec,
     ViewingConditions,
     generate_background,
+    generate_corpus,
+    insert_lesion,
     normalize_to_display,
     read_manifest,
     read_stack,
@@ -253,36 +261,56 @@ class TestBadInputs:
         assert word in report["message"]
         assert not out.exists()
 
-    # Huge or tiny finite inputs give a result or the one-line JSON error
-    # naming the field, never a numpy warning on the way.
+    # Huge, tiny or non-finite inputs give a result or the one-line JSON error
+    # naming the field, never a numpy warning on the way.  "bright" perceives a
+    # stack with a lesion of amplitude 1e308 and "nan" one with a NaN voxel.
     EXTREMES = [
-        ("csf u 1e308", ["--u", "1e308"], None),
-        ("csf w 1e308", ["--w", "1e308"], None),
-        ("csf l_avg 1e308", ["--l-avg", "1e308"], None),
-        ("csf m 1e308", ["--m", "1e308"], None),
-        ("browse speed 1e308", ["--browse-speed", "1e308"], None),
-        ("l_max 1e308", ["--l-max", "1e308"], "l_max"),
-        ("l_max 1e-308", ["--l-max", "1e-308"], "l_max"),
-        ("lesion center outside the volume", None, "corpus.lesion.center"),
+        ("csf u 1e308", "csf", ["--u", "1e308"], None),
+        ("csf w 1e308", "csf", ["--w", "1e308"], None),
+        ("csf l_avg 1e308", "csf", ["--l-avg", "1e308"], None),
+        ("csf m 1e308", "csf", ["--m", "1e308"], None),
+        ("csf u inf", "csf", ["--u", "inf"], "spatial frequency u"),
+        ("csf w inf at l_avg 1e308", "csf", ["--w", "inf", "--l-avg", "1e308"],
+         "temporal frequency w"),
+        ("browse speed 1e308", "perceive", ["--browse-speed", "1e308"], None),
+        ("l_max 1e308", "perceive", ["--l-max", "1e308"], "l_max"),
+        ("l_max 1e-308", "perceive", ["--l-max", "1e-308"], "l_max"),
+        ("LF of a 1e308 stack", "bright", ["--method", "LF"], "stack values"),
+        ("PM of a 1e308 stack", "bright", ["--method", "PM"], "stack values"),
+        ("MC of a 1e308 stack", "bright", ["--method", "MC", "--mc-seed", "1"], "stack values"),
+        ("PM of a 1e308 stack, normalized", "bright", ["--method", "PM", "--normalize"], None),
+        ("PM of a NaN voxel", "nan", ["--method", "PM"], "stack values"),
+        ("gen-corpus sigma_xy 1e308", "gen-corpus", ["--sigma-xy", "1e308"], "sigma_xy"),
+        ("gen-corpus sigma_t 1e-170", "gen-corpus", ["--sigma-t", "1e-170"], "sigma_t"),
+        ("gen-corpus sigma_xy 1e-155", "gen-corpus", ["--sigma-xy", "1e-155"], None),
+        ("lesion center outside the volume", "sweep", {"center": [100, 0, 0]},
+         "corpus.lesion.center"),
+        ("lesion sigma_xy 1e300", "sweep", {"sigma_xy": 1e300}, "corpus.lesion: lesion sigma_xy"),
     ]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("case, extra, word", EXTREMES, ids=[c[0] for c in EXTREMES])
-    def test_extreme_values_without_warnings(self, tmp_path, capsys, case, extra, word):
+    @pytest.mark.parametrize("case, command, extra, word", EXTREMES,
+                             ids=[c[0] for c in EXTREMES])
+    def test_extreme_values_without_warnings(self, tmp_path, capsys, case, command, extra,
+                                             word):
         out = tmp_path / "out"
-        if extra is None:
+        if command == "sweep":
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps({"corpus": {"n_pairs": 6, "nx": 16, "ny": 16, "nt": 8,
-                                                  "lesion": {"center": [100, 0, 0]}}}))
+                                                  "lesion": extra}}))
             argv = ["sweep", "--config", str(cfg), "--out", str(out)]
-        elif case.startswith("csf"):  # the last of two equal flags wins
+        elif command == "csf":  # the last of two equal flags wins
             argv = ["csf", "eval", "--u", "4", "--w", "0", "--l-avg", "150", "--x0", "9",
                     "--m", "0.01", *extra]
+        elif command == "gen-corpus":
+            argv = ["gen-corpus", "--out", str(out), "--n-pairs", "2", "--nx", "16", "--nt", "8",
+                    *extra]
         else:
             stack = tmp_path / "in.vstk"
-            write_stack(generate_background(16, 16, 8, 2.5, seed=7), stack)
-            argv = ["perceive", "--input", str(stack), "--output", str(out), "--normalize",
-                    "--method", "PM", *extra]
+            write_stack(_input_stack(command), stack)
+            if command == "perceive":
+                extra = ["--normalize", "--method", "PM", *extra]
+            argv = ["perceive", "--input", str(stack), "--output", str(out), *extra]
         rc = main(argv)
         err = capsys.readouterr().err
         if word is None:
@@ -328,3 +356,81 @@ class TestBadInputs:
         assert report["error"] == "FileNotFoundError"
         assert report["message"].startswith("--output: ")
         assert os.listdir(tmp_path) == ["in.vstk"]
+
+
+def _input_stack(kind, dims=(16, 16, 8)):
+    """A background, the same with a lesion of amplitude 1e308 ("bright"), or with a NaN voxel."""
+    stack = generate_background(*dims, 2.5, seed=7)
+    if kind == "bright":
+        return insert_lesion(stack, LesionSpec(amplitude=1e308))
+    if kind == "nan":
+        stack.data[1, 2, 3] = np.nan
+    return stack
+
+
+_NUMBERS = ["0", "-1", "1e-320", "1e-170", "0.5", "3", "1e154", "1e308", "nan", "inf", "-inf"]
+_SIZES = ["-1", "0", "7", "8", "9", "16"]
+# Each command starts from small valid arguments; drawn flags come after them and win.
+_BASE = {
+    "gen-corpus": (["--n-pairs=2", "--nx=8", "--nt=8"],
+                   {"n-pairs": _SIZES, "nx": _SIZES, "nt": _SIZES, "seed": _SIZES,
+                    "beta": _NUMBERS, "amplitude": _NUMBERS, "sigma-xy": _NUMBERS,
+                    "sigma-t": _NUMBERS}),
+    "perceive": ([], {"mc-seed": _SIZES, "l-max": _NUMBERS, "contrast": _NUMBERS,
+                      "ssr": _NUMBERS, "browse-speed": _NUMBERS}),
+    "csf": (["eval", "--u=4", "--w=0", "--l-avg=150", "--x0=9", "--m=0.01"],
+            {"u": _NUMBERS, "w": _NUMBERS, "l-avg": _NUMBERS, "x0": _NUMBERS, "m": _NUMBERS}),
+}
+
+
+@pytest.fixture(scope="module")
+def input_stacks(tmp_path_factory):
+    """8x8x8 stack files: an ordinary pair, a pair at lesion amplitude 1e308 and a NaN voxel."""
+    root = tmp_path_factory.mktemp("inputs")
+    stacks = [*generate_corpus(1, 8, 8, 8, 3.0, LesionSpec(), 0),
+              *generate_corpus(1, 8, 8, 8, 3.0, LesionSpec(amplitude=1e308), 1),
+              _input_stack("nan", (8, 8, 8))]
+    for i, stack in enumerate(stacks):
+        write_stack(stack, root / f"{i}.vstk")
+    return [str(root / f"{i}.vstk") for i in range(len(stacks))]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_every_invocation_succeeds_or_fails_cleanly(input_stacks, data):
+    """Exit 0 with nothing on stderr and outputs that read back, or exit 1 with one
+    JSON line and nothing written; never a traceback or a numpy warning."""
+    command = data.draw(st.sampled_from(sorted(_BASE)))
+    argv, flags = _BASE[command]
+    names = data.draw(st.lists(st.sampled_from(sorted(flags)), max_size=3, unique=True))
+    # --flag=value, so that a value such as -inf is not taken for an option.
+    argv = [command, *argv, *(f"--{name}={data.draw(st.sampled_from(flags[name]), name)}"
+                              for name in names)]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        if command == "perceive":
+            argv += ["--input", data.draw(st.sampled_from(input_stacks), "input"),
+                     "--output", out,
+                     "--method", data.draw(st.sampled_from(["LF", "PM", "MC"]), "method"),
+                     *(["--normalize"] if data.draw(st.booleans(), "normalize") else [])]
+        elif command == "gen-corpus":
+            argv += ["--out", out]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = main(argv)
+        if rc == 1:
+            lines = stderr.getvalue().splitlines()
+            assert len(lines) == 1 and set(json.loads(lines[0])) == {"error", "message"}
+            assert os.listdir(tmp) == []
+            return
+        assert (rc, stderr.getvalue()) == (0, "")
+        if command == "gen-corpus":
+            manifest = read_manifest(os.path.join(out, "manifest.json"))
+            for entry in manifest["stacks"]:
+                read_stack(os.path.join(out, entry["path"]))
+        elif command == "perceive":
+            assert np.isfinite(read_stack(out).data).all()
+        else:
+            s, p = map(float, stdout.getvalue().split())
+            assert 0 <= s < math.inf and 0 <= p <= 1

@@ -1,9 +1,12 @@
 """The half-spectrum (real FFT) layout of percept against full complex FFTs."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from vobsim import percept
 from vobsim.errors import DomainError
 from vobsim.observer import channelize_spectrum, channelize_stack, make_channels, spectral_channels
 from vobsim.percept import (
@@ -64,7 +67,8 @@ def test_half_spectrum_matches_full_fft(dims, seed):
     assert np.array_equal(drawn.coeffs != 0, u[first] < p)
     # A draw keeps each pair at unit modulation: PM with p set to the keep mask.
     keep = drawn.half != 0
-    assert np.array_equal(inverse(drawn), inverse(apply_pm(spec, vc, p=keep * 1.0)))
+    with mock.patch.object(percept, "detection_probability", lambda m, s: keep * 1.0):
+        assert np.array_equal(inverse(drawn), inverse(apply_pm(spec, vc)))
 
 
 @settings(max_examples=40, deadline=None)

@@ -40,7 +40,7 @@ class TestChannels:
             assert np.allclose(ch.matrix[:, j], want, atol=1e-12)
 
     def test_unit_energy(self):
-        ch = make_channels(64, 64)
+        ch = make_channels(64, 64, 15)
         norms = np.linalg.norm(ch.matrix, axis=0)
         assert np.allclose(norms, 1.0, atol=1e-12)
 
@@ -54,16 +54,16 @@ class TestChannels:
         with pytest.raises(DomainError):
             make_channels(64, 64, n_channels=0)
         with pytest.raises(DomainError):
-            make_channels(64, 64, spread=-1.0)
+            make_channels(64, 64, 15, spread=-1.0)
 
 
 class TestChannelize:
     def test_zero_slice(self):
-        ch = make_channels(32, 32)
+        ch = make_channels(32, 32, 15)
         assert np.array_equal(channelize(np.zeros((32, 32)), ch), np.zeros(15))
 
     def test_channel_recovers_itself(self):
-        ch = make_channels(64, 64)
+        ch = make_channels(64, 64, 15)
         v = channelize(ch.matrix[:, 3].reshape(64, 64), ch)
         assert v[3] == pytest.approx(1.0, abs=1e-12)
         others = np.delete(v, 3)
@@ -83,7 +83,7 @@ class TestChannelize:
             assert got[j] == pytest.approx(want, abs=1e-12)
 
     def test_dimension_mismatch(self):
-        ch = make_channels(32, 32)
+        ch = make_channels(32, 32, 15)
         with pytest.raises(DimensionMismatchError):
             channelize(np.zeros((16, 16)), ch)
 
@@ -145,7 +145,7 @@ class TestTrain:
         rng = np.random.default_rng(5)
         stacks = [ImageStack(data=rng.random((16, 16, 8))) for _ in range(6)]
         with pytest.raises(DomainError):
-            train(stacks, make_channels(16, 16))
+            train(stacks, make_channels(16, 16, 15))
 
 
 class TestScore:

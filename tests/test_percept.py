@@ -107,13 +107,19 @@ class TestModulation:
         assert modulation(spec, (4, 0, 0)) == pytest.approx(0.05, rel=1e-9)
 
 
+def _sensitivity_of(s):
+    """A stand-in for ``percept.sensitivity`` that gives ``s`` on every bin."""
+    return lambda spec, vc: s
+
+
 class TestApplyLf:
-    def test_identity_with_unit_csf(self):
+    def test_identity_with_unit_csf(self, monkeypatch):
         rng = np.random.default_rng(2)
         stack = ImageStack(data=rng.random((8, 8, 8)) + 1.0)
         vc = ViewingConditions()
         spec = forward(stack)
-        out = apply_lf(spec, vc, s=1.0)
+        monkeypatch.setattr(percept, "sensitivity", _sensitivity_of(1.0))
+        out = apply_lf(spec, vc)
         assert np.abs(out.coeffs - spec.coeffs).max() < 1e-9 * np.abs(spec.coeffs).max()
 
     def test_real_output(self):
@@ -137,18 +143,21 @@ class TestApplyLf:
 
 
 class TestApplyPm:
-    def test_threshold_bin_gets_half(self):
+    def test_threshold_bin_gets_half(self, monkeypatch):
         stack = cosine_stack((8, 8, 8), (1, 0, 0), 1.0, 10.0)
         spec = forward(stack)
         m = modulation(spec, (1, 0, 0))
-        out = apply_pm(spec, ViewingConditions(), s=1.0 / m)
+        monkeypatch.setattr(percept, "sensitivity", _sensitivity_of(1.0 / m))
+        out = apply_pm(spec, ViewingConditions())
         assert modulation(out, (1, 0, 0)) == pytest.approx(0.5, rel=1e-9)
 
-    def test_saturation_limits(self):
+    def test_saturation_limits(self, monkeypatch):
         stack = cosine_stack((8, 8, 8), (1, 0, 0), 1.0, 10.0)
         spec = forward(stack)
-        strong = apply_pm(spec, ViewingConditions(), s=1e6)
-        weak = apply_pm(spec, ViewingConditions(), s=1e-9)
+        monkeypatch.setattr(percept, "sensitivity", _sensitivity_of(1e6))
+        strong = apply_pm(spec, ViewingConditions())
+        monkeypatch.setattr(percept, "sensitivity", _sensitivity_of(1e-9))
+        weak = apply_pm(spec, ViewingConditions())
         assert modulation(strong, (1, 0, 0)) == pytest.approx(1.0, abs=1e-12)
         m_weak = modulation(weak, (1, 0, 0))
         assert 0.0 < m_weak < 0.01
@@ -187,7 +196,7 @@ class TestApplyMc:
     def test_requires_seed(self):
         stack = ImageStack(data=np.random.default_rng(7).random((8, 8, 8)) + 1.0)
         with pytest.raises(DomainError):
-            apply_mc(forward(stack), ViewingConditions())
+            apply_mc(forward(stack), ViewingConditions(), None)
 
     def test_keep_fraction(self):
         stack = cosine_stack((8, 8, 8), (1, 0, 0), 1.0, 10.0)
@@ -215,10 +224,11 @@ class TestApplyMc:
 
 
 class TestPerceive:
-    def test_lf_unit_csf_is_identity(self):
+    def test_lf_unit_csf_is_identity(self, monkeypatch):
         rng = np.random.default_rng(9)
         stack = ImageStack(data=rng.random((16, 16, 8)) + 1.0)
-        out = inverse(apply_lf(forward(stack), ViewingConditions(), s=1.0))
+        monkeypatch.setattr(percept, "sensitivity", _sensitivity_of(1.0))
+        out = inverse(apply_lf(forward(stack), ViewingConditions()))
         assert np.abs(out - stack.data).max() < 1e-10
 
     def test_unknown_method(self):
@@ -261,7 +271,7 @@ class TestPerceive:
             planes = per_bin[:, :, [0, -1]]
             assert np.array_equal(planes, np.roll(planes[::-1, ::-1], 1, axis=(0, 1)))
 
-    def test_lf_linearity(self):
+    def test_lf_linearity(self, monkeypatch):
         rng = np.random.default_rng(13)
         x = rng.standard_normal((8, 8, 8))
         y = rng.standard_normal((8, 8, 8))
@@ -270,10 +280,11 @@ class TestPerceive:
         vc = ViewingConditions()
         # x and y have zero mean, so S is that of a uniform 150 cd/m^2 field.
         s = sensitivity(forward(ImageStack(data=np.full((8, 8, 8), 150.0))), vc)
+        monkeypatch.setattr(percept, "sensitivity", _sensitivity_of(s))
 
         def lf(data):
             spec = forward(ImageStack(data=data))
-            return inverse(apply_lf(spec, vc, s=s))
+            return inverse(apply_lf(spec, vc))
 
         combined = lf(2.0 * x + 3.0 * y)
         separate = 2.0 * lf(x) + 3.0 * lf(y)
@@ -287,12 +298,13 @@ class TestPerceive:
         two = perceive(ImageStack(data=2.0 * base), "PM", vc).data
         assert np.abs(two - 2.0 * one).max() > 1e-6 * np.abs(two).max()
 
-    def test_pm_mc_need_positive_mean(self):
+    def test_pm_mc_need_positive_mean(self, monkeypatch):
         data = np.random.default_rng(15).standard_normal((8, 8, 8))
         data -= data.mean()
         spec = forward(ImageStack(data=data))
+        monkeypatch.setattr(percept, "sensitivity", _sensitivity_of(1.0))
         with pytest.raises(DegenerateStackError):
-            apply_pm(spec, ViewingConditions(), s=1.0)
+            apply_pm(spec, ViewingConditions())
 
 
 class TestSensitivity:

@@ -149,7 +149,7 @@ _SECTIONS = {
         "ny": st.sampled_from([7, 8, 16]), "nt": _json_values(), "beta": _json_values(),
         "master_seed": _json_values(),
         "lesion": _section(["amplitude", "sigma_xy", "sigma_t", "center"])}),
-    "observer": _section(["n_channels", "spread", "n_readers", "train_fraction"]),
+    "observer": _section(["n_channels", "spread", "n_readers"]),
 }
 
 
@@ -167,8 +167,7 @@ class TestConfigValidation:
         ("observer", "n_channels", 0),
         ("observer", "n_readers", 0),
         ("observer", "spread", 0.0),
-        ("observer", "train_fraction", 1.5),
-        ("observer", "train_fraction", float("inf")),
+        ("observer", "train_fraction", 0.8),  # an unknown key
         ("viewing", "ssr", "7"),
         ("viewing", "contrast", float("nan")),
     ])
@@ -193,6 +192,8 @@ class TestConfigValidation:
         ({"sweep": {"parameter": "l_max", "values": [1e5, 1e6, 1e7]}}, "sweep.values"),
         ({"viewing": {"l_max": 1e308}}, "viewing: l_max"),
         ({"corpus": {"lesion": {"center": [100, 0, 0]}}}, "corpus.lesion.center"),
+        ({"corpus": {"lesion": {"sigma_xy": 1e300}}}, "corpus.lesion: lesion sigma_xy"),
+        ({"corpus": {"lesion": {"sigma_t": 1e-170}}}, "corpus.lesion: lesion sigma_t"),
     ])
     def test_bad_shape_named(self, raw, where):
         with pytest.raises(ConfigError, match=where):
