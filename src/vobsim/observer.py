@@ -60,6 +60,7 @@ def make_channels(nx: int, ny: int, n_channels: int, spread: float = 10.0) -> Lg
         raise DomainError(f"n_channels must be at least 1, got {n_channels}")
     if spread <= 0:
         raise DomainError(f"spread must be positive, got {spread!r}")
+    # The slice center: stackgen._lesion_profile centers the lesion on the same point.
     cx, cy = (nx - 1) / 2.0, (ny - 1) / 2.0
     x = np.arange(nx)[:, None] - cx
     y = np.arange(ny)[None, :] - cy

@@ -266,4 +266,7 @@ def perceive(stack: ImageStack, method: str, vc: ViewingConditions, *, mc_seed=N
         spec = apply_pm(spec, vc)
     else:
         spec = apply_mc(spec, vc, seed=mc_seed)
-    return replace(stack, data=inverse(spec))
+    data = inverse(spec)
+    if not np.isfinite(data).all():  # LF scales bins by S > 1, so the sum can overflow
+        raise DomainError(f"{method} output has non-finite voxels: the stack values are too large")
+    return replace(stack, data=data)

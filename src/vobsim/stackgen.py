@@ -2,8 +2,8 @@
 
 A stack is a small 3D volume (x, y, t) of luminance values browsed
 slice-by-slice in time.  Backgrounds are power-law filtered Gaussian noise;
-signal-present cases get a separable 3D Gaussian bump added at a known
-location.  Display normalization linearly maps each stack onto
+signal-present cases get a separable 3D Gaussian bump added at the volume
+center.  Display normalization linearly maps each stack onto
 [l_max/contrast, l_max] so every case is shown at the same effective
 contrast.
 """
@@ -111,7 +111,7 @@ class ViewingConditions:
 
 @dataclass(frozen=True)
 class LesionSpec:
-    """A separable Gaussian bump: peak height, spatial/temporal widths, center voxel."""
+    """A separable Gaussian bump at the volume center: peak height, spatial/temporal widths."""
 
     # Peak height (in nominal [0, 1] background units) frozen after a one-time
     # calibration: the PM method at the default viewing conditions then lands
@@ -119,11 +119,8 @@ class LesionSpec:
     amplitude: float = 0.25
     sigma_xy: float = 6.0  # pixels
     sigma_t: float = 3.0  # slices
-    center: tuple[float, float, float] | None = None  # defaults to the volume center
 
     def __post_init__(self):
-        if self.center is not None:  # a list center gives an equal spec
-            object.__setattr__(self, "center", tuple(self.center))
         if not 0 <= self.amplitude < np.inf:  # NaN compares false
             raise DomainError(f"lesion amplitude must be finite and non-negative, "
                               f"got {self.amplitude!r}")
@@ -183,12 +180,8 @@ def _shaping_filter(nx: int, ny: int, nt: int, beta: float) -> np.ndarray:
 def _lesion_profile(shape: tuple[int, int, int], lesion: LesionSpec) -> np.ndarray:
     """The lesion's bump on a volume of ``shape``."""
     nx, ny, nt = shape
-    if lesion.center is None:
-        cx, cy, ct = (nx - 1) / 2.0, (ny - 1) / 2.0, (nt - 1) / 2.0
-    else:
-        cx, cy, ct = lesion.center
-    if not (0 <= cx < nx and 0 <= cy < ny and 0 <= ct < nt):
-        raise DomainError(f"lesion center {(cx, cy, ct)} outside volume {(nx, ny, nt)}")
+    # The volume center: observer.make_channels centers the channels on the same point.
+    cx, cy, ct = (nx - 1) / 2.0, (ny - 1) / 2.0, (nt - 1) / 2.0
     with np.errstate(over="ignore"):  # far narrower than a voxel: exp(-inf) = 0 off center
         gx = np.exp(-((np.arange(nx) - cx) ** 2) / (2.0 * lesion.sigma_xy**2))
         gy = np.exp(-((np.arange(ny) - cy) ** 2) / (2.0 * lesion.sigma_xy**2))
@@ -302,6 +295,10 @@ def generate_corpus(
     for absent in _backgrounds(nx, ny, nt, beta, children):
         if bump is None:  # after the first background, so bad dims raise there first
             bump = _lesion_profile((nx, ny, nt), lesion)
+            if lesion.amplitude > 0 and np.array_equal(absent.data + bump, absent.data):
+                raise DomainError(f"lesion amplitude {lesion.amplitude!r}, sigma_xy "
+                                  f"{lesion.sigma_xy!r} and sigma_t {lesion.sigma_t!r} change "
+                                  f"no voxel: present stacks would equal their absent twins")
         stacks.append(absent)
         stacks.append(_with_bump(absent, bump))
     return stacks

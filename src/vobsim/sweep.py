@@ -24,7 +24,6 @@ from .errors import ConfigError, DomainError
 from .stackgen import (
     LesionSpec,
     ViewingConditions,
-    _lesion_profile,
     atomic_open,
     generate_corpus,
     normalize_to_display,
@@ -68,9 +67,9 @@ def viewing_distance(ssr: float) -> float:
     if not ssr > 0:
         raise DomainError(f"ssr must be positive, got {ssr!r}")
     half_angle = DISPLAY_WIDTH_PX * math.pi / (360.0 * ssr)
-    if half_angle >= math.pi / 2:
+    if not 0 < half_angle < math.pi / 2:  # 0 once 360 * ssr overflows (ssr above ~5e305)
         raise DomainError(
-            f"ssr {ssr!r} puts the display outside the orthogonal-viewing model"
+            f"ssr {ssr!r} gives no finite positive viewing distance in the orthogonal-viewing model"
         )
     return DISPLAY_WIDTH_CM / (2.0 * math.tan(half_angle))
 
@@ -146,6 +145,8 @@ class SweepConfig:
         for m in self.methods:
             if m not in percept.METHODS:
                 raise ConfigError(f"methods: unknown method {m!r}")
+            if self.methods.count(m) > 1:  # each would write the same rows twice
+                raise ConfigError(f"methods: {m!r} is listed more than once")
         if self.parameter not in SWEEPABLE:
             raise ConfigError(f"sweep.parameter: must be one of {SWEEPABLE}, got {self.parameter!r}")
         values = self.values or tuple(DEFAULT_GRIDS[self.parameter])
@@ -165,10 +166,6 @@ class SweepConfig:
                                   f"{' and even' if least == 8 else ''}, got {value}")
         if self.ny != self.nx:  # the viewing geometry takes the field size from one side
             raise ConfigError(f"corpus.ny: slices must be square, got ny {self.ny} != nx {self.nx}")
-        try:
-            _lesion_profile((self.nx, self.ny, self.nt), self.lesion)
-        except DomainError as exc:
-            raise ConfigError(f"corpus.lesion.center: {exc}") from exc
         for v in self.values:  # every point's viewing conditions, distance and field must exist
             try:
                 vc = self.vc_at(v)
@@ -213,15 +210,9 @@ class SweepConfig:
                       ["n_pairs", "nx", "ny", "nt", "beta", "lesion", "master_seed"], "corpus")
         lesion = take(corpus.pop("lesion", {}), [f.name for f in fields(LesionSpec)],
                       "corpus.lesion")
-        if lesion.get("center") is not None:
-            center = listed(lesion["center"], "corpus.lesion.center")
-            if len(center) != 3:
-                raise ConfigError(f"corpus.lesion.center: must be 3 numbers, got {center!r}")
-            lesion["center"] = tuple(_finite("corpus.lesion.center", c) for c in center)
         for context, mapping in (("viewing", viewing), ("corpus.lesion", lesion)):
             for k, v in mapping.items():
-                if k != "center":
-                    _finite(f"{context}.{k}", v)
+                _finite(f"{context}.{k}", v)
         try:
             kwargs["viewing"] = ViewingConditions(**viewing)
         except DomainError as exc:

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -263,7 +264,8 @@ class TestBadInputs:
 
     # Huge, tiny or non-finite inputs give a result or the one-line JSON error
     # naming the field, never a numpy warning on the way.  "bright" perceives a
-    # stack with a lesion of amplitude 1e308 and "nan" one with a NaN voxel.
+    # stack with a lesion of amplitude 1e308, "near-limit" an 8x8x8 one with a
+    # lesion of amplitude 1e305 and "nan" one with a NaN voxel.
     EXTREMES = [
         ("csf u 1e308", "csf", ["--u", "1e308"], None),
         ("csf w 1e308", "csf", ["--w", "1e308"], None),
@@ -280,12 +282,16 @@ class TestBadInputs:
         ("MC of a 1e308 stack", "bright", ["--method", "MC", "--mc-seed", "1"], "stack values"),
         ("PM of a 1e308 stack, normalized", "bright", ["--method", "PM", "--normalize"], None),
         ("PM of a NaN voxel", "nan", ["--method", "PM"], "stack values"),
+        ("LF of a 1e305 stack", "near-limit", ["--method", "LF"], "LF output"),
+        ("PM of a 1e305 stack", "near-limit", ["--method", "PM"], None),
+        ("MC of a 1e305 stack", "near-limit", ["--method", "MC", "--mc-seed", "1"], None),
         ("gen-corpus sigma_xy 1e308", "gen-corpus", ["--sigma-xy", "1e308"], "sigma_xy"),
         ("gen-corpus sigma_t 1e-170", "gen-corpus", ["--sigma-t", "1e-170"], "sigma_t"),
-        ("gen-corpus sigma_xy 1e-155", "gen-corpus", ["--sigma-xy", "1e-155"], None),
+        ("gen-corpus sigma_xy 1e-155", "gen-corpus", ["--sigma-xy", "1e-155"], "sigma_xy"),
         ("lesion center outside the volume", "sweep", {"center": [100, 0, 0]},
          "corpus.lesion.center"),
         ("lesion sigma_xy 1e300", "sweep", {"sigma_xy": 1e300}, "corpus.lesion: lesion sigma_xy"),
+        ("lesion sigma_xy 1e-155", "sweep", {"sigma_xy": 1e-155}, "change no voxel"),
     ]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -359,7 +365,10 @@ class TestBadInputs:
 
 
 def _input_stack(kind, dims=(16, 16, 8)):
-    """A background, the same with a lesion of amplitude 1e308 ("bright"), or with a NaN voxel."""
+    """A background, the same with a lesion of amplitude 1e308 ("bright"), or with a NaN voxel;
+    or an 8x8x8 background with a lesion of amplitude 1e305 ("near-limit"), which forward takes."""
+    if kind == "near-limit":
+        return insert_lesion(generate_background(8, 8, 8, 2.5, seed=7), LesionSpec(amplitude=1e305))
     stack = generate_background(*dims, 2.5, seed=7)
     if kind == "bright":
         return insert_lesion(stack, LesionSpec(amplitude=1e308))
@@ -385,10 +394,12 @@ _BASE = {
 
 @pytest.fixture(scope="module")
 def input_stacks(tmp_path_factory):
-    """8x8x8 stack files: an ordinary pair, a pair at lesion amplitude 1e308 and a NaN voxel."""
+    """8x8x8 stack files: an ordinary pair, pairs at lesion amplitudes 1e308 and 1e305 (LF
+    overflows there) and a NaN voxel."""
     root = tmp_path_factory.mktemp("inputs")
     stacks = [*generate_corpus(1, 8, 8, 8, 3.0, LesionSpec(), 0),
               *generate_corpus(1, 8, 8, 8, 3.0, LesionSpec(amplitude=1e308), 1),
+              *generate_corpus(1, 8, 8, 8, 3.0, LesionSpec(amplitude=1e305), 2),
               _input_stack("nan", (8, 8, 8))]
     for i, stack in enumerate(stacks):
         write_stack(stack, root / f"{i}.vstk")
@@ -434,3 +445,75 @@ def test_every_invocation_succeeds_or_fails_cleanly(input_stacks, data):
         else:
             s, p = map(float, stdout.getvalue().split())
             assert 0 <= s < math.inf and 0 <= p <= 1
+
+
+# A valid 8x8x8, 4-pair sweep; each example changes one or two of its fields.
+_SWEEP_BASE = {"methods": ["LF", "PM", "MC"],
+               "sweep": {"parameter": "contrast", "values": [100, 200, 400]},
+               "corpus": {"n_pairs": 4, "nx": 8, "nt": 8},
+               "observer": {"n_channels": 4, "spread": 3.0, "n_readers": 2}}
+_FLOATS = [float(v) for v in _NUMBERS]
+_INTS = [int(v) for v in _SIZES]
+_SWEEP_FIELDS = {
+    ("methods",): st.lists(st.sampled_from(["LF", "PM", "MC", "pm"]), min_size=1, max_size=4),
+    ("sweep", "parameter"): st.sampled_from(list(sweep.SWEEPABLE)),
+    ("sweep", "values"): st.lists(st.sampled_from(_FLOATS), min_size=3, max_size=3),
+    **{("viewing", k): st.sampled_from(_FLOATS) for k in ["l_max", "contrast", "ssr",
+                                                          "browse_speed"]},
+    **{("corpus", k): st.sampled_from(_INTS) for k in ["n_pairs", "nx", "ny", "nt",
+                                                       "master_seed"]},
+    ("corpus", "beta"): st.sampled_from(_FLOATS),
+    **{("corpus", "lesion", k): st.sampled_from(_FLOATS) for k in ["amplitude", "sigma_xy",
+                                                                   "sigma_t"]},
+    **{("observer", k): st.sampled_from(_INTS) for k in ["n_channels", "n_readers"]},
+    ("observer", "spread"): st.sampled_from(_FLOATS),
+}
+
+
+def _readable_rows(path):
+    """The rows of a sweep CSV, each parsed as the documented column types."""
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        assert list(row) == sweep.CSV_COLUMNS and row["method"] in ("LF", "PM", "MC")
+        for col in sweep.CSV_COLUMNS[1:]:
+            (int if col in ("n_cases", "n_readers", "master_seed") else float)(row[col])
+    return rows
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_every_sweep_succeeds_or_fails_cleanly(data):
+    """A sweep exits 0 with one readable row per (method, value), or exits 1 with one JSON
+    line and either no CSV or only readable rows beside an error manifest."""
+    config = json.loads(json.dumps(_SWEEP_BASE))
+    paths = data.draw(st.lists(st.sampled_from(sorted(_SWEEP_FIELDS)), min_size=1, max_size=2,
+                               unique=True), "fields")
+    for path in paths:
+        section = config
+        for key in path[:-1]:
+            section = section.setdefault(key, {})
+        section[path[-1]] = data.draw(_SWEEP_FIELDS[path], ".".join(path))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out_dir = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "out")
+        with open(cfg, "w") as fh:
+            json.dump(config, fh)
+        os.mkdir(out_dir)
+        out = os.path.join(out_dir, "out.csv")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = main(["sweep", "--config", cfg, "--out", out])
+        written = sorted(os.listdir(out_dir))
+        if rc == 1:
+            lines = stderr.getvalue().splitlines()
+            assert len(lines) == 1 and set(json.loads(lines[0])) == {"error", "message"}
+            if written:
+                assert written == ["out.csv", "out.csv.errors.json"]
+                _readable_rows(out)
+            return
+        assert (rc, stderr.getvalue(), written) == (0, "", ["out.csv"])
+        cfg_used, rows = sweep.SweepConfig.from_json(cfg), _readable_rows(out)
+        # One row per (method, value): a method listed twice must not run twice.
+        points = {(row["method"], float(row[cfg_used.parameter])) for row in rows}
+        assert len(points) == len(rows) == len(set(cfg_used.methods)) * len(cfg_used.values)

@@ -186,15 +186,17 @@ class TestInsertLesion:
         assert out.label == LABEL_PRESENT
 
     def test_peak_height_at_center(self):
+        # The center (7.5, 7.5, 3.5) lies half a voxel from voxel (7, 7, 3) on each axis.
         bg = generate_background(16, 16, 8, 1.0, seed=5)
-        lesion = LesionSpec(amplitude=0.7, sigma_xy=2, sigma_t=1, center=(8, 8, 4))
+        lesion = LesionSpec(amplitude=0.7, sigma_xy=2, sigma_t=1)
         out = insert_lesion(bg, lesion)
-        assert out.data[8, 8, 4] - bg.data[8, 8, 4] == pytest.approx(0.7, rel=1e-12)
+        peak = 0.7 * np.exp(-1 / (4 * 2**2)) * np.exp(-1 / (8 * 1**2))
+        assert out.data[7, 7, 3] - bg.data[7, 7, 3] == pytest.approx(peak, rel=1e-12)
 
     def test_added_energy_matches_brute_force(self):
         bg = generate_background(16, 16, 8, 1.0, seed=5)
         amp, sxy, st_ = 0.4, 2.0, 1.5
-        lesion = LesionSpec(amplitude=amp, sigma_xy=sxy, sigma_t=st_, center=(8.0, 8.0, 4.0))
+        lesion = LesionSpec(amplitude=amp, sigma_xy=sxy, sigma_t=st_)
         out = insert_lesion(bg, lesion)
         added = out.data - bg.data
         # Independent voxel-by-voxel accumulation of the bump energy.
@@ -202,22 +204,11 @@ class TestInsertLesion:
         for x in range(16):
             for y in range(16):
                 for t in range(8):
-                    g = np.exp(-((x - 8) ** 2 + (y - 8) ** 2) / (2 * sxy**2))
-                    g *= np.exp(-((t - 4) ** 2) / (2 * st_**2))
+                    g = np.exp(-((x - 7.5) ** 2 + (y - 7.5) ** 2) / (2 * sxy**2))
+                    g *= np.exp(-((t - 3.5) ** 2) / (2 * st_**2))
                     expected += (amp * g) ** 2
         assert np.sum(added**2) == pytest.approx(expected, rel=1e-9)
 
-    def test_center_outside_volume(self):
-        bg = generate_background(16, 16, 8, 1.0, seed=5)
-        with pytest.raises(DomainError):
-            insert_lesion(bg, LesionSpec(amplitude=1.0, center=(20, 8, 4)))
-
-    def test_list_center_gives_the_tuple_center_bump(self):
-        bg = generate_background(16, 16, 8, 1.0, seed=5)
-        listed = LesionSpec(amplitude=0.7, sigma_xy=2, sigma_t=1, center=[8, 7, 4])
-        tupled = LesionSpec(amplitude=0.7, sigma_xy=2, sigma_t=1, center=(8, 7, 4))
-        assert listed == tupled
-        assert np.array_equal(insert_lesion(bg, listed).data, insert_lesion(bg, tupled).data)
 
 
 class TestNormalizeToDisplay:
@@ -431,10 +422,16 @@ class TestCorpus:
     def test_corpus_is_public_background_and_lesion(self, side, nt, n_pairs, beta, amplitude,
                                                    sigma_xy, sigma_t, master_seed):
         # The shared-buffer corpus path gives, pair by pair, the stacks the
-        # public one-stack functions give from the same spawned seeds.
+        # public one-stack functions give from the same spawned seeds; a lesion
+        # that leaves the first of them unchanged (a subnormal amplitude) is rejected.
         lesion = LesionSpec(amplitude=amplitude, sigma_xy=sigma_xy, sigma_t=sigma_t)
-        corpus = generate_corpus(n_pairs, side, side, nt, beta, lesion, master_seed)
         children = np.random.SeedSequence(master_seed).spawn(n_pairs)
+        first = generate_background(side, side, nt, beta, children[0])
+        if amplitude > 0 and np.array_equal(insert_lesion(first, lesion).data, first.data):
+            with pytest.raises(DomainError, match="change no voxel"):
+                generate_corpus(n_pairs, side, side, nt, beta, lesion, master_seed)
+            return
+        corpus = generate_corpus(n_pairs, side, side, nt, beta, lesion, master_seed)
         assert len(corpus) == 2 * n_pairs
         for i, child in enumerate(children):
             absent = generate_background(side, side, nt, beta, child)
@@ -456,7 +453,7 @@ class TestCorpus:
         assert int(out.stdout) <= 8 * 2**20
 
     def test_pairs_share_background(self):
-        lesion = LesionSpec(amplitude=0.5, sigma_xy=2, sigma_t=1, center=(8, 8, 4))
+        lesion = LesionSpec(amplitude=0.5, sigma_xy=2, sigma_t=1)
         stacks = generate_corpus(3, 16, 16, 8, 2.0, lesion, 5)
         assert len(stacks) == 6
         for absent, present in zip(stacks[0::2], stacks[1::2]):
@@ -464,7 +461,8 @@ class TestCorpus:
             assert present.label == LABEL_PRESENT
             diff = present.data - absent.data
             assert np.all(diff >= 0)
-            assert diff.max() == pytest.approx(0.5, rel=1e-12)
+            peak = 0.5 * np.exp(-1 / (4 * 2**2)) * np.exp(-1 / (8 * 1**2))
+            assert diff.max() == pytest.approx(peak, rel=1e-12)
 
     def test_reproducible_from_master_seed(self):
         kwargs = dict(nx=16, ny=16, nt=8, beta=2.0, lesion=LesionSpec(amplitude=0.2), master_seed=5)
@@ -480,6 +478,16 @@ class TestCorpus:
     def test_rejects_negative_master_seed(self):
         with pytest.raises(DomainError, match="master_seed"):
             generate_corpus(1, 16, 16, 8, 3.0, LesionSpec(amplitude=0.25), -1)
+
+    @pytest.mark.parametrize("lesion", [LesionSpec(sigma_xy=0.07), LesionSpec(sigma_t=1e-155)])
+    def test_rejects_a_lesion_that_changes_no_voxel(self, lesion):
+        with pytest.raises(DomainError, match="sigma_xy .* sigma_t .* change no voxel"):
+            generate_corpus(1, 64, 64, 32, 3.0, lesion, 0)
+
+    def test_zero_amplitude_corpus_allowed(self):
+        absent, present = generate_corpus(1, 16, 16, 8, 3.0, LesionSpec(amplitude=0.0), 0)
+        assert np.array_equal(absent.data, present.data)
+        assert present.label == LABEL_PRESENT
 
     def test_pipeline_preserves_display_range(self):
         vc = ViewingConditions()

@@ -48,6 +48,8 @@ class TestViewingDistance:
         with pytest.raises(DomainError):
             # a 64-px field at 0.3 px/deg would span more than 180 degrees
             viewing_distance(0.3)
+        with pytest.raises(DomainError, match="ssr 1e\\+308"):
+            viewing_distance(1e308)  # 360 * ssr overflows: the field spans no angle
 
 
 class TestClassifyTrend:
@@ -148,7 +150,7 @@ _SECTIONS = {
         "n_pairs": st.integers(-2, 10) | _json_values(), "nx": _json_values(),
         "ny": st.sampled_from([7, 8, 16]), "nt": _json_values(), "beta": _json_values(),
         "master_seed": _json_values(),
-        "lesion": _section(["amplitude", "sigma_xy", "sigma_t", "center"])}),
+        "lesion": _section(["amplitude", "sigma_xy", "sigma_t"])}),
     "observer": _section(["n_channels", "spread", "n_readers"]),
 }
 
@@ -194,6 +196,9 @@ class TestConfigValidation:
         ({"corpus": {"lesion": {"center": [100, 0, 0]}}}, "corpus.lesion.center"),
         ({"corpus": {"lesion": {"sigma_xy": 1e300}}}, "corpus.lesion: lesion sigma_xy"),
         ({"corpus": {"lesion": {"sigma_t": 1e-170}}}, "corpus.lesion: lesion sigma_t"),
+        ({"viewing": {"ssr": 1e308}}, "ssr 1e\\+308 gives no finite positive viewing distance"),
+        ({"corpus": {"lesion": {"center": [1, 2, 3]}}}, "corpus.lesion.center: unknown key"),
+        ({"methods": ["pm", "PM"]}, "methods: 'PM' is listed more than once"),
     ])
     def test_bad_shape_named(self, raw, where):
         with pytest.raises(ConfigError, match=where):
@@ -210,11 +215,11 @@ class TestConfigValidation:
             SweepConfig(parameter="contrast", values=(100.0, 200.0))
 
     def test_from_dict_leaves_input_alone(self):
-        raw = {"corpus": {"nx": 16, "ny": 16, "lesion": {"amplitude": 0.3, "center": [1, 2, 3]}}}
+        raw = {"corpus": {"nx": 16, "ny": 16, "lesion": {"amplitude": 0.3}}}
         before = json.dumps(raw)
         cfg = SweepConfig.from_dict(raw)
         assert json.dumps(raw) == before
-        assert cfg.lesion.center == (1.0, 2.0, 3.0)
+        assert cfg.lesion.amplitude == 0.3
 
     @settings(max_examples=300, deadline=None)
     @given(raw=_json_values() | st.fixed_dictionaries({}, optional=_SECTIONS))
