@@ -109,7 +109,8 @@ def channelize_spectrum(spec: SpectralStack, spectral: np.ndarray) -> np.ndarray
     if spectral.shape[1] != nx * ny:
         raise DimensionMismatchError(f"{nx}x{ny} slices, {spectral.shape[1]} channel bins")
     check_symmetric(spec)
-    return scipy.fft.irfft(spectral @ spec.half.reshape(nx * ny, -1), n=nt, axis=1).T
+    # np.dot, not @: matmul holds the GIL through a complex gemm, so sweep threads would queue.
+    return scipy.fft.irfft(np.dot(spectral, spec.half.reshape(nx * ny, -1)), n=nt, axis=1).T
 
 
 def hotelling_weights(

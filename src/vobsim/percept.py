@@ -22,11 +22,11 @@ through untouched.  ``inverse`` and ``observer.channelize_spectrum`` reject
 any other spectrum (``check_symmetric``).
 
 PM and MC both start from p: one pass over the half spectrum yields each
-bin's modulation m (which p needs), its unit-modulation scale and its
-phase; PM scales the bin to p and MC keeps it with probability p, one draw
-per conjugate pair.  The field's apparent size comes from the pixel count
-and sampling rate (orthogonal viewing) and its luminance from the stack's
-mean, with the default Barten constants.
+bin's modulation m (which p needs) and its phase; PM scales the phase to p
+times the bin's unit-modulation amplitude, MC keeps the unit-modulation bin
+with probability p, one draw per conjugate pair.  The field's apparent size
+comes from the pixel count and sampling rate (orthogonal viewing) and its
+luminance from the stack's mean, with the default Barten constants.
 """
 
 from __future__ import annotations
@@ -167,41 +167,44 @@ def sensitivity(spec: SpectralStack, vc: ViewingConditions) -> np.ndarray:
     The formula is elementwise, so the values equal a per-bin evaluation bit for bit.
     """
     geom = FieldGeometry(x0=spec.dims[0] / vc.ssr, l_avg=spec.mean_lum)
-    u, w, at = _frequency_table(spec.dims, vc.ssr, vc.browse_speed)
-    return csf(u, w, geom).take(at)
+    u, w, iu = _frequency_table(spec.dims, vc.ssr, vc.browse_speed)
+    return csf(u, w, geom)[iu]
 
 
 @lru_cache(maxsize=8)
 def _frequency_table(dims: tuple[int, int, int], ssr: float, browse_speed: float):
-    """Distinct |u| (a column), w per kt (a row), and each half bin's flat index into
-    their table; all read-only."""
+    """Distinct |u| (a column), w per kt (a row), and the (nx, ny) row index of each
+    (kx, ky)'s |u| in their table; all read-only."""
     nx, ny, nt = dims
     kx, ky = np.arange(nx), np.arange(ny)
     u1 = np.minimum(kx, nx - kx) / nx * ssr
     u2 = np.minimum(ky, ny - ky) / ny * ssr
     u, iu = np.unique(np.sqrt(u1[:, None] ** 2 + u2[None, :] ** 2), return_inverse=True)
     w = np.arange(nt // 2 + 1) / nt * browse_speed
-    tables = (u[:, None], w[None, :], iu.reshape(nx, ny, 1) * w.size + np.arange(w.size))
+    tables = (u[:, None], w[None, :], iu.reshape(nx, ny))
     for a in tables:
         a.flags.writeable = False
     return tables
 
 
 def _polar(spec: SpectralStack):
-    """Modulation m, unit-modulation amplitude and phase on every half-spectrum bin.
-
-    A paired bin carries half of its cosine, a self-conjugate bin all of it.
-    """
+    """Modulation m and phase on every half-spectrum bin (m is |bin| / ``_unit``)."""
     if spec.mean_lum <= 0:
         raise DegenerateStackError("PM/MC need a positive mean luminance")
-    self_conj = _pair_table(spec.dims)[2]
-    n = prod(spec.dims)
     c = spec.half
-    scale = np.full(c.shape, n * spec.mean_lum / 2.0)
-    scale[self_conj] = n * spec.mean_lum
     m = np.abs(c)
     phase = np.divide(c, m, out=np.ones_like(c), where=m > 0)
-    return np.divide(m, scale, out=m), scale, phase
+    return _unit(np.divide, m, spec), phase
+
+
+def _unit(op, a: np.ndarray, spec: SpectralStack) -> np.ndarray:
+    """``op(a, amplitude)`` in place; a unit-modulation cosine's amplitude is N * mean / 2 on
+    a paired bin (half of the cosine) and N * mean on a self-conjugate bin (all of it)."""
+    self_conj, full = _pair_table(spec.dims)[2], prod(spec.dims) * spec.mean_lum
+    own = op(a[self_conj], full)
+    op(a, full / 2.0, out=a)
+    a[self_conj] = own
+    return a
 
 
 def _keep_dc(spec: SpectralStack, half: np.ndarray) -> SpectralStack:
@@ -224,8 +227,9 @@ class McSource:
 
     @classmethod
     def of(cls, spec: SpectralStack, vc: ViewingConditions) -> "McSource":
-        m, scale, phase = _polar(spec)
-        return cls(detection_probability(m, sensitivity(spec, vc)), _keep_dc(spec, scale * phase))
+        m, phase = _polar(spec)
+        return cls(detection_probability(m, sensitivity(spec, vc)),
+                   _keep_dc(spec, _unit(np.multiply, phase, spec)))
 
     def draw(self, seed) -> SpectralStack:
         """Keep each conjugate pair with probability p, at unit modulation; one uniform per pair."""
@@ -243,8 +247,9 @@ def apply_lf(spec: SpectralStack, vc: ViewingConditions) -> SpectralStack:
 
 def apply_pm(spec: SpectralStack, vc: ViewingConditions) -> SpectralStack:
     """Replace every non-DC component's modulation by its detection probability."""
-    m, scale, phase = _polar(spec)
-    return _keep_dc(spec, detection_probability(m, sensitivity(spec, vc)) * scale * phase)
+    m, phase = _polar(spec)
+    phase *= _unit(np.multiply, detection_probability(m, sensitivity(spec, vc)), spec)
+    return _keep_dc(spec, phase)
 
 
 def apply_mc(spec: SpectralStack, vc: ViewingConditions, seed) -> SpectralStack:

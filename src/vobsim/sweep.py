@@ -167,12 +167,15 @@ class SweepConfig:
         if self.ny != self.nx:  # the viewing geometry takes the field size from one side
             raise ConfigError(f"corpus.ny: slices must be square, got ny {self.ny} != nx {self.nx}")
         for v in self.values:  # every point's viewing conditions, distance and field must exist
+            key = "sweep.values"
             try:
                 vc = self.vc_at(v)
+                # Past ViewingConditions' own checks, only ssr can fail the distance or field.
+                key = key if self.parameter == "ssr" else "viewing.ssr"
                 viewing_distance(vc.ssr)
                 FieldGeometry(x0=self.nx / vc.ssr, l_avg=vc.l_max)
             except DomainError as exc:
-                raise ConfigError(f"sweep.values: {exc}") from exc
+                raise ConfigError(f"{key}: {exc}") from exc
         for name, valid, rule in (("beta", lambda v: v >= 0, "non-negative"),
                                   ("spread", lambda v: v > 0, "positive")):
             if not valid(_finite(_KEY[name], getattr(self, name))):
@@ -325,12 +328,12 @@ def run_sweep(config: SweepConfig, csv_path, threads: int = 1) -> TrendReport:
     rows: dict[tuple[str, int], dict] = {}
     failures = []
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {
-            key: pool.submit(_run_point, config, corpus, *key, labels) for key in jobs
-        }
-        for key, fut in futures.items():
+        # Dearest points first (METHODS runs cheapest to dearest): the threads end on short ones.
+        futures = {key: pool.submit(_run_point, config, corpus, *key, labels)
+                   for key in sorted(jobs, key=lambda k: -percept.METHODS.index(k[0]))}
+        for key in jobs:
             try:
-                rows[key] = fut.result()
+                rows[key] = futures[key].result()
             except Exception as exc:  # noqa: BLE001 - reported in the manifest
                 failures.append({"method": key[0], "value": config.values[key[1]],
                                  "error": type(exc).__name__, "message": str(exc)})

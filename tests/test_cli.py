@@ -5,6 +5,7 @@ import json
 import math
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -486,7 +487,8 @@ def _readable_rows(path):
 @given(data=st.data())
 def test_every_sweep_succeeds_or_fails_cleanly(data):
     """A sweep exits 0 with one readable row per (method, value), or exits 1 with one JSON
-    line and either no CSV or only readable rows beside an error manifest."""
+    line and either no CSV or only readable rows beside an error manifest.  On more than one
+    thread it ends as on one: same exit code, CSV bytes and manifest."""
     config = json.loads(json.dumps(_SWEEP_BASE))
     paths = data.draw(st.lists(st.sampled_from(sorted(_SWEEP_FIELDS)), min_size=1, max_size=2,
                                unique=True), "fields")
@@ -495,24 +497,35 @@ def test_every_sweep_succeeds_or_fails_cleanly(data):
         for key in path[:-1]:
             section = section.setdefault(key, {})
         section[path[-1]] = data.draw(_SWEEP_FIELDS[path], ".".join(path))
+    threads = data.draw(st.sampled_from([1, 2, 3]), "threads")
     with tempfile.TemporaryDirectory() as tmp:
-        cfg, out_dir = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "out")
+        cfg = os.path.join(tmp, "cfg.json")
         with open(cfg, "w") as fh:
             json.dump(config, fh)
-        os.mkdir(out_dir)
-        out = os.path.join(out_dir, "out.csv")
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            rc = main(["sweep", "--config", cfg, "--out", out])
-        written = sorted(os.listdir(out_dir))
+
+        def run(threads):
+            out_dir = os.path.join(tmp, f"out{threads}")
+            os.mkdir(out_dir)
+            out = os.path.join(out_dir, "out.csv")
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                rc = main(["sweep", "--config", cfg, "--out", out, "--threads", str(threads)])
+            files = {name: Path(out_dir, name).read_bytes() for name in os.listdir(out_dir)}
+            return rc, stderr.getvalue(), out, files
+
+        rc, stderr, out, files = run(threads)
+        if threads > 1:
+            rc_one, _, _, files_one = run(1)
+            assert (rc_one, files_one) == (rc, files)
+        written = sorted(files)
         if rc == 1:
-            lines = stderr.getvalue().splitlines()
+            lines = stderr.splitlines()
             assert len(lines) == 1 and set(json.loads(lines[0])) == {"error", "message"}
             if written:
                 assert written == ["out.csv", "out.csv.errors.json"]
                 _readable_rows(out)
             return
-        assert (rc, stderr.getvalue(), written) == (0, "", ["out.csv"])
+        assert (rc, stderr, written) == (0, "", ["out.csv"])
         cfg_used, rows = sweep.SweepConfig.from_json(cfg), _readable_rows(out)
         # One row per (method, value): a method listed twice must not run twice.
         points = {(row["method"], float(row[cfg_used.parameter])) for row in rows}

@@ -1,12 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import example, given, settings, strategies as st
 
 import oracle_csf
-from vobsim import percept
-from vobsim.csf import FieldGeometry, csf
+from vobsim import observer, percept
+from vobsim.csf import FieldGeometry, csf, detection_probability
 from vobsim.errors import DegenerateStackError, DimensionMismatchError, DomainError
 from vobsim.percept import (
     McSource,
@@ -20,7 +22,7 @@ from vobsim.percept import (
     perceive,
     sensitivity,
 )
-from vobsim.stackgen import ImageStack, ViewingConditions
+from vobsim.stackgen import ImageStack, ViewingConditions, normalize_to_display
 
 
 def cosine_stack(dims, k, amplitude, mean, phase=0.0):
@@ -374,6 +376,84 @@ class TestPerceivedLayout:
         for seed in ([3, 0, 1, 2], 99):
             want = perceive(stack, "MC", vc, mc_seed=seed).data
             assert np.array_equal(inverse(source.draw(seed)), want)
+
+
+def _bits(a):
+    """The bytes of a float or complex array as uint64 words: equal means bit-identical."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _plain_sensitivity(spec, vc):
+    """S as one CSF table over (distinct |u|, w) and an elementwise gather of flat indices."""
+    nx, ny, nt = spec.dims
+    u1 = np.minimum(np.arange(nx), nx - np.arange(nx)) / nx * vc.ssr
+    u2 = np.minimum(np.arange(ny), ny - np.arange(ny)) / ny * vc.ssr
+    u, iu = np.unique(np.sqrt(u1[:, None] ** 2 + u2[None, :] ** 2), return_inverse=True)
+    w = np.arange(nt // 2 + 1) / nt * vc.browse_speed
+    flat = iu.reshape(nx, ny, 1) * w.size + np.arange(w.size)
+    geom = FieldGeometry(x0=nx / vc.ssr, l_avg=spec.mean_lum)
+    return csf(u[:, None], w[None, :], geom).take(flat)
+
+
+def _plain_polar(spec):
+    """m, the full-size unit-modulation scale array and the phase, one array each."""
+    n, c = math.prod(spec.dims), spec.half
+    scale = np.full(c.shape, n * spec.mean_lum / 2.0)
+    scale[tuple(slice(None, None, k // 2) for k in spec.dims)] = n * spec.mean_lum
+    m = np.abs(c)
+    phase = np.divide(c, m, out=np.ones_like(c), where=m > 0)
+    return m / scale, scale, phase
+
+
+def _with_dc(spec, half):
+    half[0, 0, 0] = spec.half[0, 0, 0]
+    return half
+
+
+class TestKernelsBitIdentical:
+    """The per-stack kernels equal the plain full-size expressions bit for bit, signed
+    zeros included, on random stacks and on cosine stacks (whose spectra hold exact zeros)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dims=st.sampled_from([(8, 8, 8), (16, 16, 8), (8, 8, 16)]),
+        vc=st.sampled_from([ViewingConditions(), ViewingConditions(contrast=800.0, ssr=30.0,
+                                                                   browse_speed=800.0)]),
+        cosine=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_kernels_match_plain_expressions(self, dims, vc, cosine, seed):
+        rng = np.random.default_rng(seed)
+        if cosine:
+            k = tuple(int(rng.integers(0, n)) for n in dims)
+            stack = cosine_stack(dims, k, amplitude=float(rng.uniform(0, 50)),
+                                 mean=float(rng.uniform(60, 200)), phase=float(rng.uniform(0, 7)))
+        else:
+            stack = normalize_to_display(ImageStack(data=rng.random(dims)), vc)
+        spec = forward(stack)
+        s = _plain_sensitivity(spec, vc)
+        m, scale, phase = _plain_polar(spec)
+        p = detection_probability(m, s)
+        assert np.array_equal(_bits(sensitivity(spec, vc)), _bits(s))
+        assert np.array_equal(_bits(apply_lf(spec, vc).half), _bits(_with_dc(spec, spec.half * s)))
+        assert np.array_equal(_bits(apply_pm(spec, vc).half),
+                              _bits(_with_dc(spec, p * scale * phase)))
+        source = McSource.of(spec, vc)
+        phasor = _with_dc(spec, scale * phase)
+        assert np.array_equal(_bits(source.p), _bits(p))
+        assert np.array_equal(_bits(source.phasor.half), _bits(phasor))
+        n_pairs, rank = percept._pair_table(dims)[:2]
+        u = np.empty(n_pairs + 1)
+        u[0] = -1.0
+        np.random.default_rng(seed).random(out=u[1:])
+        drawn = np.where(u[rank] < p, phasor, 0)
+        assert np.array_equal(_bits(source.draw(seed).half), _bits(drawn))
+        nx, ny, nt = dims
+        spectral = observer.spectral_channels(observer.make_channels(nx, ny, 5, spread=3.0))
+        for half in (spec.half, drawn):
+            got = observer.channelize_spectrum(replace(spec, half=half), spectral)
+            want = scipy.fft.irfft(spectral @ half.reshape(nx * ny, -1), n=nt, axis=1).T
+            assert np.array_equal(_bits(got), _bits(want))
 
 
 def _pm_scalar_reference(data, vc):

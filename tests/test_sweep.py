@@ -199,6 +199,10 @@ class TestConfigValidation:
         ({"viewing": {"ssr": 1e308}}, "ssr 1e\\+308 gives no finite positive viewing distance"),
         ({"corpus": {"lesion": {"center": [1, 2, 3]}}}, "corpus.lesion.center: unknown key"),
         ({"methods": ["pm", "PM"]}, "methods: 'PM' is listed more than once"),
+        # An unswept ssr is named as the viewing key, whatever parameter is swept.
+        ({"viewing": {"ssr": 0.1}}, "viewing.ssr: ssr 0.1 gives no finite"),
+        ({"viewing": {"ssr": 0.1}, "sweep": {"parameter": "l_max", "values": [100, 200, 300]}},
+         "viewing.ssr: ssr 0.1 gives no finite"),
     ])
     def test_bad_shape_named(self, raw, where):
         with pytest.raises(ConfigError, match=where):
@@ -445,6 +449,28 @@ class TestRunSweep:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 3
 
+    def test_failures_in_method_order_on_any_thread_count(self, tmp_path):
+        # Points are submitted dearest method first, but rows and failures are
+        # written in (method, value) order, so the files do not depend on threads.
+        cfg = SweepConfig(
+            methods=("LF", "PM", "MC"), parameter="browse_speed", values=(5.0, 25.0, 50.0),
+            n_pairs=6, nx=16, ny=16, nt=8, n_channels=8, spread=5.0, n_readers=2,
+        )
+        object.__setattr__(cfg, "values", (-5.0, 25.0, 50.0))
+        written = []
+        for threads in (1, 3):
+            out = tmp_path / f"t{threads}.csv"
+            with pytest.raises(DomainError, match="3 sweep point"):
+                run_sweep(cfg, out, threads=threads)
+            written.append((out.read_bytes(), (tmp_path / f"{out.name}.errors.json").read_bytes()))
+        assert written[0] == written[1]
+        failures = json.loads(written[0][1])["failures"]
+        assert [(f["method"], f["value"]) for f in failures] == [
+            ("LF", -5.0), ("PM", -5.0), ("MC", -5.0)]
+        rows = list(csv.DictReader(written[0][0].decode().splitlines()))
+        assert [(r["method"], float(r["browse_speed"])) for r in rows] == [
+            (m, v) for m in ("LF", "PM", "MC") for v in (25.0, 50.0)]
+
 
 # sha256 of the criterion-8 CSV (LF/PM/MC, 16x16x8, master seed 31).  Float
 # bits depend on the numpy build and the CPU's SIMD paths; this digest was
@@ -462,3 +488,23 @@ def test_criterion_8_csv_bytes_pinned(tmp_path):
     out = tmp_path / "c8.csv"
     run_sweep(cfg, out)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CRITERION_8_CSV_SHA256
+
+
+# sha256 of the seed-0 CSVs of two benchmark workloads: a contrast sweep over
+# 100/200/400 at 50 pairs, 64x64x32, 15 channels and 4 readers; LF and PM on
+# two threads, MC on one.  Recorded like CRITERION_8_CSV_SHA256.
+BENCHMARK_CSV_SHA256 = {
+    (("LF", "PM"), 2): "fe540876677b4a9af5d01195f4d341030830fef3a68acd22731d1ac61de15c7a",
+    (("MC",), 1): "e5c4758907b17aa54fe148ef7dbc54998c3bc16dd0a0f91dd557ddde996977e3",
+}
+
+
+@pytest.mark.skipif(np.__version__ != "2.4.6", reason="digest recorded with numpy 2.4.6")
+@pytest.mark.parametrize("methods, threads", list(BENCHMARK_CSV_SHA256),
+                         ids=["lfpm-t2", "mc-t1"])
+def test_benchmark_csv_bytes_pinned(tmp_path, methods, threads):
+    cfg = SweepConfig(methods=methods, parameter="contrast", values=(100.0, 200.0, 400.0),
+                      n_pairs=50, master_seed=0, n_channels=15, n_readers=4)
+    out = tmp_path / "bench.csv"
+    run_sweep(cfg, out, threads=threads)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BENCHMARK_CSV_SHA256[methods, threads]
