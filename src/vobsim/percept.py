@@ -200,10 +200,9 @@ def _polar(spec: SpectralStack):
 def _unit(op, a: np.ndarray, spec: SpectralStack) -> np.ndarray:
     """``op(a, amplitude)`` in place; a unit-modulation cosine's amplitude is N * mean / 2 on
     a paired bin (half of the cosine) and N * mean on a self-conjugate bin (all of it)."""
-    self_conj, full = _pair_table(spec.dims)[2], prod(spec.dims) * spec.mean_lum
-    own = op(a[self_conj], full)
-    op(a, full / 2.0, out=a)
-    a[self_conj] = own
+    self_conj = _pair_table(spec.dims)[2]
+    op(a, prod(spec.dims) * spec.mean_lum / 2.0, out=a)
+    op(a[self_conj], 2.0, out=a[self_conj])  # exact: a power of two
     return a
 
 
