@@ -10,7 +10,7 @@ from pathlib import Path
 
 from . import percept, sweep as sweep_mod
 from .csf import FieldGeometry, csf, detection_probability
-from .errors import VobsimError
+from .errors import ConfigError, VobsimError
 from .stackgen import (
     LesionSpec,
     ViewingConditions,
@@ -27,7 +27,11 @@ _VIEWING = [f.name for f in fields(ViewingConditions)]
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):  # usage errors, too, reach main's one-line JSON
+        def error(self, message):
+            raise ConfigError(f"{self.prog}: {message}")
+
+    parser = Parser(
         prog="simulate",
         description="Virtual observer simulation over 3D image stacks",
     )
@@ -38,6 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", required=True, help="output CSV path")
     p_sweep.add_argument("--threads", type=int, default=1)
     p_sweep.add_argument("--report", help="optional JSON trend-report path")
+    p_sweep.set_defaults(run=_cmd_sweep)
 
     p_gen = sub.add_parser("gen-corpus", help="generate a labeled stack corpus (square slices)")
     p_gen.add_argument("--out", required=True, help="output directory")
@@ -49,6 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--amplitude", type=float, default=LesionSpec.amplitude)
     p_gen.add_argument("--sigma-xy", type=float, default=LesionSpec.sigma_xy)
     p_gen.add_argument("--sigma-t", type=float, default=LesionSpec.sigma_t)
+    p_gen.set_defaults(run=_cmd_gen_corpus)
 
     p_perc = sub.add_parser("perceive", help="apply one perception method to a stack file")
     p_perc.add_argument("--input", required=True)
@@ -62,6 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--normalize", action="store_true",
         help="normalize the stack to the display range before perceiving",
     )
+    p_perc.set_defaults(run=_cmd_perceive)
 
     p_csf = sub.add_parser("csf", help="contrast sensitivity diagnostics")
     csf_sub = p_csf.add_subparsers(dest="csf_command", required=True)
@@ -71,6 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--l-avg", type=float, required=True, help="average luminance, cd/m^2")
     p_eval.add_argument("--x0", type=float, required=True, help="apparent size, deg")
     p_eval.add_argument("--m", type=float, required=True, help="component modulation")
+    p_eval.set_defaults(run=_cmd_csf_eval)
     return parser
 
 
@@ -131,15 +139,9 @@ def _cmd_csf_eval(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    handlers = {
-        "sweep": _cmd_sweep,
-        "gen-corpus": _cmd_gen_corpus,
-        "perceive": _cmd_perceive,
-        "csf": _cmd_csf_eval,
-    }
     try:
-        return handlers[args.command](args)
+        args = _build_parser().parse_args(argv)
+        return args.run(args)
     except (VobsimError, OSError) as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")

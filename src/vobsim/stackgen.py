@@ -150,28 +150,31 @@ def _backgrounds(nx: int, ny: int, nt: int, beta: float, seeds):
             raise DomainError(f"{name} must be even for the spectral pipeline, got {n}")
     if not 0 <= beta < np.inf:  # NaN compares false
         raise DomainError(f"beta must be finite and non-negative, got {beta!r}")
-    noise, work = np.empty((nx, ny, nt)), np.empty((nx, ny, nt), dtype=complex)
+    noise, half = np.empty((nx, ny, nt)), np.empty((nx, ny, nt // 2 + 1), dtype=complex)
     shaping = _shaping_filter(nx, ny, nt, beta)
     for seed in seeds:
         ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         np.random.default_rng(ss).standard_normal(out=noise)
-        np.copyto(work, noise)
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite range raises below
-            np.fft.fftn(work, out=work)
-            work *= shaping
-            shaped = np.fft.ifftn(work, out=work).real
+            np.fft.rfftn(noise, out=half)
+            half *= shaping
+            np.fft.ifft(half, axis=0, out=half)
+            np.fft.ifft(half, axis=1, out=half)
+            shaped = np.fft.irfft(half, n=nt, axis=2)  # the stack the caller keeps
             lo, hi = shaped.min(), shaped.max()
             span = hi - lo
         if not 0 < span < np.inf:  # NaN compares false
             raise DomainError(f"beta {beta!r} leaves the background without a finite range")
-        yield ImageStack((shaped - lo) / span, seed=int(ss.generate_state(1, np.uint64)[0]))
+        shaped -= lo
+        shaped /= span
+        yield ImageStack(shaped, seed=int(ss.generate_state(1, np.uint64)[0]))
 
 
 def _shaping_filter(nx: int, ny: int, nt: int, beta: float) -> np.ndarray:
-    """Radial amplitude |f|^(-beta/2), 0 at the DC."""
+    """Radial amplitude |f|^(-beta/2) on the rfftn half grid, 0 at the DC."""
     fx = np.fft.fftfreq(nx)[:, None, None]
     fy = np.fft.fftfreq(ny)[None, :, None]
-    ft = np.fft.fftfreq(nt)[None, None, :]
+    ft = np.fft.rfftfreq(nt)[None, None, :]
     radius = np.sqrt(fx**2 + fy**2 + ft**2)
     with np.errstate(divide="ignore", over="ignore"):
         return np.where(radius > 0, radius ** (-beta / 2.0), 0.0)

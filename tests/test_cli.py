@@ -263,6 +263,32 @@ class TestBadInputs:
         assert word in report["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, word", [
+        (["gen-corpus", "--out", "out", "--n-pairs", "2.5"], "--n-pairs: invalid int value"),
+        (["sweep", "--config", "c.json", "--out", "out", "--threads", "1e1"], "--threads"),
+        (["gen-corpus", "--out", "out", "--no-such-flag"], "unrecognized arguments"),
+        (["gen-corpus", "--nx", "16"], "required: --out"),
+        (["csf", "eval", "--u", "4"], "required: --w, --l-avg, --x0, --m"),
+        (["perceive", "--input", "a", "--output", "out", "--method", "XY"], "--method"),
+        ([], "required: command"),
+    ], ids=["non-integer", "non-integer threads", "unknown flag", "missing flag",
+            "missing csf flags", "unknown method", "no command"])
+    def test_usage_error_is_one_json_line(self, tmp_path, monkeypatch, capsys, argv, word):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        report = json.loads(captured.err)
+        assert report["error"] == "ConfigError"
+        assert word in report["message"]
+        assert os.listdir(tmp_path) == []
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-corpus", "--help"])
+        assert exc.value.code == 0
+        assert "--n-pairs" in capsys.readouterr().out
+
     # Huge, tiny or non-finite inputs give a result or the one-line JSON error
     # naming the field, never a numpy warning on the way.  "bright" perceives a
     # stack with a lesion of amplitude 1e308, "near-limit" an 8x8x8 one with a
@@ -380,13 +406,14 @@ def _input_stack(kind, dims=(16, 16, 8)):
 
 _NUMBERS = ["0", "-1", "1e-320", "1e-170", "0.5", "3", "1e154", "1e308", "nan", "inf", "-inf"]
 _SIZES = ["-1", "0", "7", "8", "9", "16"]
+_COUNTS = [*_SIZES, "8.0", "2.5", "1e1", "eight"]  # integer flags also get non-integers
 # Each command starts from small valid arguments; drawn flags come after them and win.
 _BASE = {
     "gen-corpus": (["--n-pairs=2", "--nx=8", "--nt=8"],
-                   {"n-pairs": _SIZES, "nx": _SIZES, "nt": _SIZES, "seed": _SIZES,
+                   {"n-pairs": _COUNTS, "nx": _COUNTS, "nt": _COUNTS, "seed": _COUNTS,
                     "beta": _NUMBERS, "amplitude": _NUMBERS, "sigma-xy": _NUMBERS,
                     "sigma-t": _NUMBERS}),
-    "perceive": ([], {"mc-seed": _SIZES, "l-max": _NUMBERS, "contrast": _NUMBERS,
+    "perceive": ([], {"mc-seed": _COUNTS, "l-max": _NUMBERS, "contrast": _NUMBERS,
                       "ssr": _NUMBERS, "browse-speed": _NUMBERS}),
     "csf": (["eval", "--u=4", "--w=0", "--l-avg=150", "--x0=9", "--m=0.01"],
             {"u": _NUMBERS, "w": _NUMBERS, "l-avg": _NUMBERS, "x0": _NUMBERS, "m": _NUMBERS}),

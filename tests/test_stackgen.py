@@ -152,16 +152,37 @@ class TestGenerateBackground:
         # filter gives.
         fx = np.fft.fftfreq(16)[:, None, None]
         fy = np.fft.fftfreq(16)[None, :, None]
-        ft = np.fft.fftfreq(8)[None, None, :]
+        ft = np.fft.rfftfreq(8)[None, None, :]
         radius = np.sqrt(fx**2 + fy**2 + ft**2)
         for beta in (0.0, 3.0, 0.0, 3.0):
             ss = np.random.SeedSequence(9)
             with np.errstate(divide="ignore"):
                 shaping = np.where(radius > 0, radius ** (-beta / 2.0), 0.0)
             noise = np.random.default_rng(ss).standard_normal((16, 16, 8))
-            shaped = np.fft.ifftn(np.fft.fftn(noise) * shaping).real
+            shaped = np.fft.irfftn(np.fft.rfftn(noise) * shaping, s=noise.shape, axes=(0, 1, 2))
             want = (shaped - shaped.min()) / (shaped.max() - shaped.min())
             assert np.array_equal(generate_background(16, 16, 8, beta, ss).data, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dims=st.tuples(*[st.integers(4, 12).map(lambda n: 2 * n)] * 3),
+        beta=st.floats(0.0, 4.0),
+        seed=st.integers(0, 2**64),
+    )
+    def test_half_spectrum_filter_is_the_full_grid_filter(self, dims, beta, seed):
+        # Filtering the half spectrum of real noise gives, within rounding,
+        # what filtering its full spectrum with the full-grid filter gives,
+        # and the affine map still puts the extremes exactly at 0 and 1.
+        fx, fy, ft = np.meshgrid(*map(np.fft.fftfreq, dims), indexing="ij", sparse=True)
+        radius = np.sqrt(fx**2 + fy**2 + ft**2)
+        with np.errstate(divide="ignore"):
+            shaping = np.where(radius > 0, radius ** (-beta / 2.0), 0.0)
+        noise = np.random.default_rng(np.random.SeedSequence(seed)).standard_normal(dims)
+        shaped = np.fft.ifftn(np.fft.fftn(noise) * shaping).real
+        want = (shaped - shaped.min()) / (shaped.max() - shaped.min())
+        got = generate_background(*dims, beta, seed).data
+        assert np.max(np.abs(got - want)) <= 1e-14
+        assert (got.min(), got.max()) == (0.0, 1.0)
 
     @pytest.mark.parametrize("beta", [float("nan"), float("inf")])
     def test_rejects_non_finite_beta(self, beta):
@@ -374,8 +395,8 @@ class TestManifest:
 # generate_corpus(n_pairs, nx, nx, nt, 3.0, LesionSpec(amplitude=0.05), 0),
 # recorded with numpy 2.4.6 on x86-64 with AVX-512.
 CORPUS_SHA256 = {
-    (6, 16, 8): "7e1bdf6a4017df20a531f9e34f7f79851ebf60e90734db3a2c1f34fc539a473e",
-    (3, 64, 32): "37d09e8118e0f33b42e902cf9e279eef213cb03266b0b9ba133f82572ba8d666",
+    (6, 16, 8): "7e047710dd58bf2b9ddf7571b19d52071ceafb695cbad583a5e92c84cf5ea641",
+    (3, 64, 32): "7d8695034d61354a0617adaf8840a55208e8af890afc81d233ae8f8d0510b36d",
 }
 
 # Grows the corpus after a one-pair warm-up and prints how far the peak RSS
@@ -394,6 +415,27 @@ generate_corpus(1, 64, 64, 32, 3.0, lesion, 0)
 before = peak()
 corpus = generate_corpus(40, 64, 64, 32, 3.0, lesion, 1)
 print(peak() - before - sum(s.data.nbytes for s in corpus))
+"""
+
+# The same for the sweep's whole set-up: the corpus, then each stack replaced
+# in place by the spectrum of its display, as run_sweep does.  The bound is on
+# the growth above the larger of the real corpus and its spectra.
+_SETUP_RSS_PROBE = """
+from vobsim import percept
+from vobsim.stackgen import LesionSpec, ViewingConditions, generate_corpus, normalize_to_display
+
+def peak():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM:"))
+
+lesion, vc = LesionSpec(amplitude=0.25), ViewingConditions()
+[percept.forward(normalize_to_display(s, vc)) for s in generate_corpus(1, 64, 64, 32, 3.0, lesion, 0)]
+before = peak()
+corpus = generate_corpus(40, 64, 64, 32, 3.0, lesion, 1)
+real = sum(s.data.nbytes for s in corpus)
+for i in range(len(corpus)):
+    corpus[i] = percept.forward(normalize_to_display(corpus[i], vc))
+print(peak() - before - max(real, sum(s.half.nbytes for s in corpus)))
 """
 
 
@@ -449,6 +491,18 @@ class TestCorpus:
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p)}
         out = subprocess.run([sys.executable, "-c", _RSS_PROBE], env=env, check=True,
+                             capture_output=True, text=True)
+        assert int(out.stdout) <= 8 * 2**20
+
+    @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                        reason="measures glibc heap retention through Linux VmHWM")
+    def test_sweep_setup_retains_no_transients(self):
+        # Temporaries freed between the kept stacks or spectra, in corpus
+        # generation or in the forward loop after it, would raise the peak.
+        src = os.path.dirname(os.path.dirname(stackgen.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        out = subprocess.run([sys.executable, "-c", _SETUP_RSS_PROBE], env=env, check=True,
                              capture_output=True, text=True)
         assert int(out.stdout) <= 8 * 2**20
 

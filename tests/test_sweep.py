@@ -490,21 +490,49 @@ def test_criterion_8_csv_bytes_pinned(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CRITERION_8_CSV_SHA256
 
 
-# sha256 of the seed-0 CSVs of two benchmark workloads: a contrast sweep over
-# 100/200/400 at 50 pairs, 64x64x32, 15 channels and 4 readers; LF and PM on
-# two threads, MC on one.  Recorded like CRITERION_8_CSV_SHA256.
+# sha256 of the seed-0 CSVs of the three benchmark workloads: a contrast sweep
+# over 100/200/400 at 64x64x32, 15 channels and 4 readers; LF and PM at 50
+# pairs on two threads, MC at 50 pairs and PM at 200 pairs on one.  Recorded
+# like CRITERION_8_CSV_SHA256.
 BENCHMARK_CSV_SHA256 = {
-    (("LF", "PM"), 2): "fe540876677b4a9af5d01195f4d341030830fef3a68acd22731d1ac61de15c7a",
-    (("MC",), 1): "e5c4758907b17aa54fe148ef7dbc54998c3bc16dd0a0f91dd557ddde996977e3",
+    (("LF", "PM"), 50, 2): "fe540876677b4a9af5d01195f4d341030830fef3a68acd22731d1ac61de15c7a",
+    (("MC",), 50, 1): "e5c4758907b17aa54fe148ef7dbc54998c3bc16dd0a0f91dd557ddde996977e3",
+    (("PM",), 200, 1): "1c380e7bb9f0a331467a438da5cafd9ba47f395667feca8721989837e7f3854e",
 }
+
+# sha256 of the CSVs of the four 200-pair criterion-7 sweeps (every method,
+# the default grid of each parameter, master seed 7).  Recorded like
+# CRITERION_8_CSV_SHA256, on two threads.
+TREND_CSV_SHA256 = {
+    "contrast": "1fc061b07358d49f6c1867a57705f23f6ce3f24cc7595ff9f67de695c059525a",
+    "l_max": "b6921c54a3174818245e813811d79a89120c5aa7f742a6dd443f927896c279e5",
+    "ssr": "86b5db7a061717964ebb4afaaf73d83c888593369f7a84386a8fa5215e5a9e78",
+    "browse_speed": "69971a58b4850940586646fca68b765d68f14755c32d1e94ec1fa12c636aab5f",
+}
+
+paper_scale = pytest.mark.skipif(os.environ.get("VOBSIM_FULL_TRENDS") != "1",
+                                 reason="200-pair sweep; set VOBSIM_FULL_TRENDS=1")
 
 
 @pytest.mark.skipif(np.__version__ != "2.4.6", reason="digest recorded with numpy 2.4.6")
-@pytest.mark.parametrize("methods, threads", list(BENCHMARK_CSV_SHA256),
-                         ids=["lfpm-t2", "mc-t1"])
-def test_benchmark_csv_bytes_pinned(tmp_path, methods, threads):
+@pytest.mark.parametrize("methods, n_pairs, threads", [
+    pytest.param(("LF", "PM"), 50, 2, id="lfpm-t2"),
+    pytest.param(("MC",), 50, 1, id="mc-t1"),
+    pytest.param(("PM",), 200, 1, id="pm-200", marks=paper_scale),
+])
+def test_benchmark_csv_bytes_pinned(tmp_path, methods, n_pairs, threads):
     cfg = SweepConfig(methods=methods, parameter="contrast", values=(100.0, 200.0, 400.0),
-                      n_pairs=50, master_seed=0, n_channels=15, n_readers=4)
+                      n_pairs=n_pairs, master_seed=0, n_channels=15, n_readers=4)
     out = tmp_path / "bench.csv"
     run_sweep(cfg, out, threads=threads)
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == BENCHMARK_CSV_SHA256[methods, threads]
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == BENCHMARK_CSV_SHA256[methods, n_pairs, threads]
+
+
+@pytest.mark.skipif(np.__version__ != "2.4.6", reason="digest recorded with numpy 2.4.6")
+@paper_scale
+@pytest.mark.parametrize("parameter", list(TREND_CSV_SHA256))
+def test_trend_csv_bytes_pinned(tmp_path, parameter):
+    out = tmp_path / "trend.csv"
+    run_sweep(SweepConfig(parameter=parameter, n_pairs=200, master_seed=7), out, threads=2)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == TREND_CSV_SHA256[parameter]
