@@ -59,11 +59,6 @@ class BartenParams:
     tau10: float = 0.032
     tau20: float = 0.018
 
-    def __post_init__(self):
-        for name, value in vars(self).items():
-            if not (value > 0 and np.isfinite(value)):
-                raise DomainError(f"BartenParams.{name} must be strictly positive, got {value!r}")
-
 
 DEFAULT_PARAMS = BartenParams()
 

@@ -32,8 +32,6 @@ __all__ = [
     "ImageStack",
     "ViewingConditions",
     "LesionSpec",
-    "generate_background",
-    "insert_lesion",
     "normalize_to_display",
     "write_stack",
     "read_stack",
@@ -131,45 +129,6 @@ class LesionSpec:
                                   f"finite float, got {value!r}")
 
 
-def generate_background(nx: int, ny: int, nt: int, beta: float, seed) -> ImageStack:
-    """Power-law filtered Gaussian noise, affinely mapped to [0, 1].
-
-    White noise is shaped in the 3D frequency domain with radial amplitude
-    |f|^(-beta/2) (power spectrum slope -beta); beta = 0 reproduces white
-    noise.  Deterministic given the seed.
-    """
-    return next(_backgrounds(nx, ny, nt, beta, [seed]))
-
-
-def _backgrounds(nx: int, ny: int, nt: int, beta: float, seeds):
-    """Yield the background of each seed, all drawn and filtered in one pair of buffers."""
-    for name, n in (("nx", nx), ("ny", ny), ("nt", nt)):
-        if n < 8:
-            raise DomainError(f"{name} must be at least 8, got {n}")
-        if n % 2 != 0:
-            raise DomainError(f"{name} must be even for the spectral pipeline, got {n}")
-    if not 0 <= beta < np.inf:  # NaN compares false
-        raise DomainError(f"beta must be finite and non-negative, got {beta!r}")
-    noise, half = np.empty((nx, ny, nt)), np.empty((nx, ny, nt // 2 + 1), dtype=complex)
-    shaping = _shaping_filter(nx, ny, nt, beta)
-    for seed in seeds:
-        ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        np.random.default_rng(ss).standard_normal(out=noise)
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite range raises below
-            np.fft.rfftn(noise, out=half)
-            half *= shaping
-            np.fft.ifft(half, axis=0, out=half)
-            np.fft.ifft(half, axis=1, out=half)
-            shaped = np.fft.irfft(half, n=nt, axis=2)  # the stack the caller keeps
-            lo, hi = shaped.min(), shaped.max()
-            span = hi - lo
-        if not 0 < span < np.inf:  # NaN compares false
-            raise DomainError(f"beta {beta!r} leaves the background without a finite range")
-        shaped -= lo
-        shaped /= span
-        yield ImageStack(shaped, seed=int(ss.generate_state(1, np.uint64)[0]))
-
-
 def _shaping_filter(nx: int, ny: int, nt: int, beta: float) -> np.ndarray:
     """Radial amplitude |f|^(-beta/2) on the rfftn half grid, 0 at the DC."""
     fx = np.fft.fftfreq(nx)[:, None, None]
@@ -190,15 +149,6 @@ def _lesion_profile(shape: tuple[int, int, int], lesion: LesionSpec) -> np.ndarr
         gy = np.exp(-((np.arange(ny) - cy) ** 2) / (2.0 * lesion.sigma_xy**2))
         gt = np.exp(-((np.arange(nt) - ct) ** 2) / (2.0 * lesion.sigma_t**2))
     return lesion.amplitude * gx[:, None, None] * gy[None, :, None] * gt[None, None, :]
-
-
-def insert_lesion(stack: ImageStack, lesion: LesionSpec) -> ImageStack:
-    """Return a signal-present copy of the stack with the Gaussian bump added."""
-    return _with_bump(stack, _lesion_profile(stack.data.shape, lesion))
-
-
-def _with_bump(stack: ImageStack, bump: np.ndarray) -> ImageStack:
-    return ImageStack(data=stack.data + bump, label=LABEL_PRESENT, seed=stack.seed)
 
 
 def normalize_to_display(stack: ImageStack, vc: ViewingConditions) -> ImageStack:
@@ -283,9 +233,12 @@ def generate_corpus(
 ) -> list[ImageStack]:
     """Generate n_pairs (absent, present) stack pairs from one master seed.
 
-    Per-pair RNG streams are spawned from SeedSequence(master_seed), so the
-    corpus is reproducible end-to-end and pairs are independent of ordering.
-    Each present stack shares its background with its absent twin.
+    Each background is white Gaussian noise shaped in the 3D frequency domain
+    with radial amplitude |f|^(-beta/2) (power spectrum slope -beta; beta = 0
+    keeps white noise), then mapped affinely onto [0, 1].  Its present twin
+    adds the lesion's bump.  Per-pair RNG streams are spawned from
+    SeedSequence(master_seed), so the corpus is reproducible end-to-end and
+    pairs are independent of ordering.
     """
     if n_pairs < 1:
         raise DomainError(f"n_pairs must be at least 1, got {n_pairs}")
@@ -293,17 +246,45 @@ def generate_corpus(
         raise DomainError(f"slices must be square, got {nx}x{ny}")
     if master_seed < 0:
         raise DomainError(f"master_seed must be non-negative, got {master_seed}")
-    children = np.random.SeedSequence(master_seed).spawn(n_pairs)
-    stacks, bump = [], None
-    for absent in _backgrounds(nx, ny, nt, beta, children):
-        if bump is None:  # after the first background, so bad dims raise there first
-            bump = _lesion_profile((nx, ny, nt), lesion)
-            if lesion.amplitude > 0 and np.array_equal(absent.data + bump, absent.data):
-                raise DomainError(f"lesion amplitude {lesion.amplitude!r}, sigma_xy "
-                                  f"{lesion.sigma_xy!r} and sigma_t {lesion.sigma_t!r} change "
-                                  f"no voxel: present stacks would equal their absent twins")
-        stacks.append(absent)
-        stacks.append(_with_bump(absent, bump))
+    for name, n in (("nx", nx), ("ny", ny), ("nt", nt)):
+        if n < 8:
+            raise DomainError(f"{name} must be at least 8, got {n}")
+        if n % 2 != 0:
+            raise DomainError(f"{name} must be even for the spectral pipeline, got {n}")
+    if not 0 <= beta < np.inf:  # NaN compares false
+        raise DomainError(f"beta must be finite and non-negative, got {beta!r}")
+    # Every background is drawn and filtered in these two buffers.
+    try:
+        noise, half = np.empty((nx, ny, nt)), np.empty((nx, ny, nt // 2 + 1), dtype=complex)
+    except (MemoryError, ValueError) as exc:  # ValueError: larger than any address space
+        raise DomainError(f"nx {nx}, ny {ny} and nt {nt} make a stack too large to "
+                          f"allocate ({exc})") from exc
+    shaping, bump = _shaping_filter(nx, ny, nt, beta), _lesion_profile((nx, ny, nt), lesion)
+    stacks = []
+    for child in np.random.SeedSequence(master_seed).spawn(n_pairs):
+        np.random.default_rng(child).standard_normal(out=noise)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite range raises below
+            np.fft.rfftn(noise, out=half)
+            half *= shaping
+            np.fft.ifft(half, axis=0, out=half)
+            np.fft.ifft(half, axis=1, out=half)
+            absent = np.fft.irfft(half, n=nt, axis=2)  # the stack the corpus keeps
+            lo, hi = absent.min(), absent.max()
+            span = hi - lo
+        if not 0 < span < np.inf:  # NaN compares false
+            raise DomainError(f"beta {beta!r} leaves the background without a finite range")
+        absent -= lo
+        absent /= span
+        # The first pair's check makes and frees a sum of its own.  Freeing a
+        # full-size array raises glibc's mmap threshold above a stack's size, so
+        # the kept stacks then come from the heap, whose pages a later call in
+        # the same process reuses instead of faulting in new ones.
+        if not stacks and lesion.amplitude > 0 and np.array_equal(absent + bump, absent):
+            raise DomainError(f"lesion amplitude {lesion.amplitude!r}, sigma_xy "
+                              f"{lesion.sigma_xy!r} and sigma_t {lesion.sigma_t!r} change "
+                              f"no voxel: present stacks would equal their absent twins")
+        seed = int(child.generate_state(1, np.uint64)[0])
+        stacks += [ImageStack(absent, seed=seed), ImageStack(absent + bump, LABEL_PRESENT, seed)]
     return stacks
 
 
@@ -322,8 +303,13 @@ def write_manifest(path, stack_paths, labels, master_seed: int) -> None:
 
 
 def read_manifest(path) -> dict:
-    with open(path) as fh:
-        manifest = json.load(fh)
+    with open(path, encoding="utf-8") as fh:
+        try:
+            manifest = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise MalformedHeaderError(f"{path}: manifest is not valid JSON ({exc})") from exc
+    if not isinstance(manifest, dict):
+        raise MalformedHeaderError(f"{path}: manifest must be a JSON object")
     if manifest.get("version") != 1:
         raise MalformedHeaderError(f"{path}: unsupported manifest version")
     return manifest

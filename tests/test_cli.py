@@ -19,9 +19,7 @@ from vobsim.stackgen import (
     ImageStack,
     LesionSpec,
     ViewingConditions,
-    generate_background,
     generate_corpus,
-    insert_lesion,
     normalize_to_display,
     read_manifest,
     read_stack,
@@ -65,7 +63,7 @@ class TestGenCorpus:
 class TestPerceive:
     @pytest.fixture()
     def stack_file(self, tmp_path):
-        stack = generate_background(16, 16, 8, 2.5, seed=7)
+        stack = generate_corpus(1, 16, 16, 8, 2.5, LesionSpec(), 7)[0]
         path = tmp_path / "in.vstk"
         write_stack(stack, path)
         return path, stack
@@ -229,6 +227,10 @@ class TestBadInputs:
         ("infinite amplitude", ["--amplitude", "inf"], "DomainError", "amplitude"),
         ("infinite sigma_xy", ["--sigma-xy", "inf"], "DomainError", "sigma_xy"),
         ("infinite sigma_t", ["--sigma-t", "inf"], "DomainError", "sigma_t"),
+        # Stacks beyond a 47-bit address space, so that nothing is ever allocated.
+        ("stack too large to allocate", ["--nx", "100000000"], "DomainError", "nx 100000000"),
+        ("stack too large to index", ["--nx", "10000000000"], "DomainError", "nx 10000000000"),
+        ("sweep corpus too large to allocate", [], "DomainError", "nx 100000000"),
         ("csf NaN u", ["--u", "nan"], "DomainError", "spatial"),
         ("csf NaN w", ["--w", "nan"], "DomainError", "temporal"),
         ("csf NaN m", ["--m", "nan"], "DomainError", "modulation"),
@@ -246,12 +248,17 @@ class TestBadInputs:
             cfg = tmp_path / "cfg.json"
             cfg.write_bytes('{"methods": ["PM"]}'.encode("utf-16"))
             argv = ["sweep", "--config", str(cfg), "--out", str(out)]
+        elif case.startswith("sweep"):  # a config SweepConfig takes
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"viewing": {"ssr": 1000000},
+                                       "corpus": {"n_pairs": 4, "nx": 100000000, "nt": 8}}))
+            argv = ["sweep", "--config", str(cfg), "--out", str(out)]
         elif case.startswith("csf"):  # the last of two equal flags wins
             argv = ["csf", "eval", "--u", "4", "--w", "0", "--l-avg", "150", "--x0", "9",
                     "--m", "0.01"]
         elif "--method" in extra:
             stack = tmp_path / "in.vstk"
-            write_stack(generate_background(16, 16, 8, 2.5, seed=7), stack)
+            write_stack(_input_stacks()["background"], stack)
             argv = ["perceive", "--input", str(stack), "--output", str(out)]
         else:
             argv = ["gen-corpus", "--out", str(out), "--n-pairs", "2", "--nx", "16", "--nt", "8"]
@@ -290,9 +297,8 @@ class TestBadInputs:
         assert "--n-pairs" in capsys.readouterr().out
 
     # Huge, tiny or non-finite inputs give a result or the one-line JSON error
-    # naming the field, never a numpy warning on the way.  "bright" perceives a
-    # stack with a lesion of amplitude 1e308, "near-limit" an 8x8x8 one with a
-    # lesion of amplitude 1e305 and "nan" one with a NaN voxel.
+    # naming the field, never a numpy warning on the way.  "perceive" perceives
+    # a background, and the other stack kinds are those of _input_stacks.
     EXTREMES = [
         ("csf u 1e308", "csf", ["--u", "1e308"], None),
         ("csf w 1e308", "csf", ["--w", "1e308"], None),
@@ -340,7 +346,7 @@ class TestBadInputs:
                     *extra]
         else:
             stack = tmp_path / "in.vstk"
-            write_stack(_input_stack(command), stack)
+            write_stack(_input_stacks()["background" if command == "perceive" else command], stack)
             if command == "perceive":
                 extra = ["--normalize", "--method", "PM", *extra]
             argv = ["perceive", "--input", str(stack), "--output", str(out), *extra]
@@ -374,7 +380,7 @@ class TestBadInputs:
     def test_perceive_missing_output_dir_fails_before_reading(self, tmp_path, capsys,
                                                               monkeypatch):
         stack = tmp_path / "in.vstk"
-        write_stack(generate_background(16, 16, 8, 2.5, seed=7), stack)
+        write_stack(_input_stacks()["background"], stack)
 
         def unexpected(path):
             raise AssertionError("read_stack called")
@@ -391,17 +397,16 @@ class TestBadInputs:
         assert os.listdir(tmp_path) == ["in.vstk"]
 
 
-def _input_stack(kind, dims=(16, 16, 8)):
-    """A background, the same with a lesion of amplitude 1e308 ("bright"), or with a NaN voxel;
-    or an 8x8x8 background with a lesion of amplitude 1e305 ("near-limit"), which forward takes."""
-    if kind == "near-limit":
-        return insert_lesion(generate_background(8, 8, 8, 2.5, seed=7), LesionSpec(amplitude=1e305))
-    stack = generate_background(*dims, 2.5, seed=7)
-    if kind == "bright":
-        return insert_lesion(stack, LesionSpec(amplitude=1e308))
-    if kind == "nan":
-        stack.data[1, 2, 3] = np.nan
-    return stack
+def _input_stacks():
+    """8x8x8 stacks by kind: an ordinary pair ("background", "lesion"), lesions of amplitude
+    1e308 ("bright") and 1e305 ("near-limit": forward takes it, LF overflows) and a background
+    with a NaN voxel ("nan")."""
+    background, lesion = generate_corpus(1, 8, 8, 8, 3.0, LesionSpec(), 0)
+    nan = ImageStack(data=background.data.copy())
+    nan.data[1, 2, 3] = np.nan
+    return {"background": background, "lesion": lesion, "nan": nan,
+            "bright": generate_corpus(1, 8, 8, 8, 3.0, LesionSpec(amplitude=1e308), 1)[1],
+            "near-limit": generate_corpus(1, 8, 8, 8, 3.0, LesionSpec(amplitude=1e305), 2)[1]}
 
 
 _NUMBERS = ["0", "-1", "1e-320", "1e-170", "0.5", "3", "1e154", "1e308", "nan", "inf", "-inf"]
@@ -422,13 +427,9 @@ _BASE = {
 
 @pytest.fixture(scope="module")
 def input_stacks(tmp_path_factory):
-    """8x8x8 stack files: an ordinary pair, pairs at lesion amplitudes 1e308 and 1e305 (LF
-    overflows there) and a NaN voxel."""
+    """The files of every stack of _input_stacks."""
     root = tmp_path_factory.mktemp("inputs")
-    stacks = [*generate_corpus(1, 8, 8, 8, 3.0, LesionSpec(), 0),
-              *generate_corpus(1, 8, 8, 8, 3.0, LesionSpec(amplitude=1e308), 1),
-              *generate_corpus(1, 8, 8, 8, 3.0, LesionSpec(amplitude=1e305), 2),
-              _input_stack("nan", (8, 8, 8))]
+    stacks = list(_input_stacks().values())
     for i, stack in enumerate(stacks):
         write_stack(stack, root / f"{i}.vstk")
     return [str(root / f"{i}.vstk") for i in range(len(stacks))]
@@ -513,9 +514,10 @@ def _readable_rows(path):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_every_sweep_succeeds_or_fails_cleanly(data):
-    """A sweep exits 0 with one readable row per (method, value), or exits 1 with one JSON
-    line and either no CSV or only readable rows beside an error manifest.  On more than one
-    thread it ends as on one: same exit code, CSV bytes and manifest."""
+    """A sweep exits 0 with one readable row per (method, value) and a strict-JSON report of
+    the CSV's d', or exits 1 with one JSON line, no report and either no CSV or only readable
+    rows beside an error manifest.  On more than one thread it ends as on one: same exit code,
+    CSV, report and manifest bytes."""
     config = json.loads(json.dumps(_SWEEP_BASE))
     paths = data.draw(st.lists(st.sampled_from(sorted(_SWEEP_FIELDS)), min_size=1, max_size=2,
                                unique=True), "fields")
@@ -534,9 +536,11 @@ def test_every_sweep_succeeds_or_fails_cleanly(data):
             out_dir = os.path.join(tmp, f"out{threads}")
             os.mkdir(out_dir)
             out = os.path.join(out_dir, "out.csv")
+            argv = ["sweep", "--config", cfg, "--out", out, "--threads", str(threads),
+                    "--report", os.path.join(out_dir, "report.json")]
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                rc = main(["sweep", "--config", cfg, "--out", out, "--threads", str(threads)])
+                rc = main(argv)
             files = {name: Path(out_dir, name).read_bytes() for name in os.listdir(out_dir)}
             return rc, stderr.getvalue(), out, files
 
@@ -552,8 +556,16 @@ def test_every_sweep_succeeds_or_fails_cleanly(data):
                 assert written == ["out.csv", "out.csv.errors.json"]
                 _readable_rows(out)
             return
-        assert (rc, stderr, written) == (0, "", ["out.csv"])
+        assert (rc, stderr, written) == (0, "", ["out.csv", "report.json"])
         cfg_used, rows = sweep.SweepConfig.from_json(cfg), _readable_rows(out)
         # One row per (method, value): a method listed twice must not run twice.
         points = {(row["method"], float(row[cfg_used.parameter])) for row in rows}
         assert len(points) == len(rows) == len(set(cfg_used.methods)) * len(cfg_used.values)
+
+        def strict(constant):
+            raise AssertionError(f"report holds the non-standard JSON constant {constant}")
+
+        report = json.loads(files["report.json"], parse_constant=strict)
+        assert sorted(report["labels"]) == sorted(cfg_used.methods)
+        assert report["d_primes"] == {m: [float(r["d_prime"]) for r in rows if r["method"] == m]
+                                      for m in cfg_used.methods}

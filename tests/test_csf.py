@@ -52,13 +52,6 @@ class TestBartenParams:
         assert p.tau10 == 0.032
         assert p.tau20 == 0.018
 
-    @pytest.mark.parametrize("field", ["eta", "phi0", "t_int", "u0"])
-    def test_rejects_non_positive(self, field):
-        with pytest.raises(DomainError):
-            BartenParams(**{field: 0.0})
-        with pytest.raises(DomainError):
-            BartenParams(**{field: -1.0})
-
     def test_geometry_validation(self):
         with pytest.raises(DomainError):
             FieldGeometry(x0=0.0, l_avg=100.0)

@@ -26,9 +26,7 @@ from vobsim.stackgen import (
     LesionSpec,
     ViewingConditions,
     atomic_open,
-    generate_background,
     generate_corpus,
-    insert_lesion,
     normalize_to_display,
     read_manifest,
     read_stack,
@@ -94,20 +92,25 @@ class TestViewingConditions:
             ViewingConditions(l_max=1e-3, contrast=2000.0)
 
 
+def _background(side, nt, beta, seed):
+    """The absent stack of the one-pair corpus of ``seed``."""
+    return generate_corpus(1, side, side, nt, beta, LesionSpec(), seed)[0]
+
+
 class TestGenerateBackground:
     def test_determinism(self):
-        a = generate_background(16, 16, 8, 3.0, seed=11)
-        b = generate_background(16, 16, 8, 3.0, seed=11)
+        a = _background(16, 8, 3.0, 11)
+        b = _background(16, 8, 3.0, 11)
         assert np.array_equal(a.data, b.data)
         assert a.seed == b.seed
 
     def test_different_seeds_differ(self):
-        a = generate_background(16, 16, 8, 3.0, seed=11)
-        b = generate_background(16, 16, 8, 3.0, seed=12)
+        a = _background(16, 8, 3.0, 11)
+        b = _background(16, 8, 3.0, 12)
         assert not np.array_equal(a.data, b.data)
 
     def test_range_and_label(self):
-        s = generate_background(16, 16, 8, 2.0, seed=1)
+        s = _background(16, 8, 2.0, 1)
         assert s.data.min() == 0.0
         assert s.data.max() == 1.0
         assert np.all(np.isfinite(s.data))
@@ -115,7 +118,7 @@ class TestGenerateBackground:
 
     def test_white_noise_uncorrelated(self):
         # beta = 0: lag-1 sample autocorrelation is 0 within 3 standard errors.
-        s = generate_background(32, 32, 16, 0.0, seed=3)
+        s = _background(32, 16, 0.0, 3)
         x = s.data.ravel()
         x = x - x.mean()
         rho = np.dot(x[:-1], x[1:]) / np.dot(x, x)
@@ -124,28 +127,23 @@ class TestGenerateBackground:
     def test_power_law_slope(self):
         # Fitted log-log radial power slope approximates -beta.
         beta = 3.0
-        n_real = 50
-        spectra = []
         fx = np.fft.fftfreq(32)[:, None, None]
         fy = np.fft.fftfreq(32)[None, :, None]
         ft = np.fft.fftfreq(16)[None, None, :]
         radius = np.sqrt(fx**2 + fy**2 + ft**2).ravel()
-        for i in range(n_real):
-            s = generate_background(32, 32, 16, beta, seed=1000 + i)
-            power = np.abs(np.fft.fftn(s.data)) ** 2
-            spectra.append(power.ravel())
-        power = np.mean(spectra, axis=0)
+        backgrounds = generate_corpus(50, 32, 32, 16, beta, LesionSpec(), 1000)[0::2]
+        power = np.mean([np.abs(np.fft.fftn(s.data)) ** 2 for s in backgrounds], axis=0).ravel()
         mask = (radius > 0.05) & (radius < 0.4)
         slope = np.polyfit(np.log(radius[mask]), np.log(power[mask]), 1)[0]
         assert slope == pytest.approx(-beta, abs=0.3)
 
     def test_rejects_bad_dims(self):
-        with pytest.raises(DomainError):
-            generate_background(4, 16, 8, 1.0, seed=0)
-        with pytest.raises(DomainError):
-            generate_background(16, 16, 9, 1.0, seed=0)
-        with pytest.raises(DomainError):
-            generate_background(16, 16, 8, -1.0, seed=0)
+        with pytest.raises(DomainError, match="nx must be at least 8"):
+            _background(4, 8, 1.0, 0)
+        with pytest.raises(DomainError, match="nt must be even"):
+            _background(16, 9, 1.0, 0)
+        with pytest.raises(DomainError, match="beta"):
+            _background(16, 8, -1.0, 0)
 
     def test_filter_matches_fresh_evaluation(self):
         # Alternating beta must give what filtering with a freshly built
@@ -155,39 +153,42 @@ class TestGenerateBackground:
         ft = np.fft.rfftfreq(8)[None, None, :]
         radius = np.sqrt(fx**2 + fy**2 + ft**2)
         for beta in (0.0, 3.0, 0.0, 3.0):
-            ss = np.random.SeedSequence(9)
+            ss = np.random.SeedSequence(9).spawn(1)[0]
             with np.errstate(divide="ignore"):
                 shaping = np.where(radius > 0, radius ** (-beta / 2.0), 0.0)
             noise = np.random.default_rng(ss).standard_normal((16, 16, 8))
             shaped = np.fft.irfftn(np.fft.rfftn(noise) * shaping, s=noise.shape, axes=(0, 1, 2))
             want = (shaped - shaped.min()) / (shaped.max() - shaped.min())
-            assert np.array_equal(generate_background(16, 16, 8, beta, ss).data, want)
+            assert np.array_equal(_background(16, 8, beta, 9).data, want)
 
     @settings(max_examples=40, deadline=None)
     @given(
-        dims=st.tuples(*[st.integers(4, 12).map(lambda n: 2 * n)] * 3),
+        side=st.integers(4, 12).map(lambda n: 2 * n),
+        nt=st.integers(4, 12).map(lambda n: 2 * n),
         beta=st.floats(0.0, 4.0),
         seed=st.integers(0, 2**64),
     )
-    def test_half_spectrum_filter_is_the_full_grid_filter(self, dims, beta, seed):
+    def test_half_spectrum_filter_is_the_full_grid_filter(self, side, nt, beta, seed):
         # Filtering the half spectrum of real noise gives, within rounding,
         # what filtering its full spectrum with the full-grid filter gives,
         # and the affine map still puts the extremes exactly at 0 and 1.
+        dims = (side, side, nt)
         fx, fy, ft = np.meshgrid(*map(np.fft.fftfreq, dims), indexing="ij", sparse=True)
         radius = np.sqrt(fx**2 + fy**2 + ft**2)
         with np.errstate(divide="ignore"):
             shaping = np.where(radius > 0, radius ** (-beta / 2.0), 0.0)
-        noise = np.random.default_rng(np.random.SeedSequence(seed)).standard_normal(dims)
+        child = np.random.SeedSequence(seed).spawn(1)[0]  # the corpus's first pair
+        noise = np.random.default_rng(child).standard_normal(dims)
         shaped = np.fft.ifftn(np.fft.fftn(noise) * shaping).real
         want = (shaped - shaped.min()) / (shaped.max() - shaped.min())
-        got = generate_background(*dims, beta, seed).data
+        got = _background(side, nt, beta, seed).data
         assert np.max(np.abs(got - want)) <= 1e-14
         assert (got.min(), got.max()) == (0.0, 1.0)
 
     @pytest.mark.parametrize("beta", [float("nan"), float("inf")])
     def test_rejects_non_finite_beta(self, beta):
         with pytest.raises(DomainError, match="beta"):
-            generate_background(16, 16, 8, beta, seed=0)
+            _background(16, 8, beta, 0)
 
     @pytest.mark.parametrize("dims, beta", [((64, 64, 32), 400.0), ((16, 16, 8), 1000.0)])
     def test_overflowing_beta_raises_instead_of_nan(self, dims, beta):
@@ -196,29 +197,27 @@ class TestGenerateBackground:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="beta"):
-                generate_background(*dims, beta, seed=0)
+                _background(dims[0], dims[2], beta, 0)
 
 
 class TestInsertLesion:
     def test_zero_amplitude_only_flips_label(self):
-        bg = generate_background(16, 16, 8, 1.0, seed=5)
-        out = insert_lesion(bg, LesionSpec(amplitude=0.0, sigma_xy=2, sigma_t=1))
+        lesion = LesionSpec(amplitude=0.0, sigma_xy=2, sigma_t=1)
+        bg, out = generate_corpus(1, 16, 16, 8, 1.0, lesion, 5)
         assert np.array_equal(out.data, bg.data)
         assert out.label == LABEL_PRESENT
 
     def test_peak_height_at_center(self):
         # The center (7.5, 7.5, 3.5) lies half a voxel from voxel (7, 7, 3) on each axis.
-        bg = generate_background(16, 16, 8, 1.0, seed=5)
         lesion = LesionSpec(amplitude=0.7, sigma_xy=2, sigma_t=1)
-        out = insert_lesion(bg, lesion)
+        bg, out = generate_corpus(1, 16, 16, 8, 1.0, lesion, 5)
         peak = 0.7 * np.exp(-1 / (4 * 2**2)) * np.exp(-1 / (8 * 1**2))
         assert out.data[7, 7, 3] - bg.data[7, 7, 3] == pytest.approx(peak, rel=1e-12)
 
     def test_added_energy_matches_brute_force(self):
-        bg = generate_background(16, 16, 8, 1.0, seed=5)
         amp, sxy, st_ = 0.4, 2.0, 1.5
         lesion = LesionSpec(amplitude=amp, sigma_xy=sxy, sigma_t=st_)
-        out = insert_lesion(bg, lesion)
+        bg, out = generate_corpus(1, 16, 16, 8, 1.0, lesion, 5)
         added = out.data - bg.data
         # Independent voxel-by-voxel accumulation of the bump energy.
         expected = 0.0
@@ -234,21 +233,21 @@ class TestInsertLesion:
 
 class TestNormalizeToDisplay:
     def test_exact_endpoints(self):
-        bg = generate_background(16, 16, 8, 1.0, seed=2)
+        bg = _background(16, 8, 1.0, 2)
         vc = ViewingConditions(l_max=300.0, contrast=200.0)
         out = normalize_to_display(bg, vc)
         assert out.data.min() == pytest.approx(1.5, abs=0)
         assert out.data.max() == pytest.approx(300.0, abs=0)
 
     def test_idempotent(self):
-        bg = generate_background(16, 16, 8, 1.0, seed=2)
+        bg = _background(16, 8, 1.0, 2)
         vc = ViewingConditions()
         once = normalize_to_display(bg, vc)
         twice = normalize_to_display(once, vc)
         assert np.allclose(once.data, twice.data, rtol=0, atol=1e-12)
 
     def test_mean_is_affine_image(self):
-        bg = generate_background(16, 16, 8, 1.0, seed=2)
+        bg = _background(16, 8, 1.0, 2)
         vc = ViewingConditions()
         out = normalize_to_display(bg, vc)
         lo, hi = bg.data.min(), bg.data.max()
@@ -258,7 +257,7 @@ class TestNormalizeToDisplay:
 
     def test_leaves_input_untouched(self):
         # A sweep normalizes the shared corpus stacks at every point.
-        bg = generate_background(16, 16, 8, 1.0, seed=2)
+        bg = _background(16, 8, 1.0, 2)
         before = bg.data.tobytes()
         out = normalize_to_display(bg, ViewingConditions())
         assert bg.data.tobytes() == before
@@ -272,8 +271,7 @@ class TestNormalizeToDisplay:
 
 class TestStackIO:
     def test_round_trip(self, tmp_path):
-        bg = generate_background(16, 16, 8, 2.0, seed=9)
-        lesioned = insert_lesion(bg, LesionSpec(amplitude=0.3))
+        _, lesioned = generate_corpus(1, 16, 16, 8, 2.0, LesionSpec(amplitude=0.3), 9)
         path = tmp_path / "s.vstk"
         write_stack(lesioned, path)
         back = read_stack(path)
@@ -390,6 +388,14 @@ class TestManifest:
         assert m["master_seed"] == 77
         assert [e["label"] for e in m["stacks"]] == [LABEL_ABSENT, LABEL_PRESENT]
 
+    @pytest.mark.parametrize("raw", [b"[]", b"{not json", b"\xff\xfe"],
+                             ids=["not an object", "not JSON", "not UTF-8"])
+    def test_unreadable_manifest_raises_malformed_header(self, tmp_path, raw):
+        path = tmp_path / "manifest.json"
+        path.write_bytes(raw)
+        with pytest.raises(MalformedHeaderError, match="manifest.json: manifest"):
+            read_manifest(path)
+
 
 # sha256 over the data bytes, seed and label of every stack of
 # generate_corpus(n_pairs, nx, nx, nt, 3.0, LesionSpec(amplitude=0.05), 0),
@@ -463,24 +469,24 @@ class TestCorpus:
     )
     def test_corpus_is_public_background_and_lesion(self, side, nt, n_pairs, beta, amplitude,
                                                    sigma_xy, sigma_t, master_seed):
-        # The shared-buffer corpus path gives, pair by pair, the stacks the
-        # public one-stack functions give from the same spawned seeds; a lesion
-        # that leaves the first of them unchanged (a subnormal amplitude) is rejected.
+        # Each pair is a background mapped exactly onto [0, 1] and, with the
+        # same seed, that background plus the lesion's bump, bit for bit.  A
+        # lesion that leaves the first pair unchanged (a subnormal amplitude) is
+        # rejected; the first background does not depend on the lesion or on n_pairs.
         lesion = LesionSpec(amplitude=amplitude, sigma_xy=sigma_xy, sigma_t=sigma_t)
-        children = np.random.SeedSequence(master_seed).spawn(n_pairs)
-        first = generate_background(side, side, nt, beta, children[0])
-        if amplitude > 0 and np.array_equal(insert_lesion(first, lesion).data, first.data):
+        bump = stackgen._lesion_profile((side, side, nt), lesion)
+        first = _background(side, nt, beta, master_seed).data
+        if amplitude > 0 and np.array_equal(first + bump, first):
             with pytest.raises(DomainError, match="change no voxel"):
                 generate_corpus(n_pairs, side, side, nt, beta, lesion, master_seed)
             return
         corpus = generate_corpus(n_pairs, side, side, nt, beta, lesion, master_seed)
-        assert len(corpus) == 2 * n_pairs
-        for i, child in enumerate(children):
-            absent = generate_background(side, side, nt, beta, child)
-            present = insert_lesion(absent, lesion)
-            for got, want in ((corpus[2 * i], absent), (corpus[2 * i + 1], present)):
-                assert np.array_equal(got.data, want.data)
-                assert (got.label, got.seed) == (want.label, want.seed)
+        assert [s.label for s in corpus] == [LABEL_ABSENT, LABEL_PRESENT] * n_pairs
+        assert np.array_equal(corpus[0].data, first)
+        for absent, present in zip(corpus[0::2], corpus[1::2]):
+            assert absent.seed == present.seed
+            assert (absent.data.min(), absent.data.max()) == (0.0, 1.0)
+            assert np.array_equal(present.data, absent.data + bump)
 
     @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
                         reason="measures glibc heap retention through Linux VmHWM")
