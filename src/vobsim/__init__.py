@@ -6,18 +6,4 @@ stacks, scored by a multi-slice channelized Hotelling observer with
 one-shot MRMC statistics.
 """
 
-from . import cli, csf, observer, percept, stackgen, stats, sweep
-from .errors import VobsimError
-
-__all__ = [
-    "cli",
-    "csf",
-    "observer",
-    "percept",
-    "stackgen",
-    "stats",
-    "sweep",
-    "VobsimError",
-]
-
 __version__ = "0.1.0"

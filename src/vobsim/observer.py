@@ -56,8 +56,8 @@ class LgChannelSet:
 
 
 def make_channels(nx: int, ny: int, n_channels: int, spread: float = 10.0) -> LgChannelSet:
-    if n_channels < 1:
-        raise DomainError(f"n_channels must be at least 1, got {n_channels}")
+    if not 1 <= n_channels <= nx * ny:  # more channels than pixels are linearly dependent
+        raise DomainError(f"n_channels must be between 1 and nx * ny = {nx * ny}, got {n_channels}")
     if spread <= 0:
         raise DomainError(f"spread must be positive, got {spread!r}")
     # The slice center: stackgen._lesion_profile centers the lesion on the same point.

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
@@ -37,7 +38,6 @@ __all__ = [
     "read_stack",
     "generate_corpus",
     "write_manifest",
-    "read_manifest",
     "atomic_open",
     "write_json",
 ]
@@ -259,6 +259,9 @@ def generate_corpus(
     except (MemoryError, ValueError) as exc:  # ValueError: larger than any address space
         raise DomainError(f"nx {nx}, ny {ny} and nt {nt} make a stack too large to "
                           f"allocate ({exc})") from exc
+    if 2 * n_pairs * noise.nbytes > sys.maxsize:  # beyond any address space
+        raise DomainError(f"n_pairs {n_pairs} of {nx}x{ny}x{nt} stacks need more than "
+                          f"{sys.maxsize} bytes")
     shaping, bump = _shaping_filter(nx, ny, nt, beta), _lesion_profile((nx, ny, nt), lesion)
     stacks = []
     for child in np.random.SeedSequence(master_seed).spawn(n_pairs):
@@ -301,15 +304,3 @@ def write_manifest(path, stack_paths, labels, master_seed: int) -> None:
     }
     write_json(path, manifest)
 
-
-def read_manifest(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise MalformedHeaderError(f"{path}: manifest is not valid JSON ({exc})") from exc
-    if not isinstance(manifest, dict):
-        raise MalformedHeaderError(f"{path}: manifest must be a JSON object")
-    if manifest.get("version") != 1:
-        raise MalformedHeaderError(f"{path}: unsupported manifest version")
-    return manifest

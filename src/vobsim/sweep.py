@@ -166,6 +166,9 @@ class SweepConfig:
                                   f"{' and even' if least == 8 else ''}, got {value}")
         if self.ny != self.nx:  # the viewing geometry takes the field size from one side
             raise ConfigError(f"corpus.ny: slices must be square, got ny {self.ny} != nx {self.nx}")
+        if self.n_channels > self.nx * self.ny:  # as in observer.make_channels
+            raise ConfigError(f"observer.n_channels: must be at most nx * ny = "
+                              f"{self.nx * self.ny}, got {self.n_channels}")
         for v in self.values:  # every point's viewing conditions, distance and field must exist
             key = "sweep.values"
             try:

@@ -4,6 +4,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -21,7 +23,6 @@ from vobsim.stackgen import (
     ViewingConditions,
     generate_corpus,
     normalize_to_display,
-    read_manifest,
     read_stack,
     write_stack,
 )
@@ -51,13 +52,16 @@ class TestGenCorpus:
             "--amplitude", "0.2",
         ])
         assert rc == 0
-        manifest = read_manifest(out / "manifest.json")
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["version"] == 1
         assert len(manifest["stacks"]) == 6
         assert manifest["master_seed"] == 5
         labels = [entry["label"] for entry in manifest["stacks"]]
         assert sum(1 for lab in labels if lab == LABEL_PRESENT) == 3
-        first = read_stack(out / manifest["stacks"][0]["path"])
-        assert first.data.shape == (16, 16, 8)
+        for entry in manifest["stacks"]:
+            stack = read_stack(out / entry["path"])
+            assert stack.data.shape == (16, 16, 8)
+            assert stack.label == entry["label"]
 
 
 class TestPerceive:
@@ -230,7 +234,14 @@ class TestBadInputs:
         # Stacks beyond a 47-bit address space, so that nothing is ever allocated.
         ("stack too large to allocate", ["--nx", "100000000"], "DomainError", "nx 100000000"),
         ("stack too large to index", ["--nx", "10000000000"], "DomainError", "nx 10000000000"),
-        ("sweep corpus too large to allocate", [], "DomainError", "nx 100000000"),
+        ("sweep corpus too large to allocate",
+         {"viewing": {"ssr": 1000000}, "corpus": {"n_pairs": 4, "nx": 100000000, "nt": 8}},
+         "DomainError", "nx 100000000"),
+        # More pairs than fit any address space, so that no seed is ever spawned.
+        ("n_pairs beyond any address space", ["--n-pairs", str(10**30), "--nx", "8", "--nt", "8"],
+         "DomainError", "n_pairs"),
+        ("sweep n_pairs beyond any address space",
+         {"corpus": {"n_pairs": 10**30, "nx": 8, "nt": 8}}, "DomainError", "n_pairs"),
         ("csf NaN u", ["--u", "nan"], "DomainError", "spatial"),
         ("csf NaN w", ["--w", "nan"], "DomainError", "temporal"),
         ("csf NaN m", ["--m", "nan"], "DomainError", "modulation"),
@@ -248,11 +259,10 @@ class TestBadInputs:
             cfg = tmp_path / "cfg.json"
             cfg.write_bytes('{"methods": ["PM"]}'.encode("utf-16"))
             argv = ["sweep", "--config", str(cfg), "--out", str(out)]
-        elif case.startswith("sweep"):  # a config SweepConfig takes
+        elif case.startswith("sweep"):  # extra is a config SweepConfig takes
             cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps({"viewing": {"ssr": 1000000},
-                                       "corpus": {"n_pairs": 4, "nx": 100000000, "nt": 8}}))
-            argv = ["sweep", "--config", str(cfg), "--out", str(out)]
+            cfg.write_text(json.dumps(extra))
+            argv, extra = ["sweep", "--config", str(cfg), "--out", str(out)], []
         elif case.startswith("csf"):  # the last of two equal flags wins
             argv = ["csf", "eval", "--u", "4", "--w", "0", "--l-avg", "150", "--x0", "9",
                     "--m", "0.01"]
@@ -295,6 +305,16 @@ class TestBadInputs:
             main(["gen-corpus", "--help"])
         assert exc.value.code == 0
         assert "--n-pairs" in capsys.readouterr().out
+
+    def test_module_help_exits_zero_with_runtime_warnings_as_errors(self):
+        # The package imports no submodule, so runpy has no cause to warn before running cli.
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "vobsim.cli",
+                               "--help"], env=env, capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert "gen-corpus" in done.stdout
 
     # Huge, tiny or non-finite inputs give a result or the one-line JSON error
     # naming the field, never a numpy warning on the way.  "perceive" perceives
@@ -466,7 +486,8 @@ def test_every_invocation_succeeds_or_fails_cleanly(input_stacks, data):
             return
         assert (rc, stderr.getvalue()) == (0, "")
         if command == "gen-corpus":
-            manifest = read_manifest(os.path.join(out, "manifest.json"))
+            with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
+                manifest = json.load(fh)
             for entry in manifest["stacks"]:
                 read_stack(os.path.join(out, entry["path"]))
         elif command == "perceive":

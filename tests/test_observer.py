@@ -55,6 +55,10 @@ class TestChannels:
             make_channels(64, 64, n_channels=0)
         with pytest.raises(DomainError):
             make_channels(64, 64, 15, spread=-1.0)
+        # At most one channel per pixel: more would be linearly dependent.
+        assert make_channels(8, 8, 64).matrix.shape == (64, 64)
+        with pytest.raises(DomainError, match="n_channels"):
+            make_channels(8, 8, 65)
 
 
 class TestChannelize:

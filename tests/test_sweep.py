@@ -166,6 +166,7 @@ class TestConfigValidation:
         ("corpus", "beta", -1.0),
         ("corpus", "master_seed", -1),
         ("observer", "n_channels", 0),
+        ("observer", "n_channels", 10**30),
         ("observer", "n_readers", 0),
         ("observer", "spread", 0.0),
         ("observer", "train_fraction", 0.8),  # an unknown key
@@ -202,6 +203,8 @@ class TestConfigValidation:
         ({"viewing": {"ssr": 0.1}}, "viewing.ssr: ssr 0.1 gives no finite"),
         ({"viewing": {"ssr": 0.1}, "sweep": {"parameter": "l_max", "values": [100, 200, 300]}},
          "viewing.ssr: ssr 0.1 gives no finite"),
+        # More channels than the 64 pixels of an 8x8 slice.
+        ({"corpus": {"nx": 8}, "observer": {"n_channels": 65}}, "observer.n_channels"),
     ])
     def test_bad_shape_named(self, raw, where):
         with pytest.raises(ConfigError, match=where):
