@@ -83,10 +83,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_output_dirs(*flagged) -> None:
-    """Fail before any work when the directory of an output path does not exist."""
-    for flag, path in flagged:
-        if path is not None and not Path(path).parent.is_dir():
-            raise FileNotFoundError(f"{flag}: directory {Path(path).parent} does not exist")
+    """Fail before any work when an output path is a directory, has no directory or repeats."""
+    files = {}
+    for flag, path in ((flag, Path(p)) for flag, p in flagged if p is not None):
+        if path.is_dir():
+            raise IsADirectoryError(f"{flag}: {path} is a directory")
+        if not path.parent.is_dir():
+            raise FileNotFoundError(f"{flag}: directory {path.parent} does not exist")
+        first = files.setdefault(path.parent.resolve() / path.name, flag)
+        if first != flag:  # its write would replace the earlier output
+            raise ConfigError(f"{flag}: {path} is the same file as {first}")
 
 
 def _cmd_sweep(args) -> int:

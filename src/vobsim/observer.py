@@ -32,7 +32,6 @@ __all__ = [
     "make_channels",
     "channelize",
     "channelize_stack",
-    "spectral_channels",
     "channelize_spectrum",
     "hotelling_weights",
     "train_features",
@@ -47,12 +46,14 @@ class LgChannelSet:
 
     Channel j is exp(-pi r^2 / a^2) * L_j(2 pi r^2 / a^2) with r measured in
     pixels from the geometric slice center, each normalized to unit energy.
-    ``matrix`` has one column per channel, flattened in C order.
+    ``matrix`` has one column per channel, flattened in C order; ``spectral``
+    holds conj(fft2(c_j)) / (nx * ny), shape (C, nx * ny), C-order bins.
     """
 
     nx: int
     ny: int
     matrix: np.ndarray
+    spectral: np.ndarray
 
 
 def make_channels(nx: int, ny: int, n_channels: int, spread: float = 10.0) -> LgChannelSet:
@@ -69,7 +70,9 @@ def make_channels(nx: int, ny: int, n_channels: int, spread: float = 10.0) -> Lg
     for j in range(n_channels):
         ch = np.exp(-g / 2.0) * eval_laguerre(j, g)
         cols.append(ch.ravel() / np.linalg.norm(ch))
-    return LgChannelSet(nx=nx, ny=ny, matrix=np.column_stack(cols))
+    matrix = np.column_stack(cols)
+    spectral = np.conj(scipy.fft.fft2(matrix.T.reshape(-1, nx, ny))).reshape(n_channels, -1)
+    return LgChannelSet(nx=nx, ny=ny, matrix=matrix, spectral=spectral / (nx * ny))
 
 
 def channelize(slice2d: np.ndarray, channels: LgChannelSet) -> np.ndarray:
@@ -94,23 +97,16 @@ def channelize_stack(stack: ImageStack, channels: LgChannelSet) -> np.ndarray:
     return flat.T @ channels.matrix
 
 
-def spectral_channels(channels: LgChannelSet) -> np.ndarray:
-    """conj(fft2(c_j)) / (nx * ny) for every channel, shape (C, nx * ny), C-order bins."""
-    c = channels.matrix.T.reshape(-1, channels.nx, channels.ny)
-    return np.conj(scipy.fft.fft2(c)).reshape(c.shape[0], -1) / (channels.nx * channels.ny)
-
-
-def channelize_spectrum(spec: SpectralStack, spectral: np.ndarray) -> np.ndarray:
-    """Features of every slice of ``inverse(spec)``, shape (nt, C), with no 3D transform.
-
-    ``spectral`` is from ``spectral_channels``; the symmetry is checked as ``inverse`` does.
-    """
+def channelize_spectrum(spec: SpectralStack, channels: LgChannelSet) -> np.ndarray:
+    """Features of every slice of ``inverse(spec)``, shape (nt, C), with no 3D transform."""
     nx, ny, nt = spec.dims
-    if spectral.shape[1] != nx * ny:
-        raise DimensionMismatchError(f"{nx}x{ny} slices, {spectral.shape[1]} channel bins")
-    check_symmetric(spec)
+    if (nx, ny) != (channels.nx, channels.ny):
+        raise DimensionMismatchError(
+            f"spectrum slices {nx}x{ny} do not match channels {channels.nx}x{channels.ny}")
+    check_symmetric(spec)  # as inverse does
     # np.dot, not @: matmul holds the GIL through a complex gemm, so sweep threads would queue.
-    return scipy.fft.irfft(np.dot(spectral, spec.half.reshape(nx * ny, -1)), n=nt, axis=1).T
+    return scipy.fft.irfft(np.dot(channels.spectral, spec.half.reshape(nx * ny, -1)),
+                           n=nt, axis=1).T
 
 
 def hotelling_weights(

@@ -270,10 +270,8 @@ def _displayed(spec: percept.SpectralStack, base: ViewingConditions,
 
 
 def _run_point(config: SweepConfig, spectra: list[percept.SpectralStack], method: str,
-               point: int, labels: list[bool]):
+               point: int, labels: list[bool], channels: observer.LgChannelSet):
     vc = config.vc_at(config.values[point])
-    spectral = observer.spectral_channels(
-        observer.make_channels(config.nx, config.ny, config.n_channels, config.spread))
     # Each stack's spectrum is rescaled to this point's display and reduced to
     # (nt, C) channel features; only the features outlive the point.
     specs = (_displayed(s, config.viewing, vc) for s in spectra)
@@ -285,10 +283,10 @@ def _run_point(config: SweepConfig, spectra: list[percept.SpectralStack], method
             source = percept.McSource.of(spec, vc)
             for reader, feats in enumerate(features):
                 feats[i] = observer.channelize_spectrum(
-                    source.draw([config.master_seed, point, reader, i]), spectral)
+                    source.draw([config.master_seed, point, reader, i]), channels)
     else:
         apply = percept.apply_lf if method == "LF" else percept.apply_pm
-        features = [np.stack([observer.channelize_spectrum(apply(spec, vc), spectral)
+        features = [np.stack([observer.channelize_spectrum(apply(spec, vc), channels)
                               for spec in specs])] * config.n_readers
     reader_scores = stats.make_readers(features, labels, config.master_seed)
     res = stats.mrmc_one_shot(stats.McmcInput(readers=reader_scores))
@@ -327,12 +325,13 @@ def run_sweep(config: SweepConfig, csv_path, threads: int = 1) -> TrendReport:
     labels = [s.signal_present for s in corpus]
     for i in range(len(corpus)):
         corpus[i] = percept.forward(normalize_to_display(corpus[i], config.viewing))
+    channels = observer.make_channels(config.nx, config.ny, config.n_channels, config.spread)
     jobs = [(m, i) for m in config.methods for i in range(len(config.values))]
     rows: dict[tuple[str, int], dict] = {}
     failures = []
     with ThreadPoolExecutor(max_workers=threads) as pool:
         # Dearest points first (METHODS runs cheapest to dearest): the threads end on short ones.
-        futures = {key: pool.submit(_run_point, config, corpus, *key, labels)
+        futures = {key: pool.submit(_run_point, config, corpus, *key, labels, channels)
                    for key in sorted(jobs, key=lambda k: -percept.METHODS.index(k[0]))}
         for key in jobs:
             try:

@@ -141,32 +141,42 @@ class TestSweepCommand:
         line = capsys.readouterr().out.strip()
         assert line.startswith("LF\tcontrast\t")
 
-    @pytest.mark.parametrize("case", ["missing --out directory", "missing --report directory",
-                                      "--threads 0", "--threads -3"])
+    # case: (--out under tmp_path, further arguments, error, start of the message)
+    BAD_OUTPUTS = {
+        "missing --out directory": ("missing/o.csv", [], "FileNotFoundError", "--out: directory"),
+        "missing --report directory": ("o.csv", ["--report", "missing/r.json"],
+                                       "FileNotFoundError", "--report: directory"),
+        "--out is a directory": ("dir", [], "IsADirectoryError", "--out: "),
+        "--report is a directory": ("o.csv", ["--report", "dir"], "IsADirectoryError",
+                                    "--report: "),
+        "--report is --out": ("o.csv", ["--report", "o.csv"], "ConfigError", "--report: "),
+        "--report is --out by another path": ("o.csv", ["--report", "dir/../o.csv"],
+                                              "ConfigError", "--report: "),
+        "--threads 0": ("o.csv", ["--threads", "0"], "ConfigError", "threads: "),
+        "--threads -3": ("o.csv", ["--threads", "-3"], "ConfigError", "threads: "),
+    }
+
+    @pytest.mark.parametrize("case", list(BAD_OUTPUTS))
     def test_bad_outputs_and_threads_fail_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                           case):
         calls = []
         monkeypatch.setattr(sweep, "generate_corpus", lambda *a: calls.append(a))
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"corpus": {"n_pairs": 4, "nx": 8, "nt": 8}}))
-        out, extra = tmp_path / "o.csv", []
-        if case == "missing --out directory":
-            out = tmp_path / "missing" / "o.csv"
-        elif case == "missing --report directory":
-            extra = ["--report", str(tmp_path / "missing" / "r.json")]
-        else:
-            extra = case.split()
-        assert main(["sweep", "--config", str(cfg_path), "--out", str(out), *extra]) == 1
+        (tmp_path / "dir").mkdir()
+        out, extra, error, start = self.BAD_OUTPUTS[case]
+        if "--report" in extra:
+            extra = ["--report", str(tmp_path / extra[1])]
+        argv = ["sweep", "--config", str(cfg_path), "--out", str(tmp_path / out), *extra]
+        assert main(argv) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         report = json.loads(err)
-        if "threads" in case:
-            assert report["error"] == "ConfigError" and "threads" in report["message"]
-        else:
-            assert report["error"] == "FileNotFoundError"
-            assert "missing" in report["message"] and ".tmp" not in report["message"]
+        assert report["error"] == error and report["message"].startswith(start)
+        assert ".tmp" not in report["message"]
         assert calls == []
-        assert os.listdir(tmp_path) == ["cfg.json"]
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json", "dir"]
+        assert os.listdir(tmp_path / "dir") == []
 
     def test_overflowing_beta_fails_before_any_point(self, tmp_path, capsys, monkeypatch):
         # A finite beta that overflows the power-law filter stops the sweep
@@ -416,6 +426,27 @@ class TestBadInputs:
         assert report["message"].startswith("--output: ")
         assert os.listdir(tmp_path) == ["in.vstk"]
 
+    def test_perceive_output_directory_fails_before_reading(self, tmp_path, capsys,
+                                                            monkeypatch):
+        stack = tmp_path / "in.vstk"
+        write_stack(_input_stacks()["background"], stack)
+
+        def unexpected(path):
+            raise AssertionError("read_stack called")
+
+        monkeypatch.setattr(cli, "read_stack", unexpected)
+        (tmp_path / "out").mkdir()
+        argv = ["perceive", "--input", str(stack), "--output", str(tmp_path / "out"),
+                "--method", "PM"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        report = json.loads(err)
+        assert report["error"] == "IsADirectoryError"
+        assert report["message"].startswith("--output: ")
+        assert sorted(os.listdir(tmp_path)) == ["in.vstk", "out"]
+        assert os.listdir(tmp_path / "out") == []
+
 
 def _input_stacks():
     """8x8x8 stacks by kind: an ordinary pair ("background", "lesion"), lesions of amplitude
@@ -432,17 +463,48 @@ def _input_stacks():
 _NUMBERS = ["0", "-1", "1e-320", "1e-170", "0.5", "3", "1e154", "1e308", "nan", "inf", "-inf"]
 _SIZES = ["-1", "0", "7", "8", "9", "16"]
 _COUNTS = [*_SIZES, "8.0", "2.5", "1e1", "eight"]  # integer flags also get non-integers
+# Kinds of path a path flag can name.  A path flag that is not drawn takes its first kind.
+_INPUT_KINDS = ["stack", "missing", "directory", "not a stack"]
+_OUTPUT_KINDS = ["fresh", "missing parent", "directory", "existing file"]
 # Each command starts from small valid arguments; drawn flags come after them and win.
 _BASE = {
     "gen-corpus": (["--n-pairs=2", "--nx=8", "--nt=8"],
                    {"n-pairs": _COUNTS, "nx": _COUNTS, "nt": _COUNTS, "seed": _COUNTS,
                     "beta": _NUMBERS, "amplitude": _NUMBERS, "sigma-xy": _NUMBERS,
-                    "sigma-t": _NUMBERS}),
+                    "sigma-t": _NUMBERS, "out": _OUTPUT_KINDS}),
     "perceive": ([], {"mc-seed": _COUNTS, "l-max": _NUMBERS, "contrast": _NUMBERS,
-                      "ssr": _NUMBERS, "browse-speed": _NUMBERS}),
+                      "ssr": _NUMBERS, "browse-speed": _NUMBERS, "input": _INPUT_KINDS,
+                      "output": _OUTPUT_KINDS}),
     "csf": (["eval", "--u=4", "--w=0", "--l-avg=150", "--x0=9", "--m=0.01"],
             {"u": _NUMBERS, "w": _NUMBERS, "l-avg": _NUMBERS, "x0": _NUMBERS, "m": _NUMBERS}),
 }
+_PATH_FLAGS = ["input", "output", "out"]
+
+
+def _make_existing_paths(root):
+    """The directory and the file (not a stack) that the existing-path kinds name."""
+    os.mkdir(os.path.join(root, "dir"))
+    Path(root, "file").write_text("kept\n")
+
+
+def _path(root, kind, fresh):
+    """The path of ``kind`` under ``root``; ``fresh`` is the name of a path not made yet."""
+    return os.path.join(root, {"fresh": fresh, "missing": fresh,
+                               "missing parent": os.path.join("missing", fresh),
+                               "directory": "dir", "existing file": "file",
+                               "not a stack": "file", "not UTF-8": "utf16.json"}[kind])
+
+
+def _tree(root, skip=()):
+    """Every directory (as None) and file (as its bytes) under ``root``, by relative path,
+    leaving out the paths in ``skip`` and all that lies under them."""
+    tree = {}
+    for where, dirs, files in os.walk(root):
+        dirs[:] = [d for d in dirs if os.path.join(where, d) not in skip]
+        for name in dirs + [f for f in files if os.path.join(where, f) not in skip]:
+            path = os.path.join(where, name)
+            tree[os.path.relpath(path, root)] = None if name in dirs else Path(path).read_bytes()
+    return tree
 
 
 @pytest.fixture(scope="module")
@@ -460,31 +522,37 @@ def input_stacks(tmp_path_factory):
 @given(data=st.data())
 def test_every_invocation_succeeds_or_fails_cleanly(input_stacks, data):
     """Exit 0 with nothing on stderr and outputs that read back, or exit 1 with one
-    JSON line and nothing written; never a traceback or a numpy warning."""
+    JSON line and nothing written; never a traceback or a numpy warning.  Paths made
+    beforehand stay as they were, except the output of a command that succeeds."""
     command = data.draw(st.sampled_from(sorted(_BASE)))
     argv, flags = _BASE[command]
     names = data.draw(st.lists(st.sampled_from(sorted(flags)), max_size=3, unique=True))
-    # --flag=value, so that a value such as -inf is not taken for an option.
-    argv = [command, *argv, *(f"--{name}={data.draw(st.sampled_from(flags[name]), name)}"
-                              for name in names)]
+    drawn = {name: data.draw(st.sampled_from(flags[name]), name) for name in names}
     with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "out")
+        _make_existing_paths(tmp)
+        kinds = {name: drawn.get(name, flags[name][0]) for name in _PATH_FLAGS if name in flags}
+        paths = {name: data.draw(st.sampled_from(input_stacks), "stack") if kind == "stack"
+                 else _path(tmp, kind, name) for name, kind in kinds.items()}
+        # --flag=value, so that a value such as -inf is not taken for an option.
+        argv = [command, *argv, *(f"--{name}={drawn[name]}" for name in names
+                                  if name not in paths),
+                *(f"--{name}={path}" for name, path in paths.items())]
         if command == "perceive":
-            argv += ["--input", data.draw(st.sampled_from(input_stacks), "input"),
-                     "--output", out,
-                     "--method", data.draw(st.sampled_from(["LF", "PM", "MC"]), "method"),
+            argv += ["--method", data.draw(st.sampled_from(["LF", "PM", "MC"]), "method"),
                      *(["--normalize"] if data.draw(st.booleans(), "normalize") else [])]
-        elif command == "gen-corpus":
-            argv += ["--out", out]
+        out = paths.get("output", paths.get("out"))
+        written = [out, os.path.join(tmp, "missing")]  # gen-corpus makes missing parents
+        before, kept = _tree(tmp), _tree(tmp, written)
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             rc = main(argv)
         if rc == 1:
             lines = stderr.getvalue().splitlines()
             assert len(lines) == 1 and set(json.loads(lines[0])) == {"error", "message"}
-            assert os.listdir(tmp) == []
+            assert _tree(tmp) == before
             return
         assert (rc, stderr.getvalue()) == (0, "")
+        assert _tree(tmp, written) == kept
         if command == "gen-corpus":
             with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
                 manifest = json.load(fh)
@@ -531,53 +599,73 @@ def _readable_rows(path):
     return rows
 
 
+# The path flags of a sweep, each drawn as one of the fields an example changes.
+_SWEEP_PATHS = {("--config",): st.sampled_from(["missing", "directory", "not UTF-8"]),
+                ("--out",): st.sampled_from(_OUTPUT_KINDS[1:]),
+                ("--report",): st.sampled_from(_OUTPUT_KINDS[1:])}
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_every_sweep_succeeds_or_fails_cleanly(data):
     """A sweep exits 0 with one readable row per (method, value) and a strict-JSON report of
     the CSV's d', or exits 1 with one JSON line, no report and either no CSV or only readable
-    rows beside an error manifest.  On more than one thread it ends as on one: same exit code,
-    CSV, report and manifest bytes."""
+    rows beside an error manifest.  Paths made beforehand stay as they were, except the CSV
+    and report of a sweep that writes them.  On more than one thread it ends as on one: same
+    exit code and the same files."""
     config = json.loads(json.dumps(_SWEEP_BASE))
-    paths = data.draw(st.lists(st.sampled_from(sorted(_SWEEP_FIELDS)), min_size=1, max_size=2,
+    fields = {**_SWEEP_FIELDS, **_SWEEP_PATHS}
+    kinds = {"--config": "valid", "--out": "fresh", "--report": "fresh"}
+    paths = data.draw(st.lists(st.sampled_from(sorted(fields)), min_size=1, max_size=2,
                                unique=True), "fields")
     for path in paths:
+        if path in _SWEEP_PATHS:
+            kinds[path[0]] = data.draw(_SWEEP_PATHS[path], path[0])
+            continue
         section = config
         for key in path[:-1]:
             section = section.setdefault(key, {})
         section[path[-1]] = data.draw(_SWEEP_FIELDS[path], ".".join(path))
     threads = data.draw(st.sampled_from([1, 2, 3]), "threads")
     with tempfile.TemporaryDirectory() as tmp:
-        cfg = os.path.join(tmp, "cfg.json")
-        with open(cfg, "w") as fh:
-            json.dump(config, fh)
 
         def run(threads):
-            out_dir = os.path.join(tmp, f"out{threads}")
-            os.mkdir(out_dir)
-            out = os.path.join(out_dir, "out.csv")
+            root = os.path.join(tmp, f"run{threads}")
+            os.mkdir(root)
+            _make_existing_paths(root)
+            Path(root, "cfg.json").write_text(json.dumps(config))
+            Path(root, "utf16.json").write_bytes(json.dumps(config).encode("utf-16"))
+            out, report = (_path(root, kinds[flag], name)
+                           for flag, name in (("--out", "out.csv"), ("--report", "report.json")))
+            cfg = (os.path.join(root, "cfg.json") if kinds["--config"] == "valid"
+                   else _path(root, kinds["--config"], "absent.json"))
             argv = ["sweep", "--config", cfg, "--out", out, "--threads", str(threads),
-                    "--report", os.path.join(out_dir, "report.json")]
+                    "--report", report]
+            before = _tree(root)
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 rc = main(argv)
-            files = {name: Path(out_dir, name).read_bytes() for name in os.listdir(out_dir)}
-            return rc, stderr.getvalue(), out, files
+            return rc, stderr.getvalue(), (cfg, out, report), before, _tree(root)
 
-        rc, stderr, out, files = run(threads)
+        rc, stderr, (cfg, out, report), before, after = run(threads)
         if threads > 1:
-            rc_one, _, _, files_one = run(1)
-            assert (rc_one, files_one) == (rc, files)
-        written = sorted(files)
+            rc_one, _, _, _, after_one = run(1)
+            assert (rc_one, after_one) == (rc, after)
+        root = os.path.dirname(cfg)
         if rc == 1:
             lines = stderr.splitlines()
             assert len(lines) == 1 and set(json.loads(lines[0])) == {"error", "message"}
-            if written:
-                assert written == ["out.csv", "out.csv.errors.json"]
+            manifest = out + ".errors.json"
+            assert _tree(root, [out, manifest]) == {k: v for k, v in before.items()
+                                                    if os.path.join(root, k) != out}
+            if after != before:
+                assert os.path.isfile(manifest)
                 _readable_rows(out)
             return
-        assert (rc, stderr, written) == (0, "", ["out.csv", "report.json"])
+        assert (rc, stderr) == (0, "")
+        assert _tree(root, [out, report]) == {k: v for k, v in before.items()
+                                              if os.path.join(root, k) not in (out, report)}
         cfg_used, rows = sweep.SweepConfig.from_json(cfg), _readable_rows(out)
         # One row per (method, value): a method listed twice must not run twice.
         points = {(row["method"], float(row[cfg_used.parameter])) for row in rows}
@@ -586,7 +674,7 @@ def test_every_sweep_succeeds_or_fails_cleanly(data):
         def strict(constant):
             raise AssertionError(f"report holds the non-standard JSON constant {constant}")
 
-        report = json.loads(files["report.json"], parse_constant=strict)
+        report = json.loads(Path(report).read_bytes(), parse_constant=strict)
         assert sorted(report["labels"]) == sorted(cfg_used.methods)
         assert report["d_primes"] == {m: [float(r["d_prime"]) for r in rows if r["method"] == m]
                                       for m in cfg_used.methods}

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from vobsim import percept
 from vobsim.errors import DomainError
-from vobsim.observer import channelize_spectrum, channelize_stack, make_channels, spectral_channels
+from vobsim.observer import channelize_spectrum, channelize_stack, make_channels
 from vobsim.percept import (
     McSource,
     SpectralStack,
@@ -80,12 +80,11 @@ def test_spectral_features_match_channelized_inverse(dims, n_channels, seed):
     n_channels = min(n_channels, dims[0] * dims[1])  # make_channels allows one per pixel
     spec = forward(_stack(dims, seed))
     channels = make_channels(dims[0], dims[1], n_channels, spread=2.0)
-    spectral = spectral_channels(channels)
     vc = ViewingConditions()
     for name, out in (("LF", apply_lf(spec, vc)), ("PM", apply_pm(spec, vc)),
                       ("MC", McSource.of(spec, vc).draw(seed))):
         want = channelize_stack(ImageStack(data=inverse(out)), channels)
-        got = channelize_spectrum(out, spectral)
+        got = channelize_spectrum(out, channels)
         assert got.shape == (dims[2], n_channels), name
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
 
@@ -110,9 +109,9 @@ def test_non_hermitian_half_is_rejected(dims, where):
     assert np.abs(np.fft.ifftn(bad.coeffs).imag).max() > 1e-9 * np.abs(np.fft.ifftn(bad.coeffs)).max()
     with pytest.raises(DomainError, match="imaginary"):
         inverse(bad)
-    spectral = spectral_channels(make_channels(dims[0], dims[1], 3, spread=2.0))
+    channels = make_channels(dims[0], dims[1], 3, spread=2.0)
     with pytest.raises(DomainError, match="imaginary"):
-        channelize_spectrum(bad, spectral)
+        channelize_spectrum(bad, channels)
 
 
 @settings(max_examples=60, deadline=None)
@@ -141,9 +140,9 @@ def test_every_spectrum_is_exactly_symmetric_and_one_ulp_off_is_rejected(dims, s
     bad = SpectralStack(half=half, dims=dims, mean_lum=spec.mean_lum)
     with pytest.raises(DomainError, match="imaginary"):
         inverse(bad)
-    spectral = spectral_channels(make_channels(dims[0], dims[1], 2, spread=2.0))
+    channels = make_channels(dims[0], dims[1], 2, spread=2.0)
     with pytest.raises(DomainError, match="imaginary"):
-        channelize_spectrum(bad, spectral)
+        channelize_spectrum(bad, channels)
 
 
 @pytest.mark.parametrize("factor", [0.01, 0.5, 0.8, 1.25, 2.0, 100.0])
@@ -178,7 +177,7 @@ def test_residue_check_agrees_with_full_inverse(factor, planes, dims, seed):
     with pytest.raises(DomainError):
         inverse(bad)
     with pytest.raises(DomainError):
-        channelize_spectrum(bad, spectral_channels(make_channels(dims[0], dims[1], 2, spread=2.0)))
+        channelize_spectrum(bad, make_channels(dims[0], dims[1], 2, spread=2.0))
 
 
 def test_zero_mean_stack_has_no_mean_luminance():

@@ -6,12 +6,14 @@ from scipy.stats import norm
 from vobsim.errors import DimensionMismatchError, DomainError
 from vobsim.observer import (
     channelize,
+    channelize_spectrum,
     channelize_stack,
     hotelling_weights,
     make_channels,
     score,
     train,
 )
+from vobsim.percept import forward
 from vobsim.stackgen import LABEL_ABSENT, LABEL_PRESENT, ImageStack
 
 
@@ -90,6 +92,13 @@ class TestChannelize:
         ch = make_channels(32, 32, 15)
         with pytest.raises(DimensionMismatchError):
             channelize(np.zeros((16, 16)), ch)
+
+    @pytest.mark.parametrize("dims", [(16, 16, 8), (8, 16, 8), (8, 8, 4)])
+    def test_spectrum_dimension_mismatch(self, dims):
+        # 8x16 slices have as many bins as 16x8 ones, so the slice sizes are what is compared.
+        spec = forward(ImageStack(data=np.random.default_rng(2).random(dims) + 1.0))
+        with pytest.raises(DimensionMismatchError, match="do not match channels 16x8"):
+            channelize_spectrum(spec, make_channels(16, 8, 3))
 
     def test_channelize_stack_consistent(self):
         rng = np.random.default_rng(1)

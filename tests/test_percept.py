@@ -449,9 +449,12 @@ class TestKernelsBitIdentical:
         drawn = np.where(u[rank] < p, phasor, 0)
         assert np.array_equal(_bits(source.draw(seed).half), _bits(drawn))
         nx, ny, nt = dims
-        spectral = observer.spectral_channels(observer.make_channels(nx, ny, 5, spread=3.0))
+        channels = observer.make_channels(nx, ny, 5, spread=3.0)
+        spectral = channels.spectral
+        plain = np.conj(scipy.fft.fft2(channels.matrix.T.reshape(-1, nx, ny))).reshape(5, -1)
+        assert np.array_equal(_bits(spectral), _bits(plain / (nx * ny)))
         for half in (spec.half, drawn):
-            got = observer.channelize_spectrum(replace(spec, half=half), spectral)
+            got = observer.channelize_spectrum(replace(spec, half=half), channels)
             want = scipy.fft.irfft(spectral @ half.reshape(nx * ny, -1), n=nt, axis=1).T
             assert np.array_equal(_bits(got), _bits(want))
 

@@ -379,6 +379,27 @@ class TestRunSweep:
         assert calls == {"normalize_to_display": n_stacks, "forward": n_stacks, "inverse": 0}
         assert live_stacks and max(live_stacks) == 0
 
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("methods", [("MC",), ("LF", "PM")])
+    def test_channels_built_once_per_sweep(self, tmp_path, monkeypatch, methods, threads):
+        # The channel set and its 2D FFT depend only on the slice size, n_channels and
+        # spread, so one set, built once per sweep, serves every point and reader.
+        built, used = [], set()
+        real_make, real_project = observer.make_channels, observer.channelize_spectrum
+
+        def make(*args, **kwargs):
+            built.append(real_make(*args, **kwargs))
+            return built[-1]
+
+        def project(spec, channels):
+            used.add(id(channels))
+            return real_project(spec, channels)
+
+        monkeypatch.setattr(observer, "make_channels", make)
+        monkeypatch.setattr(observer, "channelize_spectrum", project)
+        run_sweep(tiny_config(methods=methods), tmp_path / "once.csv", threads=threads)
+        assert len(built) == 1 and used == {id(built[0])}
+
     def test_corpus_left_as_generated(self, tmp_path, monkeypatch):
         # Every point and sweep thread reads the same stored spectra (the base
         # point uses them as they are), so no method may write into one, nor
