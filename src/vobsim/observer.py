@@ -16,6 +16,7 @@ transform (``channelize_spectrum``).  Training and scoring work on
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -59,17 +60,23 @@ class LgChannelSet:
 def make_channels(nx: int, ny: int, n_channels: int, spread: float = 10.0) -> LgChannelSet:
     if not 1 <= n_channels <= nx * ny:  # more channels than pixels are linearly dependent
         raise DomainError(f"n_channels must be between 1 and nx * ny = {nx * ny}, got {n_channels}")
-    if spread <= 0:
-        raise DomainError(f"spread must be positive, got {spread!r}")
+    a2 = spread * spread  # a float product gives 0 or inf where spread**2 would raise
+    if not (spread > 0 and 0 < a2 < math.inf):
+        raise DomainError(f"spread must be positive with a finite non-zero square, got {spread!r}")
     # The slice center: stackgen._lesion_profile centers the lesion on the same point.
     cx, cy = (nx - 1) / 2.0, (ny - 1) / 2.0
     x = np.arange(nx)[:, None] - cx
     y = np.arange(ny)[None, :] - cy
-    g = 2.0 * np.pi * (x**2 + y**2) / spread**2
+    g = 2.0 * np.pi * (x**2 + y**2) / a2
     cols = []
     for j in range(n_channels):
-        ch = np.exp(-g / 2.0) * eval_laguerre(j, g)
-        cols.append(ch.ravel() / np.linalg.norm(ch))
+        with np.errstate(all="ignore"):  # an underflowed or overflowed channel is refused below
+            ch = np.exp(-g / 2.0) * eval_laguerre(j, g)
+            norm = np.linalg.norm(ch)
+        if not 0 < norm < math.inf:
+            raise DomainError(f"spread {spread!r} gives LG channel {j} no finite non-zero norm "
+                              f"on a {nx}x{ny} slice")
+        cols.append(ch.ravel() / norm)
     matrix = np.column_stack(cols)
     spectral = np.conj(scipy.fft.fft2(matrix.T.reshape(-1, nx, ny))).reshape(n_channels, -1)
     return LgChannelSet(nx=nx, ny=ny, matrix=matrix, spectral=spectral / (nx * ny))

@@ -180,7 +180,8 @@ class SweepConfig:
             except DomainError as exc:
                 raise ConfigError(f"{key}: {exc}") from exc
         for name, valid, rule in (("beta", lambda v: v >= 0, "non-negative"),
-                                  ("spread", lambda v: v > 0, "positive")):
+                                  ("spread", lambda v: v > 0 and 0 < v * v < math.inf,
+                                   "positive with a finite non-zero square")):
             if not valid(_finite(_KEY[name], getattr(self, name))):
                 raise ConfigError(f"{_KEY[name]}: must be {rule}, got {getattr(self, name)!r}")
 

@@ -141,19 +141,22 @@ class TestSweepCommand:
         line = capsys.readouterr().out.strip()
         assert line.startswith("LF\tcontrast\t")
 
-    # case: (--out under tmp_path, further arguments, error, start of the message)
+    # case: (--out under tmp_path, further arguments, error, start of the message,
+    #        a part the message must hold)
     BAD_OUTPUTS = {
-        "missing --out directory": ("missing/o.csv", [], "FileNotFoundError", "--out: directory"),
+        "missing --out directory": ("missing/o.csv", [], "FileNotFoundError", "--out: directory",
+                                    "missing"),
         "missing --report directory": ("o.csv", ["--report", "missing/r.json"],
-                                       "FileNotFoundError", "--report: directory"),
-        "--out is a directory": ("dir", [], "IsADirectoryError", "--out: "),
+                                       "FileNotFoundError", "--report: directory", "missing"),
+        "--out is a directory": ("dir", [], "IsADirectoryError", "--out: ", "dir is a directory"),
         "--report is a directory": ("o.csv", ["--report", "dir"], "IsADirectoryError",
-                                    "--report: "),
-        "--report is --out": ("o.csv", ["--report", "o.csv"], "ConfigError", "--report: "),
+                                    "--report: ", "dir is a directory"),
+        "--report is --out": ("o.csv", ["--report", "o.csv"], "ConfigError", "--report: ",
+                              "same file as --out"),
         "--report is --out by another path": ("o.csv", ["--report", "dir/../o.csv"],
-                                              "ConfigError", "--report: "),
-        "--threads 0": ("o.csv", ["--threads", "0"], "ConfigError", "threads: "),
-        "--threads -3": ("o.csv", ["--threads", "-3"], "ConfigError", "threads: "),
+                                              "ConfigError", "--report: ", "same file as --out"),
+        "--threads 0": ("o.csv", ["--threads", "0"], "ConfigError", "threads: ", "0"),
+        "--threads -3": ("o.csv", ["--threads", "-3"], "ConfigError", "threads: ", "-3"),
     }
 
     @pytest.mark.parametrize("case", list(BAD_OUTPUTS))
@@ -164,7 +167,7 @@ class TestSweepCommand:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"corpus": {"n_pairs": 4, "nx": 8, "nt": 8}}))
         (tmp_path / "dir").mkdir()
-        out, extra, error, start = self.BAD_OUTPUTS[case]
+        out, extra, error, start, part = self.BAD_OUTPUTS[case]
         if "--report" in extra:
             extra = ["--report", str(tmp_path / extra[1])]
         argv = ["sweep", "--config", str(cfg_path), "--out", str(tmp_path / out), *extra]
@@ -173,7 +176,7 @@ class TestSweepCommand:
         assert len(err.splitlines()) == 1
         report = json.loads(err)
         assert report["error"] == error and report["message"].startswith(start)
-        assert ".tmp" not in report["message"]
+        assert part in report["message"] and ".tmp" not in report["message"]
         assert calls == []
         assert sorted(os.listdir(tmp_path)) == ["cfg.json", "dir"]
         assert os.listdir(tmp_path / "dir") == []
@@ -252,6 +255,13 @@ class TestBadInputs:
          "DomainError", "n_pairs"),
         ("sweep n_pairs beyond any address space",
          {"corpus": {"n_pairs": 10**30, "nx": 8, "nt": 8}}, "DomainError", "n_pairs"),
+        # A spread whose square overflows or underflows to 0 (the config refuses it), or whose
+        # channels underflow to zero everywhere (the channel build, once per sweep, refuses it).
+        *((f"sweep spread {spread}",
+           {"corpus": {"n_pairs": 4, "nx": 8, "nt": 8}, "observer": {"spread": spread}},
+           error, "spread")
+          for spread, error in [(1e308, "ConfigError"), (1e-170, "ConfigError"),
+                                (1e-320, "ConfigError"), (0.01, "DomainError")]),
         ("csf NaN u", ["--u", "nan"], "DomainError", "spatial"),
         ("csf NaN w", ["--w", "nan"], "DomainError", "temporal"),
         ("csf NaN m", ["--m", "nan"], "DomainError", "modulation"),

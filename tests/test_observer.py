@@ -52,11 +52,20 @@ class TestChannels:
         off = gram - np.diag(np.diag(gram))
         assert np.abs(off).max() < 0.05
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_validation(self):
         with pytest.raises(DomainError):
             make_channels(64, 64, n_channels=0)
         with pytest.raises(DomainError):
             make_channels(64, 64, 15, spread=-1.0)
+        # The spread's square must be finite and non-zero, and every channel must keep a
+        # finite non-zero norm: far below a pixel, channel 0 underflows to zero everywhere.
+        for spread in (1e308, 1e-170, 1e-320, 0.01):
+            with pytest.raises(DomainError, match="spread"):
+                make_channels(64, 64, 15, spread=spread)
+        # A high-order channel overflows its Laguerre polynomial where its Gaussian underflows.
+        with pytest.raises(DomainError, match="channel 200"):
+            make_channels(16, 16, 256, spread=0.5)
         # At most one channel per pixel: more would be linearly dependent.
         assert make_channels(8, 8, 64).matrix.shape == (64, 64)
         with pytest.raises(DomainError, match="n_channels"):

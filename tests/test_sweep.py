@@ -169,6 +169,8 @@ class TestConfigValidation:
         ("observer", "n_channels", 10**30),
         ("observer", "n_readers", 0),
         ("observer", "spread", 0.0),
+        ("observer", "spread", 1e308),  # its square overflows
+        ("observer", "spread", 1e-170),  # its square underflows to 0
         ("observer", "train_fraction", 0.8),  # an unknown key
         ("viewing", "ssr", "7"),
         ("viewing", "contrast", float("nan")),
