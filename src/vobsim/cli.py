@@ -23,7 +23,9 @@ from .stackgen import (
 )
 
 
-_VIEWING = [f.name for f in fields(ViewingConditions)]
+def _field_flags(parser, cls) -> None:
+    for f in fields(cls):  # one float flag per field, named and defaulted after it
+        parser.add_argument(f"--{f.name.replace('_', '-')}", type=float, default=f.default)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -51,9 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--nt", type=int, default=sweep_mod.SweepConfig.nt)
     p_gen.add_argument("--beta", type=float, default=sweep_mod.SweepConfig.beta)
     p_gen.add_argument("--seed", type=int, default=sweep_mod.SweepConfig.master_seed)
-    p_gen.add_argument("--amplitude", type=float, default=LesionSpec.amplitude)
-    p_gen.add_argument("--sigma-xy", type=float, default=LesionSpec.sigma_xy)
-    p_gen.add_argument("--sigma-t", type=float, default=LesionSpec.sigma_t)
+    _field_flags(p_gen, LesionSpec)
     p_gen.set_defaults(run=_cmd_gen_corpus)
 
     p_perc = sub.add_parser("perceive", help="apply one perception method to a stack file")
@@ -61,9 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_perc.add_argument("--output", required=True)
     p_perc.add_argument("--method", required=True, type=str.upper, choices=percept.METHODS)
     p_perc.add_argument("--mc-seed", type=int)
-    for name in _VIEWING:
-        p_perc.add_argument(f"--{name.replace('_', '-')}", type=float,
-                            default=getattr(ViewingConditions, name))
+    _field_flags(p_perc, ViewingConditions)
     p_perc.add_argument(
         "--normalize", action="store_true",
         help="normalize the stack to the display range before perceiving",
@@ -82,12 +80,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_not_under_file(flag: str, path: Path) -> None:
+    found = next(p for p in (path, *path.parents) if p.exists())  # the nearest that exists
+    if not found.is_dir():
+        raise NotADirectoryError(f"{flag}: {found} is not a directory")
+
+
 def _check_output_dirs(*flagged) -> None:
     """Fail before any work when an output path is a directory, has no directory or repeats."""
     files = {}
     for flag, path in ((flag, Path(p)) for flag, p in flagged if p is not None):
         if path.is_dir():
             raise IsADirectoryError(f"{flag}: {path} is a directory")
+        _check_not_under_file(flag, path.parent)
         if not path.parent.is_dir():
             raise FileNotFoundError(f"{flag}: directory {path.parent} does not exist")
         first = files.setdefault(path.parent.resolve() / path.name, flag)
@@ -95,8 +100,15 @@ def _check_output_dirs(*flagged) -> None:
             raise ConfigError(f"{flag}: {path} is the same file as {first}")
 
 
+def _read(flag: str, read, path):
+    try:  # an OSError keeps its type, and its message names the flag and the path
+        return read(path)
+    except OSError as exc:
+        raise type(exc)(f"{flag}: {path}: {exc.strerror or exc}") from exc
+
+
 def _cmd_sweep(args) -> int:
-    config = sweep_mod.SweepConfig.from_json(args.config)
+    config = _read("--config", sweep_mod.SweepConfig.from_json, args.config)
     _check_output_dirs(("--out", args.out), ("--report", args.report))
     report = sweep_mod.run_sweep(config, args.out, threads=args.threads)
     if args.report:
@@ -107,27 +119,23 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_gen_corpus(args) -> int:
-    lesion = LesionSpec(amplitude=args.amplitude, sigma_xy=args.sigma_xy, sigma_t=args.sigma_t)
+    lesion = LesionSpec(**{f.name: getattr(args, f.name) for f in fields(LesionSpec)})
     out_dir = Path(args.out)
-    if not next(p for p in (out_dir, *out_dir.parents) if p.exists()).is_dir():
-        raise FileExistsError(f"--out: {out_dir} or one of its parents is not a directory")
+    _check_not_under_file("--out", out_dir)
     stacks = generate_corpus(args.n_pairs, args.nx, args.nx, args.nt, args.beta, lesion, args.seed)
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths, labels = [], []
-    for i, stack in enumerate(stacks):
-        path = out_dir / f"stack_{i:05d}.vstk"
-        write_stack(stack, path)
-        paths.append(path.name)
-        labels.append(stack.label)
-    write_manifest(out_dir / "manifest.json", paths, labels, args.seed)
+    entries = [(f"stack_{i:05d}.vstk", stack.label) for i, stack in enumerate(stacks)]
+    for (name, _), stack in zip(entries, stacks):
+        write_stack(stack, out_dir / name)
+    write_manifest(out_dir / "manifest.json", entries, args.seed)
     print(f"wrote {len(stacks)} stacks to {out_dir}")
     return 0
 
 
 def _cmd_perceive(args) -> int:
-    vc = ViewingConditions(**{name: getattr(args, name) for name in _VIEWING})
+    vc = ViewingConditions(**{f.name: getattr(args, f.name) for f in fields(ViewingConditions)})
     _check_output_dirs(("--output", args.output))
-    stack = read_stack(args.input)
+    stack = _read("--input", read_stack, args.input)
     if args.normalize:
         stack = normalize_to_display(stack, vc)
     out = percept.perceive(stack, args.method, vc, mc_seed=args.mc_seed)

@@ -28,6 +28,7 @@ from .percept import SpectralStack, check_symmetric
 from .stackgen import ImageStack
 
 __all__ = [
+    "SPREAD",
     "LgChannelSet",
     "ChoModel",
     "make_channels",
@@ -40,6 +41,9 @@ __all__ = [
     "train",
     "score",
 ]
+
+SPREAD = 10.0  # the LG channel width a, in pixels, unless a caller sets it
+
 
 @dataclass(frozen=True)
 class LgChannelSet:
@@ -57,7 +61,7 @@ class LgChannelSet:
     spectral: np.ndarray
 
 
-def make_channels(nx: int, ny: int, n_channels: int, spread: float = 10.0) -> LgChannelSet:
+def make_channels(nx: int, ny: int, n_channels: int, spread: float = SPREAD) -> LgChannelSet:
     if not 1 <= n_channels <= nx * ny:  # more channels than pixels are linearly dependent
         raise DomainError(f"n_channels must be between 1 and nx * ny = {nx * ny}, got {n_channels}")
     a2 = spread * spread  # a float product gives 0 or inf where spread**2 would raise

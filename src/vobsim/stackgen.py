@@ -291,16 +291,8 @@ def generate_corpus(
     return stacks
 
 
-def write_manifest(path, stack_paths, labels, master_seed: int) -> None:
-    """Write a JSON batch manifest listing files, labels, and the master seed."""
-    if len(stack_paths) != len(labels):
-        raise DimensionMismatchError("stack_paths and labels differ in length")
-    manifest = {
-        "version": 1,
-        "master_seed": int(master_seed),
-        "stacks": [
-            {"path": str(p), "label": lab} for p, lab in zip(stack_paths, labels)
-        ],
-    }
-    write_json(path, manifest)
+def write_manifest(path, entries, master_seed: int) -> None:
+    """Write a JSON batch manifest listing the (file, label) ``entries`` and the master seed."""
+    write_json(path, {"version": 1, "master_seed": int(master_seed),
+                      "stacks": [{"path": str(p), "label": lab} for p, lab in entries]})
 

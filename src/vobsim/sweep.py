@@ -14,7 +14,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace as dc_replace
+from dataclasses import asdict, dataclass, field, fields, replace as dc_replace
 
 import numpy as np
 
@@ -45,9 +45,7 @@ CSV_COLUMNS = [
     "auc", "auc_var", "error_bar", "d_prime", "n_cases", "n_readers", "master_seed",
 ]
 
-SWEEPABLE = ("contrast", "l_max", "ssr", "browse_speed")
-
-DEFAULT_GRIDS = {
+DEFAULT_GRIDS = {  # every sweepable parameter, with the values it is swept over by default
     "contrast": [50.0, 100.0, 200.0, 400.0, 800.0],
     "l_max": [100.0, 200.0, 300.0, 500.0, 800.0],
     "ssr": [1.5, 30.0, 120.0, 250.0, 500.0],
@@ -105,10 +103,11 @@ def classify_trend(d_primes, error_bars) -> str:
 # dimensions of at least 8 and a non-negative seed.
 _LEAST_INT = {"n_pairs": 4, "nx": 8, "ny": 8, "nt": 8, "master_seed": 0,
               "n_channels": 1, "n_readers": 1}
-_OBSERVER_KEYS = ["n_channels", "spread", "n_readers"]
-# The config key of each numeric SweepConfig field, for error messages.
-_KEY = {n: f"{'observer' if n in _OBSERVER_KEYS else 'corpus'}.{n}"
-        for n in [*_LEAST_INT, "beta", "spread"]}
+# The config sections whose keys are SweepConfig fields of the same name.
+_SECTIONS = {"corpus": ["n_pairs", "nx", "ny", "nt", "beta", "lesion", "master_seed"],
+             "observer": ["n_channels", "spread", "n_readers"]}
+# The config key of each of those fields, for error messages.
+_KEY = {n: f"{section}.{n}" for section, names in _SECTIONS.items() for n in names}
 
 
 def _finite(name: str, value) -> float:
@@ -136,7 +135,7 @@ class SweepConfig:
     lesion: LesionSpec = field(default_factory=LesionSpec)
     master_seed: int = 0
     n_channels: int = 15
-    spread: float = 10.0
+    spread: float = observer.SPREAD
     n_readers: int = 4
 
     def __post_init__(self):
@@ -147,8 +146,9 @@ class SweepConfig:
                 raise ConfigError(f"methods: unknown method {m!r}")
             if self.methods.count(m) > 1:  # each would write the same rows twice
                 raise ConfigError(f"methods: {m!r} is listed more than once")
-        if self.parameter not in SWEEPABLE:
-            raise ConfigError(f"sweep.parameter: must be one of {SWEEPABLE}, got {self.parameter!r}")
+        if self.parameter not in tuple(DEFAULT_GRIDS):  # by equality: a JSON list is unhashable
+            raise ConfigError(f"sweep.parameter: must be one of {tuple(DEFAULT_GRIDS)}, "
+                              f"got {self.parameter!r}")
         values = self.values or tuple(DEFAULT_GRIDS[self.parameter])
         object.__setattr__(self, "values", tuple(_finite("sweep.values", v) for v in values))
         if len(self.values) < 3:
@@ -213,8 +213,7 @@ class SweepConfig:
             kwargs["values"] = listed(sweep["values"], "sweep.values")
         viewing = take(raw.get("viewing", {}), [f.name for f in fields(ViewingConditions)],
                        "viewing")
-        corpus = take(raw.get("corpus", {}),
-                      ["n_pairs", "nx", "ny", "nt", "beta", "lesion", "master_seed"], "corpus")
+        corpus = take(raw.get("corpus", {}), _SECTIONS["corpus"], "corpus")
         lesion = take(corpus.pop("lesion", {}), [f.name for f in fields(LesionSpec)],
                       "corpus.lesion")
         for context, mapping in (("viewing", viewing), ("corpus.lesion", lesion)):
@@ -229,7 +228,7 @@ class SweepConfig:
         except DomainError as exc:
             raise ConfigError(f"corpus.lesion: {exc}") from exc
         kwargs.update(corpus)
-        kwargs.update(take(raw.get("observer", {}), _OBSERVER_KEYS, "observer"))
+        kwargs.update(take(raw.get("observer", {}), _SECTIONS["observer"], "observer"))
         return cls(**kwargs)
 
     @classmethod
@@ -291,13 +290,10 @@ def _run_point(config: SweepConfig, spectra: list[percept.SpectralStack], method
                               for spec in specs])] * config.n_readers
     reader_scores = stats.make_readers(features, labels, config.master_seed)
     res = stats.mrmc_one_shot(stats.McmcInput(readers=reader_scores))
-    return {
+    return {  # the writer orders the columns, and refuses one CSV_COLUMNS lacks
         "method": method,
-        "contrast": vc.contrast,
-        "l_max": vc.l_max,
-        "ssr": vc.ssr,
+        **asdict(vc),
         "viewing_distance_cm": viewing_distance(vc.ssr),
-        "browse_speed": vc.browse_speed,
         "auc": res.auc_mean,
         "auc_var": res.auc_variance,
         "error_bar": res.error_bar,

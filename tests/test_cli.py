@@ -151,6 +151,10 @@ class TestSweepCommand:
         "--out is a directory": ("dir", [], "IsADirectoryError", "--out: ", "dir is a directory"),
         "--report is a directory": ("o.csv", ["--report", "dir"], "IsADirectoryError",
                                     "--report: ", "dir is a directory"),
+        "--out under a file": ("cfg.json/o.csv", [], "NotADirectoryError", "--out: ",
+                               "cfg.json is not a directory"),
+        "--report under a file": ("o.csv", ["--report", "cfg.json/r.json"], "NotADirectoryError",
+                                  "--report: ", "cfg.json is not a directory"),
         "--report is --out": ("o.csv", ["--report", "o.csv"], "ConfigError", "--report: ",
                               "same file as --out"),
         "--report is --out by another path": ("o.csv", ["--report", "dir/../o.csv"],
@@ -411,8 +415,8 @@ class TestBadInputs:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         report = json.loads(err)
-        assert report["error"] == "FileExistsError"
-        assert report["message"].startswith("--out: ")
+        assert report["error"] == "NotADirectoryError"
+        assert report["message"] == f"--out: {tmp_path / 'file'} is not a directory"
         assert calls == []
         assert os.listdir(tmp_path) == ["file"]
         assert (tmp_path / "file").read_text() == "kept\n"
@@ -435,6 +439,48 @@ class TestBadInputs:
         assert report["error"] == "FileNotFoundError"
         assert report["message"].startswith("--output: ")
         assert os.listdir(tmp_path) == ["in.vstk"]
+
+    def test_perceive_output_under_a_file_fails_before_reading(self, tmp_path, capsys,
+                                                               monkeypatch):
+        stack = tmp_path / "in.vstk"
+        write_stack(_input_stacks()["background"], stack)
+
+        def unexpected(path):
+            raise AssertionError("read_stack called")
+
+        monkeypatch.setattr(cli, "read_stack", unexpected)
+        argv = ["perceive", "--input", str(stack), "--output", str(stack / "out.vstk"),
+                "--method", "PM"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        report = json.loads(err)
+        assert report["error"] == "NotADirectoryError"
+        assert report["message"] == f"--output: {stack} is not a directory"
+        assert os.listdir(tmp_path) == ["in.vstk"]
+
+    @pytest.mark.parametrize("flag", ["--config", "--input"])
+    @pytest.mark.parametrize("kind, error, reason", [
+        ("missing", "FileNotFoundError", "No such file or directory"),
+        ("directory", "IsADirectoryError", "Is a directory"),
+    ], ids=["missing", "directory"])
+    def test_unreadable_input_named_by_its_flag(self, tmp_path, capsys, flag, kind, error,
+                                                reason):
+        (tmp_path / "dir").mkdir()
+        path = str(tmp_path / ("nothere" if kind == "missing" else "dir"))
+        out = tmp_path / "out"
+        if flag == "--config":
+            argv = ["sweep", "--config", path, "--out", str(out), "--report", str(out) + ".json"]
+        else:
+            argv = ["perceive", "--input", path, "--output", str(out), "--method", "PM"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        report = json.loads(err)
+        assert report["error"] == error
+        assert report["message"] == f"{flag}: {path}: {reason}"
+        assert os.listdir(tmp_path) == ["dir"]
+        assert os.listdir(tmp_path / "dir") == []
 
     def test_perceive_output_directory_fails_before_reading(self, tmp_path, capsys,
                                                             monkeypatch):
@@ -474,8 +520,8 @@ _NUMBERS = ["0", "-1", "1e-320", "1e-170", "0.5", "3", "1e154", "1e308", "nan", 
 _SIZES = ["-1", "0", "7", "8", "9", "16"]
 _COUNTS = [*_SIZES, "8.0", "2.5", "1e1", "eight"]  # integer flags also get non-integers
 # Kinds of path a path flag can name.  A path flag that is not drawn takes its first kind.
-_INPUT_KINDS = ["stack", "missing", "directory", "not a stack"]
-_OUTPUT_KINDS = ["fresh", "missing parent", "directory", "existing file"]
+_INPUT_KINDS = ["stack", "missing", "directory", "not a stack", "under a file"]
+_OUTPUT_KINDS = ["fresh", "missing parent", "directory", "existing file", "under a file"]
 # Each command starts from small valid arguments; drawn flags come after them and win.
 _BASE = {
     "gen-corpus": (["--n-pairs=2", "--nx=8", "--nt=8"],
@@ -501,6 +547,7 @@ def _path(root, kind, fresh):
     """The path of ``kind`` under ``root``; ``fresh`` is the name of a path not made yet."""
     return os.path.join(root, {"fresh": fresh, "missing": fresh,
                                "missing parent": os.path.join("missing", fresh),
+                               "under a file": os.path.join("file", fresh),
                                "directory": "dir", "existing file": "file",
                                "not a stack": "file", "not UTF-8": "utf16.json"}[kind])
 
@@ -584,7 +631,7 @@ _FLOATS = [float(v) for v in _NUMBERS]
 _INTS = [int(v) for v in _SIZES]
 _SWEEP_FIELDS = {
     ("methods",): st.lists(st.sampled_from(["LF", "PM", "MC", "pm"]), min_size=1, max_size=4),
-    ("sweep", "parameter"): st.sampled_from(list(sweep.SWEEPABLE)),
+    ("sweep", "parameter"): st.sampled_from(list(sweep.DEFAULT_GRIDS)),
     ("sweep", "values"): st.lists(st.sampled_from(_FLOATS), min_size=3, max_size=3),
     **{("viewing", k): st.sampled_from(_FLOATS) for k in ["l_max", "contrast", "ssr",
                                                           "browse_speed"]},
@@ -610,7 +657,8 @@ def _readable_rows(path):
 
 
 # The path flags of a sweep, each drawn as one of the fields an example changes.
-_SWEEP_PATHS = {("--config",): st.sampled_from(["missing", "directory", "not UTF-8"]),
+_SWEEP_PATHS = {("--config",): st.sampled_from(["missing", "directory", "not UTF-8",
+                                                 "under a file"]),
                 ("--out",): st.sampled_from(_OUTPUT_KINDS[1:]),
                 ("--report",): st.sampled_from(_OUTPUT_KINDS[1:])}
 
@@ -662,7 +710,7 @@ def test_every_sweep_succeeds_or_fails_cleanly(data):
         if threads > 1:
             rc_one, _, _, _, after_one = run(1)
             assert (rc_one, after_one) == (rc, after)
-        root = os.path.dirname(cfg)
+        root = os.path.join(tmp, f"run{threads}")
         if rc == 1:
             lines = stderr.splitlines()
             assert len(lines) == 1 and set(json.loads(lines[0])) == {"error", "message"}

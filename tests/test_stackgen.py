@@ -383,7 +383,7 @@ class TestStackIO:
 class TestManifest:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "manifest.json"
-        write_manifest(path, ["a.vstk", "b.vstk"], [LABEL_ABSENT, LABEL_PRESENT], 77)
+        write_manifest(path, [("a.vstk", LABEL_ABSENT), ("b.vstk", LABEL_PRESENT)], 77)
         m = json.loads(path.read_text(encoding="utf-8"))
         assert m["version"] == 1
         assert m["master_seed"] == 77

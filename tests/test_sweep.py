@@ -8,7 +8,7 @@ from dataclasses import replace as dc_replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from vobsim import observer, percept, sweep
 from vobsim.errors import ConfigError, DegenerateStackError, DomainError
@@ -22,7 +22,6 @@ from vobsim.stackgen import (
 from vobsim.sweep import (
     CSV_COLUMNS,
     DEFAULT_GRIDS,
-    SWEEPABLE,
     SweepConfig,
     classify_trend,
     run_sweep,
@@ -142,7 +141,7 @@ _SECTIONS = {
     "version": st.sampled_from([1, 2]) | _json_values(),
     "methods": st.lists(st.sampled_from(["LF", "pm", "Mc", "XX"]), max_size=4) | _json_values(),
     "sweep": st.fixed_dictionaries({}, optional={
-        "parameter": st.sampled_from(list(SWEEPABLE)) | _json_values(),
+        "parameter": st.sampled_from(list(DEFAULT_GRIDS)) | _json_values(),
         "values": st.lists(st.floats() | st.integers(), max_size=5) | _json_values()}),
     "viewing": _section(["l_max", "contrast", "ssr", "browse_speed"]),
     "corpus": st.fixed_dictionaries({}, optional={
@@ -231,6 +230,8 @@ class TestConfigValidation:
 
     @settings(max_examples=300, deadline=None)
     @given(raw=_json_values() | st.fixed_dictionaries({}, optional=_SECTIONS))
+    @example(raw={"sweep": {"parameter": []}})  # an unhashable parameter
+    @example(raw={"sweep": {"parameter": {}}})
     def test_from_dict_returns_config_or_config_error(self, raw):
         try:
             cfg = SweepConfig.from_dict(raw)
@@ -272,7 +273,7 @@ class TestDisplayed:
         base=st.builds(ViewingConditions, l_max=st.floats(1.0, 2000.0),
                        contrast=st.floats(1.01, 2000.0), ssr=st.floats(1.0, 100.0),
                        browse_speed=st.floats(1.0, 500.0)),
-        parameter=st.sampled_from(SWEEPABLE),
+        parameter=st.sampled_from(list(DEFAULT_GRIDS)),
         value=st.floats(1.01, 2000.0),
     )
     def test_matches_transform_of_redisplayed_stack(self, half_dims, beta, amplitude, seed,
@@ -310,6 +311,22 @@ class TestRunSweep:
         for method in cfg.methods:
             assert len(report.d_primes[method]) == 3
             assert all(np.isfinite(report.d_primes[method]))
+
+    @pytest.mark.parametrize("parameter", list(DEFAULT_GRIDS))
+    def test_rows_hold_their_viewing(self, tmp_path, parameter):
+        # Each row holds its point's viewing: the swept value in its own column, the base
+        # viewing in the other three, and the viewing distance of its ssr.
+        base = ViewingConditions(l_max=250.0, contrast=150.0, ssr=9.0, browse_speed=30.0)
+        out = tmp_path / "out.csv"
+        run_sweep(tiny_config(methods=("LF",), parameter=parameter, values=(), viewing=base), out)
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(row[parameter]) for row in rows] == DEFAULT_GRIDS[parameter]
+        for row in rows:
+            vc = dc_replace(base, **{parameter: float(row[parameter])})
+            for name in ("contrast", "l_max", "ssr", "browse_speed"):
+                assert float(row[name]) == getattr(vc, name)
+            assert float(row["viewing_distance_cm"]) == viewing_distance(vc.ssr)
 
     def test_byte_identical_rerun(self, tmp_path):
         cfg = tiny_config()
