@@ -87,7 +87,8 @@ def _check_not_under_file(flag: str, path: Path) -> None:
 
 
 def _check_output_dirs(*flagged) -> None:
-    """Fail before any work when an output path is a directory, has no directory or repeats."""
+    """Fail before any work when an output is a directory, has no directory or names a path
+    before it in ``flagged``: another output, or an input already read (which it would replace)."""
     files = {}
     for flag, path in ((flag, Path(p)) for flag, p in flagged if p is not None):
         if path.is_dir():
@@ -109,7 +110,7 @@ def _read(flag: str, read, path):
 
 def _cmd_sweep(args) -> int:
     config = _read("--config", sweep_mod.SweepConfig.from_json, args.config)
-    _check_output_dirs(("--out", args.out), ("--report", args.report))
+    _check_output_dirs(("--config", args.config), ("--out", args.out), ("--report", args.report))
     report = sweep_mod.run_sweep(config, args.out, threads=args.threads)
     if args.report:
         write_json(args.report, asdict(report))

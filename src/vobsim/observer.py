@@ -25,7 +25,7 @@ from scipy.special import eval_laguerre
 
 from .errors import DimensionMismatchError, DomainError, SingularCovarianceError
 from .percept import SpectralStack, check_symmetric
-from .stackgen import ImageStack
+from .stackgen import ImageStack, center_offsets
 
 __all__ = [
     "SPREAD",
@@ -67,10 +67,7 @@ def make_channels(nx: int, ny: int, n_channels: int, spread: float = SPREAD) -> 
     a2 = spread * spread  # a float product gives 0 or inf where spread**2 would raise
     if not (spread > 0 and 0 < a2 < math.inf):
         raise DomainError(f"spread must be positive with a finite non-zero square, got {spread!r}")
-    # The slice center: stackgen._lesion_profile centers the lesion on the same point.
-    cx, cy = (nx - 1) / 2.0, (ny - 1) / 2.0
-    x = np.arange(nx)[:, None] - cx
-    y = np.arange(ny)[None, :] - cy
+    x, y = center_offsets(nx)[:, None], center_offsets(ny)[None, :]
     g = 2.0 * np.pi * (x**2 + y**2) / a2
     cols = []
     for j in range(n_channels):
@@ -86,24 +83,22 @@ def make_channels(nx: int, ny: int, n_channels: int, spread: float = SPREAD) -> 
     return LgChannelSet(nx=nx, ny=ny, matrix=matrix, spectral=spectral / (nx * ny))
 
 
+def _check_slices(shape: tuple[int, ...], channels: LgChannelSet) -> None:
+    if shape != (channels.nx, channels.ny):
+        raise DimensionMismatchError(f"slices {'x'.join(map(str, shape))} do not match channels "
+                                     f"{channels.nx}x{channels.ny}")
+
+
 def channelize(slice2d: np.ndarray, channels: LgChannelSet) -> np.ndarray:
     """Project one slice onto the channel set: v_j = <slice, c_j>."""
     slice2d = np.asarray(slice2d, dtype=float)
-    if slice2d.shape != (channels.nx, channels.ny):
-        raise DimensionMismatchError(
-            f"slice shape {slice2d.shape} does not match channels "
-            f"({channels.nx}, {channels.ny})"
-        )
+    _check_slices(slice2d.shape, channels)
     return channels.matrix.T @ slice2d.ravel()
 
 
 def channelize_stack(stack: ImageStack, channels: LgChannelSet) -> np.ndarray:
     """Feature vectors for every slice of a stack, shape (nt, n_channels)."""
-    if (stack.nx, stack.ny) != (channels.nx, channels.ny):
-        raise DimensionMismatchError(
-            f"stack slices {stack.nx}x{stack.ny} do not match channels "
-            f"{channels.nx}x{channels.ny}"
-        )
+    _check_slices((stack.nx, stack.ny), channels)
     flat = stack.data.reshape(stack.nx * stack.ny, stack.nt)
     return flat.T @ channels.matrix
 
@@ -111,9 +106,7 @@ def channelize_stack(stack: ImageStack, channels: LgChannelSet) -> np.ndarray:
 def channelize_spectrum(spec: SpectralStack, channels: LgChannelSet) -> np.ndarray:
     """Features of every slice of ``inverse(spec)``, shape (nt, C), with no 3D transform."""
     nx, ny, nt = spec.dims
-    if (nx, ny) != (channels.nx, channels.ny):
-        raise DimensionMismatchError(
-            f"spectrum slices {nx}x{ny} do not match channels {channels.nx}x{channels.ny}")
+    _check_slices((nx, ny), channels)
     check_symmetric(spec)  # as inverse does
     # np.dot, not @: matmul holds the GIL through a complex gemm, so sweep threads would queue.
     return scipy.fft.irfft(np.dot(channels.spectral, spec.half.reshape(nx * ny, -1)),

@@ -33,6 +33,7 @@ __all__ = [
     "ImageStack",
     "ViewingConditions",
     "LesionSpec",
+    "center_offsets",
     "normalize_to_display",
     "write_stack",
     "read_stack",
@@ -139,15 +140,18 @@ def _shaping_filter(nx: int, ny: int, nt: int, beta: float) -> np.ndarray:
         return np.where(radius > 0, radius ** (-beta / 2.0), 0.0)
 
 
+def center_offsets(n: int) -> np.ndarray:
+    """Each voxel's offset along an axis of ``n`` voxels from the geometric volume center."""
+    return np.arange(n) - (n - 1) / 2.0
+
+
 def _lesion_profile(shape: tuple[int, int, int], lesion: LesionSpec) -> np.ndarray:
     """The lesion's bump on a volume of ``shape``."""
     nx, ny, nt = shape
-    # The volume center: observer.make_channels centers the channels on the same point.
-    cx, cy, ct = (nx - 1) / 2.0, (ny - 1) / 2.0, (nt - 1) / 2.0
     with np.errstate(over="ignore"):  # far narrower than a voxel: exp(-inf) = 0 off center
-        gx = np.exp(-((np.arange(nx) - cx) ** 2) / (2.0 * lesion.sigma_xy**2))
-        gy = np.exp(-((np.arange(ny) - cy) ** 2) / (2.0 * lesion.sigma_xy**2))
-        gt = np.exp(-((np.arange(nt) - ct) ** 2) / (2.0 * lesion.sigma_t**2))
+        gx = np.exp(-(center_offsets(nx) ** 2) / (2.0 * lesion.sigma_xy**2))
+        gy = np.exp(-(center_offsets(ny) ** 2) / (2.0 * lesion.sigma_xy**2))
+        gt = np.exp(-(center_offsets(nt) ** 2) / (2.0 * lesion.sigma_t**2))
     return lesion.amplitude * gx[:, None, None] * gy[None, :, None] * gt[None, None, :]
 
 

@@ -24,6 +24,7 @@ __all__ = [
     "mrmc_one_shot",
     "d_prime",
     "make_readers",
+    "MIN_PER_CLASS",
 ]
 
 
@@ -157,6 +158,8 @@ def d_prime(auc_value: float) -> float:
 
 # Each reader trains on its own 80 % of the pool, so LF and PM readers differ too.
 _TRAIN_FRACTION = 0.8
+# The fewest cases of each class that split into a pool and a test half of 2 or more each.
+MIN_PER_CLASS = 4
 
 
 def make_readers(features, labels, master_seed: int) -> list[CaseScores]:
@@ -174,8 +177,8 @@ def make_readers(features, labels, master_seed: int) -> list[CaseScores]:
         raise DomainError("at least one reader's feature tensor is required")
     labels = np.asarray(labels, dtype=bool)
     idx_absent, idx_present = np.flatnonzero(~labels), np.flatnonzero(labels)
-    if idx_absent.size < 4 or idx_present.size < 4:
-        raise DomainError("need at least 4 cases per class for a disjoint split")
+    if min(idx_absent.size, idx_present.size) < MIN_PER_CLASS:
+        raise DomainError(f"need at least {MIN_PER_CLASS} cases per class for a disjoint split")
 
     rng_split = np.random.default_rng([int(master_seed), 0x5B11])
     pools, tests = [], []

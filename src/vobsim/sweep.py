@@ -15,6 +15,7 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace as dc_replace
+from pathlib import Path
 
 import numpy as np
 
@@ -101,7 +102,7 @@ def classify_trend(d_primes, error_bars) -> str:
 
 # Least valid value of each integer field: the corpus generator needs even
 # dimensions of at least 8 and a non-negative seed.
-_LEAST_INT = {"n_pairs": 4, "nx": 8, "ny": 8, "nt": 8, "master_seed": 0,
+_LEAST_INT = {"n_pairs": stats.MIN_PER_CLASS, "nx": 8, "ny": 8, "nt": 8, "master_seed": 0,
               "n_channels": 1, "n_readers": 1}
 # The config sections whose keys are SweepConfig fields of the same name.
 _SECTIONS = {"corpus": ["n_pairs", "nx", "ny", "nt", "beta", "lesion", "master_seed"],
@@ -211,22 +212,17 @@ class SweepConfig:
             kwargs["parameter"] = sweep["parameter"]
         if "values" in sweep:
             kwargs["values"] = listed(sweep["values"], "sweep.values")
-        viewing = take(raw.get("viewing", {}), [f.name for f in fields(ViewingConditions)],
-                       "viewing")
         corpus = take(raw.get("corpus", {}), _SECTIONS["corpus"], "corpus")
-        lesion = take(corpus.pop("lesion", {}), [f.name for f in fields(LesionSpec)],
-                      "corpus.lesion")
-        for context, mapping in (("viewing", viewing), ("corpus.lesion", lesion)):
-            for k, v in mapping.items():
+        subs = {"viewing": ("viewing", ViewingConditions, raw.get("viewing", {})),
+                "lesion": ("corpus.lesion", LesionSpec, corpus.pop("lesion", {}))}
+        for context, kind, mapping in subs.values():  # every value is checked before any is used
+            for k, v in take(mapping, [f.name for f in fields(kind)], context).items():
                 _finite(f"{context}.{k}", v)
-        try:
-            kwargs["viewing"] = ViewingConditions(**viewing)
-        except DomainError as exc:
-            raise ConfigError(f"viewing: {exc}") from exc
-        try:
-            kwargs["lesion"] = LesionSpec(**lesion)
-        except DomainError as exc:
-            raise ConfigError(f"corpus.lesion: {exc}") from exc
+        for name, (context, kind, mapping) in subs.items():
+            try:
+                kwargs[name] = kind(**mapping)
+            except DomainError as exc:
+                raise ConfigError(f"{context}: {exc}") from exc
         kwargs.update(corpus)
         kwargs.update(take(raw.get("observer", {}), _SECTIONS["observer"], "observer"))
         return cls(**kwargs)
@@ -310,7 +306,8 @@ def run_sweep(config: SweepConfig, csv_path, threads: int = 1) -> TrendReport:
     Sweep points are independent jobs; with ``threads > 1`` they run on a
     bounded pool, but rows are always written in (method, value) order so
     the output does not depend on scheduling.  A mid-run failure leaves the
-    completed rows in the CSV plus an error manifest alongside it.
+    completed rows in the CSV plus an error manifest beside it; a run with no
+    failure removes the manifest an earlier run left there.
     """
     if threads < 1:
         raise ConfigError(f"threads: must be at least 1, got {threads!r}")
@@ -344,12 +341,13 @@ def run_sweep(config: SweepConfig, csv_path, threads: int = 1) -> TrendReport:
             if key in rows:
                 writer.writerow(rows[key])
 
+    manifest_path = f"{csv_path}.errors.json"
     if failures:
-        manifest_path = str(csv_path) + ".errors.json"
         write_json(manifest_path, {"failures": failures})
         raise DomainError(
             f"{len(failures)} sweep point(s) failed; see {manifest_path}"
         )
+    Path(manifest_path).unlink(missing_ok=True)  # an earlier run's names failures this CSV lacks
 
     d_primes, error_bars, normalized, labels, inconclusive = {}, {}, {}, {}, {}
     for method in config.methods:

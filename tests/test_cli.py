@@ -159,6 +159,9 @@ class TestSweepCommand:
                               "same file as --out"),
         "--report is --out by another path": ("o.csv", ["--report", "dir/../o.csv"],
                                               "ConfigError", "--report: ", "same file as --out"),
+        "--out is --config": ("cfg.json", [], "ConfigError", "--out: ", "same file as --config"),
+        "--report is --config": ("o.csv", ["--report", "dir/../cfg.json"], "ConfigError",
+                                 "--report: ", "same file as --config"),
         "--threads 0": ("o.csv", ["--threads", "0"], "ConfigError", "threads: ", "0"),
         "--threads -3": ("o.csv", ["--threads", "-3"], "ConfigError", "threads: ", "-3"),
     }
@@ -169,7 +172,8 @@ class TestSweepCommand:
         calls = []
         monkeypatch.setattr(sweep, "generate_corpus", lambda *a: calls.append(a))
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"corpus": {"n_pairs": 4, "nx": 8, "nt": 8}}))
+        config = json.dumps({"corpus": {"n_pairs": 4, "nx": 8, "nt": 8}})
+        cfg_path.write_text(config)
         (tmp_path / "dir").mkdir()
         out, extra, error, start, part = self.BAD_OUTPUTS[case]
         if "--report" in extra:
@@ -184,6 +188,7 @@ class TestSweepCommand:
         assert calls == []
         assert sorted(os.listdir(tmp_path)) == ["cfg.json", "dir"]
         assert os.listdir(tmp_path / "dir") == []
+        assert cfg_path.read_text() == config
 
     def test_overflowing_beta_fails_before_any_point(self, tmp_path, capsys, monkeypatch):
         # A finite beta that overflows the power-law filter stops the sweep

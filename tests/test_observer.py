@@ -14,7 +14,7 @@ from vobsim.observer import (
     train,
 )
 from vobsim.percept import forward
-from vobsim.stackgen import LABEL_ABSENT, LABEL_PRESENT, ImageStack
+from vobsim.stackgen import LABEL_ABSENT, LABEL_PRESENT, ImageStack, LesionSpec, _lesion_profile
 
 
 def toy_stacks(rng, n_per_class, nx=16, nt=8, signal=None, noise=1.0):
@@ -51,6 +51,16 @@ class TestChannels:
         gram = ch.matrix.T @ ch.matrix
         off = gram - np.diag(np.diag(gram))
         assert np.abs(off).max() < 0.05
+
+    @pytest.mark.parametrize("nx, ny", [(7, 7), (8, 8), (9, 12)])
+    def test_channels_and_lesion_share_the_center(self, nx, ny):
+        # Both are symmetric under x and y flips only about the geometric center of the slice.
+        images = make_channels(nx, ny, 5, spread=3.0).matrix.T.reshape(-1, nx, ny)
+        bump = _lesion_profile((nx, ny, 5), LesionSpec(sigma_xy=2.0, sigma_t=1.0))
+        slices = np.moveaxis(bump, 2, 0)
+        for arrays in (images, slices):
+            assert np.array_equal(arrays[:, ::-1, :], arrays)
+            assert np.array_equal(arrays[:, :, ::-1], arrays)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_validation(self):
@@ -108,6 +118,26 @@ class TestChannelize:
         spec = forward(ImageStack(data=np.random.default_rng(2).random(dims) + 1.0))
         with pytest.raises(DimensionMismatchError, match="do not match channels 16x8"):
             channelize_spectrum(spec, make_channels(16, 8, 3))
+
+    PROJECTIONS = {
+        "channelize": lambda data, ch: channelize(data[:, :, 0], ch),
+        "channelize_stack": lambda data, ch: channelize_stack(ImageStack(data=data), ch),
+        "channelize_spectrum": lambda data, ch: channelize_spectrum(
+            forward(ImageStack(data=data + 1.0)), ch),
+    }
+
+    @pytest.mark.parametrize("project", list(PROJECTIONS))
+    @pytest.mark.parametrize("dims", [(8, 16), (16, 16), (8, 8), (16, 8)],
+                             ids=["transposed", "resized-ny", "resized-nx", "matching"])
+    def test_every_projection_checks_slice_shape(self, project, dims):
+        data = np.random.default_rng(4).random((*dims, 4))
+        channels = make_channels(16, 8, 3)
+        if dims == (16, 8):
+            assert self.PROJECTIONS[project](data, channels).shape[-1] == 3
+        else:
+            with pytest.raises(DimensionMismatchError,
+                               match=f"slices {dims[0]}x{dims[1]} do not match channels 16x8"):
+                self.PROJECTIONS[project](data, channels)
 
     def test_channelize_stack_consistent(self):
         rng = np.random.default_rng(1)

@@ -494,6 +494,22 @@ class TestRunSweep:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 3
 
+    def test_good_run_removes_stale_manifest(self, tmp_path):
+        # A manifest beside the CSV would describe failures the new CSV does not have.
+        cfg = SweepConfig(
+            methods=("LF",), parameter="browse_speed", values=(5.0, 25.0, 50.0),
+            n_pairs=6, nx=16, ny=16, nt=8, n_channels=8, spread=5.0, n_readers=2,
+        )
+        failing = dc_replace(cfg)
+        object.__setattr__(failing, "values", (-5.0, 25.0, 50.0))
+        out = tmp_path / "o.csv"
+        with pytest.raises(DomainError, match="sweep point"):
+            run_sweep(failing, out)
+        assert (tmp_path / "o.csv.errors.json").exists()
+        run_sweep(cfg, out)
+        assert os.listdir(tmp_path) == ["o.csv"]
+        assert len(out.read_text().splitlines()) == 4
+
     def test_failures_in_method_order_on_any_thread_count(self, tmp_path):
         # Points are submitted dearest method first, but rows and failures are
         # written in (method, value) order, so the files do not depend on threads.
