@@ -137,6 +137,7 @@ def _cmd_perceive(args) -> int:
     vc = ViewingConditions(**{f.name: getattr(args, f.name) for f in fields(ViewingConditions)})
     _check_output_dirs(("--output", args.output))
     stack = _read("--input", read_stack, args.input)
+    _check_output_dirs(("--input", args.input), ("--output", args.output))
     if args.normalize:
         stack = normalize_to_display(stack, vc)
     out = percept.perceive(stack, args.method, vc, mc_seed=args.mc_seed)

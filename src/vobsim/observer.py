@@ -61,14 +61,19 @@ class LgChannelSet:
     spectral: np.ndarray
 
 
-def make_channels(nx: int, ny: int, n_channels: int, spread: float = SPREAD) -> LgChannelSet:
+def channel_faults(nx: int, ny: int, n_channels: int, spread: float):
     if not 1 <= n_channels <= nx * ny:  # more channels than pixels are linearly dependent
-        raise DomainError(f"n_channels must be between 1 and nx * ny = {nx * ny}, got {n_channels}")
+        yield "n_channels", f"n_channels must be between 1 and nx * ny = {nx*ny}, got {n_channels}"
     a2 = spread * spread  # a float product gives 0 or inf where spread**2 would raise
     if not (spread > 0 and 0 < a2 < math.inf):
-        raise DomainError(f"spread must be positive with a finite non-zero square, got {spread!r}")
+        yield "spread", f"spread must be positive with a finite non-zero square, got {spread!r}"
+
+
+def make_channels(nx: int, ny: int, n_channels: int, spread: float = SPREAD) -> LgChannelSet:
+    for _, message in channel_faults(nx, ny, n_channels, spread):
+        raise DomainError(message)
     x, y = center_offsets(nx)[:, None], center_offsets(ny)[None, :]
-    g = 2.0 * np.pi * (x**2 + y**2) / a2
+    g = 2.0 * np.pi * (x**2 + y**2) / (spread * spread)
     cols = []
     for j in range(n_channels):
         with np.errstate(all="ignore"):  # an underflowed or overflowed channel is refused below

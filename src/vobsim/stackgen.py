@@ -232,6 +232,20 @@ def read_stack(path) -> ImageStack:
     return ImageStack(data=data.copy(), label=label, seed=seed)
 
 
+def corpus_faults(nx: int, ny: int, nt: int, beta: float, master_seed: int):
+    if nx != ny:  # the viewing geometry takes the field size from one side
+        yield "ny", f"slices must be square, got {nx}x{ny}"
+    if master_seed < 0:
+        yield "master_seed", f"master_seed must be non-negative, got {master_seed}"
+    for name, n in (("nx", nx), ("ny", ny), ("nt", nt)):
+        if n < 8:
+            yield name, f"{name} must be at least 8, got {n}"
+        if n % 2 != 0:
+            yield name, f"{name} must be even for the spectral pipeline, got {n}"
+    if not 0 <= beta < np.inf:  # NaN compares false
+        yield "beta", f"beta must be finite and non-negative, got {beta!r}"
+
+
 def generate_corpus(
     n_pairs: int, nx: int, ny: int, nt: int, beta: float, lesion: LesionSpec, master_seed: int
 ) -> list[ImageStack]:
@@ -246,17 +260,8 @@ def generate_corpus(
     """
     if n_pairs < 1:
         raise DomainError(f"n_pairs must be at least 1, got {n_pairs}")
-    if nx != ny:  # the viewing geometry takes the field size from one side
-        raise DomainError(f"slices must be square, got {nx}x{ny}")
-    if master_seed < 0:
-        raise DomainError(f"master_seed must be non-negative, got {master_seed}")
-    for name, n in (("nx", nx), ("ny", ny), ("nt", nt)):
-        if n < 8:
-            raise DomainError(f"{name} must be at least 8, got {n}")
-        if n % 2 != 0:
-            raise DomainError(f"{name} must be even for the spectral pipeline, got {n}")
-    if not 0 <= beta < np.inf:  # NaN compares false
-        raise DomainError(f"beta must be finite and non-negative, got {beta!r}")
+    for _, message in corpus_faults(nx, ny, nt, beta, master_seed):
+        raise DomainError(message)
     # Every background is drawn and filtered in these two buffers.
     try:
         noise, half = np.empty((nx, ny, nt)), np.empty((nx, ny, nt // 2 + 1), dtype=complex)

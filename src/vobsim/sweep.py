@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import observer, percept, stats
+from . import observer, percept, stackgen, stats
 from .csf import FieldGeometry
 from .errors import ConfigError, DomainError
 from .stackgen import (
@@ -100,10 +100,8 @@ def classify_trend(d_primes, error_bars) -> str:
     return "constant"
 
 
-# Least valid value of each integer field: the corpus generator needs even
-# dimensions of at least 8 and a non-negative seed.
-_LEAST_INT = {"n_pairs": stats.MIN_PER_CLASS, "nx": 8, "ny": 8, "nt": 8, "master_seed": 0,
-              "n_channels": 1, "n_readers": 1}
+# Least valid value of the integer fields no corpus or channel rule bounds.
+_LEAST_INT = {"n_pairs": stats.MIN_PER_CLASS, "n_readers": 1}
 # The config sections whose keys are SweepConfig fields of the same name.
 _SECTIONS = {"corpus": ["n_pairs", "nx", "ny", "nt", "beta", "lesion", "master_seed"],
              "observer": ["n_channels", "spread", "n_readers"]}
@@ -158,18 +156,17 @@ class SweepConfig:
             raise ConfigError("sweep.values: must be strictly increasing")
         if self.ny is None:
             object.__setattr__(self, "ny", self.nx)
-        for name, least in _LEAST_INT.items():
+        for name in ("n_pairs", "nx", "ny", "nt", "master_seed", "n_channels", "n_readers"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{_KEY[name]}: must be an integer, got {value!r}")
-            if value < least or (name in ("nx", "ny", "nt") and value % 2):
-                raise ConfigError(f"{_KEY[name]}: must be at least {least}"
-                                  f"{' and even' if least == 8 else ''}, got {value}")
-        if self.ny != self.nx:  # the viewing geometry takes the field size from one side
-            raise ConfigError(f"corpus.ny: slices must be square, got ny {self.ny} != nx {self.nx}")
-        if self.n_channels > self.nx * self.ny:  # as in observer.make_channels
-            raise ConfigError(f"observer.n_channels: must be at most nx * ny = "
-                              f"{self.nx * self.ny}, got {self.n_channels}")
+            if name in _LEAST_INT and value < _LEAST_INT[name]:
+                raise ConfigError(f"{_KEY[name]}: must be at least {_LEAST_INT[name]}, got {value}")
+        beta, spread = (_finite(_KEY[name], getattr(self, name)) for name in ("beta", "spread"))
+        for name, message in (*stackgen.corpus_faults(self.nx, self.ny, self.nt, beta,
+                                                      self.master_seed),
+                              *observer.channel_faults(self.nx, self.ny, self.n_channels, spread)):
+            raise ConfigError(f"{_KEY[name]}: {message}")  # the first fault
         for v in self.values:  # every point's viewing conditions, distance and field must exist
             key = "sweep.values"
             try:
@@ -180,11 +177,6 @@ class SweepConfig:
                 FieldGeometry(x0=self.nx / vc.ssr, l_avg=vc.l_max)
             except DomainError as exc:
                 raise ConfigError(f"{key}: {exc}") from exc
-        for name, valid, rule in (("beta", lambda v: v >= 0, "non-negative"),
-                                  ("spread", lambda v: v > 0 and 0 < v * v < math.inf,
-                                   "positive with a finite non-zero square")):
-            if not valid(_finite(_KEY[name], getattr(self, name))):
-                raise ConfigError(f"{_KEY[name]}: must be {rule}, got {getattr(self, name)!r}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepConfig":
@@ -202,7 +194,7 @@ class SweepConfig:
             return tuple(value)
 
         take(raw, ["version", "methods", "sweep", "viewing", "corpus", "observer"], "config")
-        if raw.get("version", 1) != 1:
+        if type(raw.get("version", 1)) is not int or raw.get("version", 1) != 1:
             raise ConfigError(f"version: unsupported config version {raw.get('version')!r}")
         kwargs = {}
         if "methods" in raw:

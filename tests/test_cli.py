@@ -464,6 +464,27 @@ class TestBadInputs:
         assert report["message"] == f"--output: {stack} is not a directory"
         assert os.listdir(tmp_path) == ["in.vstk"]
 
+    @pytest.mark.parametrize("output", ["in.vstk", "dir/../in.vstk"])
+    def test_perceive_output_equal_to_input_fails_before_perceiving(self, tmp_path, capsys,
+                                                                     monkeypatch, output):
+        stack = tmp_path / "in.vstk"
+        write_stack(_input_stacks()["background"], stack)
+        before = stack.read_bytes()
+        (tmp_path / "dir").mkdir()
+        calls = []
+        monkeypatch.setattr(cli.percept, "perceive", lambda *a, **k: calls.append(a))
+        argv = ["perceive", "--input", str(stack), "--output", str(tmp_path / output),
+                "--method", "PM", "--normalize"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        report = json.loads(err)
+        assert report["error"] == "ConfigError"
+        assert report["message"] == f"--output: {tmp_path / output} is the same file as --input"
+        assert calls == []
+        assert stack.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["dir", "in.vstk"]
+
     @pytest.mark.parametrize("flag", ["--config", "--input"])
     @pytest.mark.parametrize("kind, error, reason", [
         ("missing", "FileNotFoundError", "No such file or directory"),

@@ -206,10 +206,41 @@ class TestConfigValidation:
          "viewing.ssr: ssr 0.1 gives no finite"),
         # More channels than the 64 pixels of an 8x8 slice.
         ({"corpus": {"nx": 8}, "observer": {"n_channels": 65}}, "observer.n_channels"),
+        # The version is the JSON integer 1, not a boolean or float equal to it.
+        ({"version": True}, "version: unsupported config version True"),
+        ({"version": 1.0}, "version: unsupported config version 1.0"),
     ])
     def test_bad_shape_named(self, raw, where):
         with pytest.raises(ConfigError, match=where):
             SweepConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("key, overrides", [
+        ("corpus.nx", {"nx": 6, "ny": 6}),
+        ("corpus.nt", {"nt": 9}),
+        ("corpus.ny", {"ny": 16}),
+        ("corpus.master_seed", {"master_seed": -1}),
+        ("corpus.beta", {"beta": -1.0}),
+        ("observer.n_channels", {"n_channels": 0}),
+        ("observer.n_channels", {"n_channels": 65}),
+        ("observer.spread", {"spread": 0.0}),
+        ("observer.spread", {"spread": 1e308}),
+    ])
+    def test_corpus_and_channel_faults_carry_their_generators_message(self, key, overrides):
+        # The config states no corpus or channel rule of its own: it reports the message
+        # generate_corpus or make_channels gives, under the key of the field at fault.
+        a = {"nx": 8, "ny": 8, "nt": 8, "beta": 3.0, "master_seed": 0, "n_channels": 4,
+             "spread": 5.0, **overrides}
+        with pytest.raises(DomainError) as direct:
+            if key.startswith("corpus."):
+                generate_corpus(4, a["nx"], a["ny"], a["nt"], a["beta"], LesionSpec(),
+                                a["master_seed"])
+            else:
+                observer.make_channels(a["nx"], a["ny"], a["n_channels"], a["spread"])
+        raw = {"corpus": {k: a[k] for k in ("nx", "ny", "nt", "beta", "master_seed")},
+               "observer": {"n_channels": a["n_channels"], "spread": a["spread"]}}
+        with pytest.raises(ConfigError) as via_config:
+            SweepConfig.from_dict(raw)
+        assert str(via_config.value) == f"{key}: {direct.value}"
 
     def test_ny_follows_nx(self):
         assert SweepConfig.from_dict({"corpus": {"nx": 32}}).ny == 32
