@@ -46,6 +46,7 @@ __all__ = [
     "SpectralStack",
     "METHODS",
     "forward",
+    "displayed",
     "inverse",
     "check_symmetric",
     "modulation",
@@ -62,11 +63,14 @@ METHODS = ("LF", "PM", "MC")
 
 @dataclass
 class SpectralStack:
-    """Half 3D spectrum of a real stack (rfftn layout), plus its mean luminance (DC / N)."""
+    """Half 3D spectrum of a real stack (rfftn layout); its mean luminance is read off the DC."""
 
     half: np.ndarray
     dims: tuple[int, int, int]
-    mean_lum: float
+
+    @property
+    def mean_lum(self) -> float:  # the DC's real part over the voxel count
+        return self.half[0, 0, 0].real / prod(self.dims)
 
     @property
     def coeffs(self) -> np.ndarray:
@@ -119,9 +123,20 @@ def forward(stack: ImageStack) -> SpectralStack:
         np.copyto(plane, np.conj(_mirror_xy(plane)), where=later)
     half.imag[self_conj] = 0.0
     # A DC within rounding of zero has no sign: the stack has no positive mean.
-    dc = half[0, 0, 0].real
-    zero = abs(dc) <= n * np.finfo(float).eps * peak
-    return SpectralStack(half=half, dims=data.shape, mean_lum=0.0 if zero else dc / n)
+    if abs(half[0, 0, 0].real) <= n * np.finfo(float).eps * peak:
+        half[0, 0, 0] = 0.0
+    return SpectralStack(half=half, dims=data.shape)
+
+
+def displayed(spec: SpectralStack, base: ViewingConditions, vc: ViewingConditions) -> SpectralStack:
+    """``spec``, of a stack displayed at ``base``, as displayed at ``vc``: every bin scales by
+    the span ratio k (real, so pairs stay exact conjugates) and the DC also moves with l_min."""
+    if (vc.l_max, vc.l_min) == (base.l_max, base.l_min):
+        return spec
+    k, n = (vc.l_max - vc.l_min) / (base.l_max - base.l_min), prod(spec.dims)
+    half = spec.half * k
+    half[0, 0, 0] = k * (spec.half[0, 0, 0] - n * base.l_min) + n * vc.l_min
+    return replace(spec, half=half)
 
 
 def inverse(spec: SpectralStack) -> np.ndarray:

@@ -244,6 +244,8 @@ def corpus_faults(nx: int, ny: int, nt: int, beta: float, master_seed: int):
             yield name, f"{name} must be even for the spectral pipeline, got {n}"
     if not 0 <= beta < np.inf:  # NaN compares false
         yield "beta", f"beta must be finite and non-negative, got {beta!r}"
+    if nx * ny * nt * 8 > sys.maxsize:  # one float64 stack beyond any address space
+        yield "nx", f"nx {nx}, ny {ny} and nt {nt} make a stack larger than any address space"
 
 
 def generate_corpus(

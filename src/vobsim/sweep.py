@@ -245,24 +245,12 @@ class TrendReport:
     inconclusive: dict[str, bool]
 
 
-def _displayed(spec: percept.SpectralStack, base: ViewingConditions,
-               vc: ViewingConditions) -> percept.SpectralStack:
-    """``spec``, of a stack displayed at ``base``, as displayed at ``vc``: every bin scales by
-    the span ratio k (real, so pairs stay exact conjugates) and the DC also moves with l_min."""
-    if (vc.l_max, vc.l_min) == (base.l_max, base.l_min):
-        return spec
-    k, n = (vc.l_max - vc.l_min) / (base.l_max - base.l_min), math.prod(spec.dims)
-    half = spec.half * k
-    half[0, 0, 0] = k * (spec.half[0, 0, 0] - n * base.l_min) + n * vc.l_min
-    return dc_replace(spec, half=half, mean_lum=half[0, 0, 0].real / n)
-
-
 def _run_point(config: SweepConfig, spectra: list[percept.SpectralStack], method: str,
                point: int, labels: list[bool], channels: observer.LgChannelSet):
     vc = config.vc_at(config.values[point])
     # Each stack's spectrum is rescaled to this point's display and reduced to
     # (nt, C) channel features; only the features outlive the point.
-    specs = (_displayed(s, config.viewing, vc) for s in spectra)
+    specs = (percept.displayed(s, config.viewing, vc) for s in spectra)
     if method == "MC":
         # Only the keep/discard draw differs between readers, so each stack's
         # draws for all readers come from one McSource, dropped right after.

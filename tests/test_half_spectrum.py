@@ -63,7 +63,7 @@ def test_half_spectrum_matches_full_fft(dims, seed):
     pairs = np.unique(first)[1:]
     u = np.full(flat.size, -1.0)
     u[pairs] = np.random.default_rng(seed).random(pairs.size)
-    p = SpectralStack(half=McSource.of(spec, vc).p + 0j, dims=dims, mean_lum=1.0).coeffs.real
+    p = SpectralStack(half=McSource.of(spec, vc).p + 0j, dims=dims).coeffs.real
     assert np.array_equal(drawn.coeffs != 0, u[first] < p)
     # A draw keeps each pair at unit modulation: PM with p set to the keep mask.
     keep = drawn.half != 0
@@ -105,7 +105,7 @@ def test_non_hermitian_half_is_rejected(dims, where):
         half[0, 1, -1] += 1j * bump
     else:
         half[dims[0] // 2, 0, 0] += 1j * bump  # a Nyquist corner, its own conjugate
-    bad = SpectralStack(half=half, dims=dims, mean_lum=spec.mean_lum)
+    bad = SpectralStack(half=half, dims=dims)
     assert np.abs(np.fft.ifftn(bad.coeffs).imag).max() > 1e-9 * np.abs(np.fft.ifftn(bad.coeffs)).max()
     with pytest.raises(DomainError, match="imaginary"):
         inverse(bad)
@@ -137,7 +137,7 @@ def test_every_spectrum_is_exactly_symmetric_and_one_ulp_off_is_rejected(dims, s
     values = getattr(half, part)
     toward = data.draw(st.sampled_from([-np.inf, np.inf]))
     values[kx, ky, kt] = np.nextafter(values[kx, ky, kt], toward)
-    bad = SpectralStack(half=half, dims=dims, mean_lum=spec.mean_lum)
+    bad = SpectralStack(half=half, dims=dims)
     with pytest.raises(DomainError, match="imaginary"):
         inverse(bad)
     channels = make_channels(dims[0], dims[1], 2, spread=2.0)
@@ -165,7 +165,7 @@ def test_residue_check_agrees_with_full_inverse(factor, planes, dims, seed):
     def perturbed(size):
         half = spec.half.copy()
         half[:, :, [0, -1]] += size * noise
-        return SpectralStack(half=half, dims=dims, mean_lum=spec.mean_lum)
+        return SpectralStack(half=half, dims=dims)
 
     def imag_ratio(s):
         full = np.fft.ifftn(s.coeffs)

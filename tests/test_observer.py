@@ -3,7 +3,7 @@ import pytest
 from scipy.special import eval_laguerre
 from scipy.stats import norm
 
-from vobsim.errors import DimensionMismatchError, DomainError
+from vobsim.errors import DimensionMismatchError, DomainError, SingularCovarianceError
 from vobsim.observer import (
     channelize,
     channelize_spectrum,
@@ -163,6 +163,11 @@ class TestHotellingWeights:
         with pytest.raises(DomainError):
             hotelling_weights(np.zeros((1, 3)), np.ones((5, 3)))
 
+    def test_zero_covariance_with_a_mean_difference_is_singular(self):
+        # Two constant classes that differ: a direction to weigh, but no spread to whiten.
+        with pytest.raises(SingularCovarianceError, match="nonzero mean difference"):
+            hotelling_weights(np.zeros((3, 2)), np.ones((4, 2)))
+
 
 class TestTrain:
     def test_identical_classes_near_zero_template(self):
@@ -198,6 +203,16 @@ class TestTrain:
         stacks = [ImageStack(data=rng.random((16, 16, 8))) for _ in range(6)]
         with pytest.raises(DomainError):
             train(stacks, make_channels(16, 16, 15))
+
+    def test_no_stacks(self):
+        with pytest.raises(DomainError, match="no training stacks"):
+            train([], make_channels(16, 16, 6))
+
+    def test_slice_counts_must_agree(self):
+        rng = np.random.default_rng(6)
+        stacks = toy_stacks(rng, 2) + toy_stacks(rng, 2, nt=6)
+        with pytest.raises(DimensionMismatchError, match="slice count"):
+            train(stacks, make_channels(16, 16, 6))
 
 
 class TestScore:

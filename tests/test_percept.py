@@ -108,6 +108,18 @@ class TestModulation:
         spec = forward(stack)
         assert modulation(spec, (4, 0, 0)) == pytest.approx(0.05, rel=1e-9)
 
+    def test_upper_half_bins_read_their_partner(self):
+        # The half spectrum stores no bin with kt > nt/2.  Such a bin and its
+        # stored partner are one cosine, so the bin has the partner's
+        # modulation: its full-spectrum amplitude over N * mean / 2.
+        stack = ImageStack(data=np.random.default_rng(8).random((8, 6, 8)) + 1.0)
+        spec = forward(stack)
+        full = np.fft.fftn(stack.data)
+        for k in [(1, 2, 5), (0, 3, 7), (7, 0, 6), (4, 3, 5)]:
+            assert modulation(spec, k) == modulation(spec, (-k[0], -k[1], -k[2]))
+            want = abs(full[k]) / (full.size * stack.data.mean() / 2.0)
+            assert modulation(spec, k) == pytest.approx(want, rel=1e-9)
+
 
 def _sensitivity_of(s):
     """A stand-in for ``percept.sensitivity`` that gives ``s`` on every bin."""
@@ -320,27 +332,34 @@ class TestSensitivity:
     @example(dims=(8, 8, 8), ssr=7.0, browse_speed=25.0, l_avg=150.0)
     def test_table_equals_per_bin_csf(self, dims, ssr, browse_speed, l_avg):
         vc = ViewingConditions(ssr=ssr, browse_speed=browse_speed)
-        spec = SpectralStack(half=np.zeros(dims, dtype=complex), dims=dims, mean_lum=l_avg)
-        assert np.array_equal(sensitivity(spec, vc), _per_bin_csf(dims, vc, l_avg))
+        spec = _dc_only(dims, l_avg)  # its mean reads back within an ulp of l_avg
+        assert np.array_equal(sensitivity(spec, vc), _per_bin_csf(dims, vc, spec.mean_lum))
 
     def test_cache_follows_viewing_point(self):
         # The frequency tables are cached per (dims, ssr, browse_speed):
         # A, then B, then A again must each match a per-bin evaluation.
         dims = (16, 16, 8)
-        spec = SpectralStack(half=np.zeros(dims, dtype=complex), dims=dims, mean_lum=120.0)
+        spec = _dc_only(dims, 120.0)
         a, b = ViewingConditions(), ViewingConditions(ssr=30.0, browse_speed=200.0)
         for vc in (a, b, a):
             assert np.array_equal(sensitivity(spec, vc), _per_bin_csf(dims, vc, 120.0))
 
     def test_cached_tables_are_read_only(self):
         dims = (16, 16, 8)
-        sensitivity(SpectralStack(np.zeros(dims, dtype=complex), dims, 120.0), ViewingConditions())
+        sensitivity(_dc_only(dims, 120.0), ViewingConditions())
         tables = [*percept._frequency_table(dims, 7.0, 25.0), *percept._pair_table(dims)]
         arrays = [t for t in tables if isinstance(t, np.ndarray)]
         assert len(arrays) == 5
         for table in arrays:
             with pytest.raises(ValueError):
                 table[...] = 0
+
+
+def _dc_only(dims, l_avg):
+    """A spectrum whose one nonzero bin is the DC of a stack of shape ``dims`` and mean ``l_avg``."""
+    half = np.zeros(dims, dtype=complex)
+    half[0, 0, 0] = l_avg * math.prod(dims)
+    return SpectralStack(half=half, dims=dims)
 
 
 def _per_bin_csf(dims, vc, l_avg):

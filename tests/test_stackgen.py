@@ -74,6 +74,14 @@ class TestImageStack:
         with pytest.raises(DomainError, match="real-valued"):
             ImageStack(data=data)
 
+    def test_rejects_data_that_is_not_3d(self):
+        with pytest.raises(DimensionMismatchError, match="must be 3D"):
+            ImageStack(data=np.ones((8, 8)))
+
+    def test_rejects_an_unknown_label(self):
+        with pytest.raises(DomainError, match="unknown stack label"):
+            ImageStack(data=np.ones((8, 8, 8)), label="signal-maybe")
+
 
 class TestViewingConditions:
     def test_defaults(self):

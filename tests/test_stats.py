@@ -37,6 +37,20 @@ def simulate_ensemble(rng, n_readers=4, n_per_class=100, d=1.2, sigma_reader=0.6
             for r in range(n_readers)]
 
 
+class TestInputs:
+    def test_scores_and_labels_must_match(self):
+        with pytest.raises(DomainError, match="equal length"):
+            CaseScores(scores=np.arange(4.0), labels=np.array([0, 1, 0], bool))
+
+    def test_scores_must_be_finite(self):
+        with pytest.raises(DomainError, match="finite"):
+            CaseScores(scores=np.array([0.0, np.nan]), labels=np.array([0, 1], bool))
+
+    def test_at_least_one_reader(self):
+        with pytest.raises(DomainError, match="at least one reader"):
+            McmcInput(readers=[])
+
+
 class TestAuc:
     def test_perfect_separation(self):
         assert auc(scores_from(pos=np.array([3.0, 4.0]), neg=np.array([1.0, 2.0]))) == 1.0
@@ -108,6 +122,12 @@ class TestMrmcOneShot:
         assert res.auc_variance == pytest.approx(want, rel=1e-10)
         # A Python float, so that the CSV writer's repr() is a plain number.
         assert type(res.auc_variance) is float
+
+    def test_one_case_per_class_has_no_variance(self):
+        # Two readers, but no two distinct cases of a class to pair.
+        readers = [scores_from(np.array([1.0]), np.array([0.0]), reader_id=r) for r in range(2)]
+        with pytest.raises(DomainError, match="at least 2 cases per class"):
+            mrmc_one_shot(McmcInput(readers=readers))
 
     def test_mismatched_labels_rejected(self):
         a = scores_from(np.array([1.0, 2]), np.array([0.0, 1]))

@@ -209,6 +209,9 @@ class TestConfigValidation:
         # The version is the JSON integer 1, not a boolean or float equal to it.
         ({"version": True}, "version: unsupported config version True"),
         ({"version": 1.0}, "version: unsupported config version 1.0"),
+        # One stack beyond any address space, named before nx / ssr can overflow a float.
+        ({"corpus": {"nx": 10**400, "ny": 10**400}},
+         "corpus.nx: nx 10+, ny 10+ and nt 32 make a stack larger than any address space"),
     ])
     def test_bad_shape_named(self, raw, where):
         with pytest.raises(ConfigError, match=where):
@@ -224,6 +227,7 @@ class TestConfigValidation:
         ("observer.n_channels", {"n_channels": 65}),
         ("observer.spread", {"spread": 0.0}),
         ("observer.spread", {"spread": 1e308}),
+        ("corpus.nx", {"nx": 10**400, "ny": 10**400}),
     ])
     def test_corpus_and_channel_faults_carry_their_generators_message(self, key, overrides):
         # The config states no corpus or channel rule of its own: it reports the message
@@ -319,7 +323,7 @@ class TestDisplayed:
         stack = absent if amplitude is None else present
         vc = dc_replace(base, **{parameter: value})
         spec = percept.forward(normalize_to_display(stack, base))
-        mapped = sweep._displayed(spec, base, vc)
+        mapped = percept.displayed(spec, base, vc)
         if parameter in ("ssr", "browse_speed"):
             assert mapped is spec
         want = percept.forward(normalize_to_display(stack, vc))
