@@ -11,7 +11,10 @@ the 2D DFTs.  Applied to every temporal frequency of a half 3D spectrum and
 followed by a 1D inverse real FFT over time, that gives the features of
 every slice of the stack the spectrum stands for, with no 3D inverse
 transform (``channelize_spectrum``).  Training and scoring work on
-(N, nt, C) feature tensors; ``train``/``score`` adapt them to stacks.
+(N, nt, C) feature tensors; ``train``/``score`` adapt them to stacks.  A
+trained model is linear up to its decision variable, so ``spectral_scorer``
+scores a half spectrum with one template-weighted sum over its (kx, ky)
+rows per temporal frequency, without its features.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ __all__ = [
     "hotelling_weights",
     "train_features",
     "score_features",
+    "spectral_scorer",
     "train",
     "score",
 ]
@@ -108,14 +112,18 @@ def channelize_stack(stack: ImageStack, channels: LgChannelSet) -> np.ndarray:
     return flat.T @ channels.matrix
 
 
-def channelize_spectrum(spec: SpectralStack, channels: LgChannelSet) -> np.ndarray:
-    """Features of every slice of ``inverse(spec)``, shape (nt, C), with no 3D transform."""
+def _project(weights: np.ndarray, spec: SpectralStack, channels: LgChannelSet) -> np.ndarray:
+    # irfft over time of weights . (the half spectrum's nx * ny rows), checked as inverse checks.
     nx, ny, nt = spec.dims
     _check_slices((nx, ny), channels)
-    check_symmetric(spec)  # as inverse does
+    check_symmetric(spec)
     # np.dot, not @: matmul holds the GIL through a complex gemm, so sweep threads would queue.
-    return scipy.fft.irfft(np.dot(channels.spectral, spec.half.reshape(nx * ny, -1)),
-                           n=nt, axis=1).T
+    return scipy.fft.irfft(np.dot(weights, spec.half.reshape(nx * ny, -1)), n=nt)
+
+
+def channelize_spectrum(spec: SpectralStack, channels: LgChannelSet) -> np.ndarray:
+    """Features of every slice of ``inverse(spec)``, shape (nt, C), with no 3D transform."""
+    return _project(channels.spectral, spec, channels).T
 
 
 def hotelling_weights(
@@ -182,6 +190,13 @@ def score_features(model: ChoModel, feats: np.ndarray) -> np.ndarray:
             f"stack has {feats.shape[1]} slices, model expects {model.slice_stage.size}"
         )
     return feats @ model.template_central @ model.slice_stage
+
+
+def spectral_scorer(model: ChoModel, channels: LgChannelSet):
+    """``spec -> score_features(model, channelize_spectrum(spec, channels)[None])[0]``, as
+    irfft((T . spectral) Y, nt) . w with T . spectral formed once, here."""
+    template = np.dot(model.template_central, channels.spectral)
+    return lambda spec: float(np.dot(_project(template, spec, channels), model.slice_stage))
 
 
 def train(stacks: list[ImageStack], channels: LgChannelSet) -> ChoModel:

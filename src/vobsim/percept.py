@@ -18,8 +18,8 @@ a self-conjugate bin; ``forward`` makes them exactly Hermitian.  Every
 per-bin array (S, m, phase, p, the MC keep mask) has the half spectrum's
 shape and the methods are elementwise on it, so every spectrum the program
 makes is exactly conjugate-symmetric, with the DC (mean luminance) passed
-through untouched.  ``inverse`` and ``observer.channelize_spectrum`` reject
-any other spectrum (``check_symmetric``).
+through untouched.  ``inverse`` and the observer's spectral projections
+reject any other spectrum (``check_symmetric``).
 
 PM and MC both start from p: one pass over the half spectrum yields each
 bin's modulation m (which p needs) and its phase; PM scales the phase to p
@@ -75,13 +75,9 @@ class SpectralStack:
     @property
     def coeffs(self) -> np.ndarray:
         """The full spectrum in ``np.fft.fftn`` layout, mirrored from ``half``."""
-        upper = np.conj(_mirror_xy(self.half)[:, :, self.dims[2] // 2 - 1:0:-1])
+        mirror = np.roll(self.half[::-1, ::-1], 1, axis=(0, 1))  # [kx, ky] is half[-kx, -ky]
+        upper = np.conj(mirror[:, :, self.dims[2] // 2 - 1:0:-1])
         return np.concatenate([self.half, upper], axis=2)
-
-
-def _mirror_xy(a: np.ndarray) -> np.ndarray:
-    # b[kx, ky] = a[-kx mod nx, -ky mod ny]
-    return np.roll(a[::-1, ::-1], 1, axis=(0, 1))
 
 
 @lru_cache(maxsize=8)
@@ -91,15 +87,18 @@ def _pair_table(dims: tuple[int, int, int]):
     Returns (n_pairs, rank, self_conj, later): rank numbers each bin's pair by
     the smaller full-layout flat index of its two bins (0 for the DC, 1 to
     n_pairs for the others); self_conj indexes the self-conjugate bins; later
-    marks the (kx, ky) of the kt = 0 and nt/2 planes whose partner in the same
-    plane comes first.
+    holds two rows of flat half-spectrum indices: the bins of the kt = 0 and
+    nt/2 planes whose partner, in the same plane, comes first or is
+    themselves, and those partners.
     """
     nx, ny, nt = dims
     kx, ky, kt = np.indices((nx, ny, nt // 2 + 1))
     flat = (kx * ny + ky) * nt + kt
     partner = (((-kx) % nx) * ny + (-ky) % ny) * nt + (-kt) % nt
     pairs, rank = np.unique(np.minimum(flat, partner).ravel(), return_inverse=True)
-    rank, later = rank.reshape(flat.shape), flat[:, :, 0] > partner[:, :, 0]
+    later = np.flatnonzero((flat >= partner) & (kt % (nt // 2) == 0))
+    mirror = np.ravel_multi_index(((-kx) % nx, (-ky) % ny, kt), kt.shape).ravel()
+    rank, later = rank.reshape(flat.shape), np.stack([later, mirror[later]])
     rank.flags.writeable = later.flags.writeable = False
     return pairs.size - 1, rank, tuple(slice(None, None, n // 2) for n in dims), later
 
@@ -118,9 +117,8 @@ def forward(stack: ImageStack) -> SpectralStack:
     if not n * peak < np.finfo(float).max:  # bounds every bin; NaN compares false
         raise DomainError(f"stack values: {n} x max |x| = {n * peak!r} must be a finite float")
     half = scipy.fft.rfftn(data)
-    _, _, self_conj, later = _pair_table(data.shape)
-    for plane in (half[:, :, 0], half[:, :, -1]):
-        np.copyto(plane, np.conj(_mirror_xy(plane)), where=later)
+    _, _, self_conj, (later, partner) = _pair_table(data.shape)
+    np.put(half, later, np.conj(half.take(partner)))
     half.imag[self_conj] = 0.0
     # A DC within rounding of zero has no sign: the stack has no positive mean.
     if abs(half[0, 0, 0].real) <= n * np.finfo(float).eps * peak:
@@ -149,10 +147,10 @@ def check_symmetric(spec: SpectralStack) -> None:
     """Raise unless ``spec`` is exactly the spectrum of a real stack.
 
     The half spectrum stores both bins of a pair only in its kt = 0 and nt/2
-    planes, so those must equal the conjugate of their (-kx, -ky) mirror bit for bit.
+    planes, so those must equal the conjugate of their (-kx, -ky) partner bit for bit.
     """
-    planes = spec.half[:, :, [0, -1]]
-    if not np.array_equal(planes, np.conj(_mirror_xy(planes))):
+    later, partner = _pair_table(spec.dims)[3]  # each pair once, and the self-conjugate bins
+    if not np.array_equal(spec.half.take(later), np.conj(spec.half.take(partner))):
         raise DomainError("spectrum is not conjugate-symmetric: "
                           "its inverse transform would have an imaginary part")
 

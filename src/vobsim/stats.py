@@ -24,6 +24,7 @@ __all__ = [
     "mrmc_one_shot",
     "d_prime",
     "make_readers",
+    "split_cases",
     "MIN_PER_CLASS",
 ]
 
@@ -162,19 +163,11 @@ _TRAIN_FRACTION = 0.8
 MIN_PER_CLASS = 4
 
 
-def make_readers(features, labels, master_seed: int) -> list[CaseScores]:
-    """Train one virtual reader per feature tensor and score them on a common test half.
-
-    ``features`` holds one (N, nt, C) channel-feature tensor of the labeled
-    cases per reader: the same tensor for every reader under LF/PM, one
-    drawn tensor each under MC, whose perception is random per reader.
-    Cases are split 50/50 per class into a training pool and a test half
-    shared by all readers (the one-shot estimator assumes a fully-crossed
-    reader-by-case design); each reader trains on its own seeded random
-    subset of the pool (``_TRAIN_FRACTION`` of it).
-    """
-    if len(features) == 0:
-        raise DomainError("at least one reader's feature tensor is required")
+def split_cases(labels, master_seed: int, n_readers: int):
+    """(test indices, one array of training indices per reader).  Cases split 50/50 per class
+    into a training pool and a test half all readers score (the one-shot estimator assumes a
+    fully-crossed reader-by-case design); each reader trains on its own seeded random subset
+    of the pool (``_TRAIN_FRACTION`` of it)."""
     labels = np.asarray(labels, dtype=bool)
     idx_absent, idx_present = np.flatnonzero(~labels), np.flatnonzero(labels)
     if min(idx_absent.size, idx_present.size) < MIN_PER_CLASS:
@@ -186,15 +179,22 @@ def make_readers(features, labels, master_seed: int) -> list[CaseScores]:
         perm = rng_split.permutation(idx)
         pools.append(perm[:idx.size // 2])
         tests.append(perm[idx.size // 2:])
-    test_idx = np.concatenate(tests)
     n_train = [min(max(2, int(round(_TRAIN_FRACTION * pool.size))), pool.size) for pool in pools]
-
-    reader_scores = []
-    for reader, feats in enumerate(features):
+    trains = []
+    for reader in range(n_readers):
         rng_r = np.random.default_rng([int(master_seed), 0x4EAD, reader])
-        train_idx = np.concatenate([rng_r.choice(pool, size=n, replace=False)
-                                    for pool, n in zip(pools, n_train)])
-        model = observer.train_features(feats[train_idx], labels[train_idx])
-        scores = observer.score_features(model, feats[test_idx])
-        reader_scores.append(CaseScores(scores, labels[test_idx], reader))
-    return reader_scores
+        trains.append(np.concatenate([rng_r.choice(pool, size=n, replace=False)
+                                      for pool, n in zip(pools, n_train)]))
+    return np.concatenate(tests), trains
+
+
+def make_readers(features, labels, master_seed: int) -> list[CaseScores]:
+    """Train one virtual reader per (N, nt, C) feature tensor of the labeled cases (LF and PM
+    give every reader the same one) and score each on the test half of ``split_cases``."""
+    if len(features) == 0:
+        raise DomainError("at least one reader's feature tensor is required")
+    labels = np.asarray(labels, dtype=bool)
+    test_idx, trains = split_cases(labels, master_seed, len(features))
+    return [CaseScores(observer.score_features(observer.train_features(f[t], labels[t]),
+                                               f[test_idx]), labels[test_idx], reader)
+            for reader, (f, t) in enumerate(zip(features, trains))]

@@ -167,6 +167,10 @@ class SweepConfig:
                                                       self.master_seed),
                               *observer.channel_faults(self.nx, self.ny, self.n_channels, spread)):
             raise ConfigError(f"{_KEY[name]}: {message}")  # the first fault
+        reader_bytes = 2 * self.n_pairs * self.nt * self.n_channels * 8  # one MC reader's features
+        if reader_bytes <= sys.maxsize < self.n_readers * reader_bytes:  # else n_pairs' fault
+            raise ConfigError(f"observer.n_readers: {self.n_readers} readers' MC features of "
+                              f"{reader_bytes} bytes each exceed any address space")
         for v in self.values:  # every point's viewing conditions, distance and field must exist
             key = "sweep.values"
             try:
@@ -246,25 +250,37 @@ class TrendReport:
 
 
 def _run_point(config: SweepConfig, spectra: list[percept.SpectralStack], method: str,
-               point: int, labels: list[bool], channels: observer.LgChannelSet):
+               point: int, labels: np.ndarray, channels: observer.LgChannelSet):
     vc = config.vc_at(config.values[point])
-    # Each stack's spectrum is rescaled to this point's display and reduced to
-    # (nt, C) channel features; only the features outlive the point.
-    specs = (percept.displayed(s, config.viewing, vc) for s in spectra)
+    # Each stack's spectrum is rescaled to this point's display and perceived;
+    # only what the readers train on or score outlives the stack.
     if method == "MC":
-        # Only the keep/discard draw differs between readers, so each stack's
-        # draws for all readers come from one McSource, dropped right after.
-        features = np.empty((config.n_readers, len(spectra), config.nt, config.n_channels))
-        for i, spec in enumerate(specs):
-            source = percept.McSource.of(spec, vc)
-            for reader, feats in enumerate(features):
-                feats[i] = observer.channelize_spectrum(
-                    source.draw([config.master_seed, point, reader, i]), channels)
+        # Reader r perceives stack i as its own draw, seeded [master_seed, point, r, i], from one
+        # McSource per stack.  Draws are projected only where a reader trains on them; a test
+        # draw is scored from the trained reader's spectral template.
+        def perceived(i):
+            source = percept.McSource.of(percept.displayed(spectra[i], config.viewing, vc), vc)
+            return lambda r: source.draw([config.master_seed, point, r, i])
+
+        test_idx, trains = stats.split_cases(labels, config.master_seed, config.n_readers)
+        feats = [np.empty((t.size, config.nt, config.n_channels)) for t in trains]
+        for i in np.unique(np.concatenate(trains)).tolist():
+            draw = perceived(i)
+            for r, (t, f) in enumerate(zip(trains, feats)):
+                if i in t:
+                    f[t == i] = observer.channelize_spectrum(draw(r), channels)
+        del draw  # the last training stack's source, which the test half would keep alive
+        scorers = [observer.spectral_scorer(observer.train_features(f, labels[t]), channels)
+                   for t, f in zip(trains, feats)]
+        scores = np.array([[score(draw(r)) for r, score in enumerate(scorers)]
+                           for draw in map(perceived, test_idx.tolist())])
+        reader_scores = [stats.CaseScores(s, labels[test_idx], r) for r, s in enumerate(scores.T)]
     else:
         apply = percept.apply_lf if method == "LF" else percept.apply_pm
+        specs = (percept.displayed(s, config.viewing, vc) for s in spectra)
         features = [np.stack([observer.channelize_spectrum(apply(spec, vc), channels)
                               for spec in specs])] * config.n_readers
-    reader_scores = stats.make_readers(features, labels, config.master_seed)
+        reader_scores = stats.make_readers(features, labels, config.master_seed)
     res = stats.mrmc_one_shot(stats.McmcInput(readers=reader_scores))
     return {  # the writer orders the columns, and refuses one CSV_COLUMNS lacks
         "method": method,
@@ -296,7 +312,7 @@ def run_sweep(config: SweepConfig, csv_path, threads: int = 1) -> TrendReport:
         config.lesion, config.master_seed,
     )
     # Each stack is displayed and transformed once, in place: the corpus is never held twice.
-    labels = [s.signal_present for s in corpus]
+    labels = np.array([s.signal_present for s in corpus])
     for i in range(len(corpus)):
         corpus[i] = percept.forward(normalize_to_display(corpus[i], config.viewing))
     channels = observer.make_channels(config.nx, config.ny, config.n_channels, config.spread)

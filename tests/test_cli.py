@@ -264,6 +264,10 @@ class TestBadInputs:
          "DomainError", "n_pairs"),
         ("sweep n_pairs beyond any address space",
          {"corpus": {"n_pairs": 10**30, "nx": 8, "nt": 8}}, "DomainError", "n_pairs"),
+        # More readers' MC features than fit any address space, refused by the config.
+        ("sweep n_readers beyond any address space",
+         {"corpus": {"n_pairs": 4, "nx": 8, "nt": 8}, "observer": {"n_readers": 10**30}},
+         "ConfigError", "observer.n_readers"),
         # A spread whose square overflows or underflows to 0 (the config refuses it), or whose
         # channels underflow to zero everywhere (the channel build, once per sweep, refuses it).
         *((f"sweep spread {spread}",

@@ -187,3 +187,72 @@ def test_zero_mean_stack_has_no_mean_luminance():
         data = np.random.default_rng(seed).standard_normal((8, 8, 8))
         data -= data.mean()
         assert forward(ImageStack(data=data)).mean_lum == 0.0
+
+
+def _mirror_symmetric(half):
+    """The symmetry test as first written: both planes against their conjugated (-kx, -ky)
+    mirror, every bin compared (each pair twice)."""
+    planes = half[:, :, [0, -1]]
+    return np.array_equal(planes, np.conj(np.roll(planes[::-1, ::-1], 1, axis=(0, 1))))
+
+
+def _agrees_with_mirror(half, dims):
+    bad = SpectralStack(half=half, dims=dims)
+    if _mirror_symmetric(half):
+        check_symmetric(bad)
+    else:
+        with pytest.raises(DomainError, match="imaginary"):
+            check_symmetric(bad)
+    return _mirror_symmetric(half)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dims=st.tuples(even, even, even), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["pair", "self-conjugate imag", "nan", "any"]), data=st.data())
+def test_symmetry_check_agrees_with_mirror_expression(dims, seed, kind, data):
+    # check_symmetric compares each in-plane pair once through cached indices; it must
+    # accept and refuse exactly what the mirrored comparison does, float equality included
+    # (NaN fails, -0 equals +0), with one part of one bin of a Hermitian spectrum changed:
+    # a bin of the kt = 0 or nt/2 plane, a self-conjugate bin's imaginary part, a NaN
+    # anywhere in those planes, or any bin of the half spectrum.
+    nx, ny, nt = dims
+    half = forward(_stack(dims, seed)).half.copy()
+    kt = data.draw(st.sampled_from([0, nt // 2]))
+    if kind == "self-conjugate imag":
+        kx, ky = data.draw(st.sampled_from([0, nx // 2])), data.draw(st.sampled_from([0, ny // 2]))
+    else:
+        kx, ky = data.draw(st.integers(0, nx - 1)), data.draw(st.integers(0, ny - 1))
+        kt = data.draw(st.integers(0, nt // 2)) if kind == "any" else kt
+    part = "imag" if kind == "self-conjugate imag" else data.draw(st.sampled_from(["real", "imag"]))
+    old = getattr(half, part)[kx, ky, kt]
+    value = np.nan if kind == "nan" else data.draw(
+        st.floats(allow_nan=True, allow_infinity=True)
+        | st.sampled_from([0.0, -0.0, -old, np.nextafter(old, np.inf)]))
+    getattr(half, part)[kx, ky, kt] = value
+    _agrees_with_mirror(half, dims)
+
+
+@pytest.mark.parametrize("dims", [(8, 8, 8), (4, 6, 2), (16, 8, 4)])
+@pytest.mark.parametrize("kx, ky, kt, part, value", [
+    (1, 0, 0, "real", 1.0),  # a pair bin of the kt = 0 plane, its partner left alone
+    (1, 1, -1, "imag", 1.0),  # a pair bin of the kt = nt/2 plane
+    (0, 0, -1, "imag", 1.0),  # a self-conjugate bin's imaginary part
+    (1, 1, 0, "real", np.nan),  # a NaN on a pair bin
+    (0, 0, 0, "real", np.nan),  # a NaN on the DC, its own conjugate
+])
+def test_symmetry_check_refuses_one_changed_bin(dims, kx, ky, kt, part, value):
+    half = forward(_stack(dims, 4)).half.copy()
+    kx, ky = kx % dims[0], ky % dims[1]
+    getattr(half, part)[kx, ky, kt] += value
+    assert not _agrees_with_mirror(half, dims)
+
+
+@pytest.mark.parametrize("dims", [(8, 8, 8), (16, 8, 4)])
+def test_symmetry_check_takes_signed_zeros_as_equal(dims):
+    # A self-conjugate bin with imaginary part -0.0, and a pair whose two imaginary parts
+    # are both -0.0, are conjugate-symmetric under float equality.
+    half = forward(_stack(dims, 5)).half.copy()
+    half.imag[dims[0] // 2, 0, 0] = -0.0
+    half[1, 0, -1] = half[-1, 0, -1] = complex(half[1, 0, -1].real, 0.0)
+    half.imag[1, 0, -1] = half.imag[-1, 0, -1] = -0.0
+    assert _agrees_with_mirror(half, dims)

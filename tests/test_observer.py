@@ -11,9 +11,12 @@ from vobsim.observer import (
     hotelling_weights,
     make_channels,
     score,
+    score_features,
+    spectral_scorer,
     train,
+    train_features,
 )
-from vobsim.percept import forward
+from vobsim.percept import SpectralStack, forward
 from vobsim.stackgen import LABEL_ABSENT, LABEL_PRESENT, ImageStack, LesionSpec, _lesion_profile
 
 
@@ -269,3 +272,55 @@ class TestScore:
         model = train(toy_stacks(rng, 4), make_channels(16, 16, n_channels=4))
         with pytest.raises(DimensionMismatchError):
             score(model, ImageStack(data=np.zeros((16, 16, 6))))
+
+
+class TestSpectralScorer:
+    """A trained reader scores a half spectrum Y as irfft((T . spectral) Y, nt) . w, the
+    same decision variable as its channel features of Y."""
+
+    @staticmethod
+    def _model(rng, nt, n_channels):
+        labels = np.arange(16) % 2 == 1
+        feats = rng.standard_normal((16, nt, n_channels)) + 0.5 * labels[:, None, None]
+        return train_features(feats, labels)
+
+    @pytest.mark.parametrize("dims", [(16, 16, 8), (8, 8, 16)])
+    @pytest.mark.parametrize("energy", ["every kt", "kt = 0", "kt = nt/2"])
+    def test_equals_feature_scoring(self, dims, energy):
+        nx, ny, nt = dims
+        rng = np.random.default_rng(sum(dims))
+        channels = make_channels(nx, ny, 5, spread=3.0)
+        model = self._model(rng, nt, 5)
+        score = spectral_scorer(model, channels)
+        for _ in range(8):
+            if energy == "every kt":
+                data = rng.standard_normal(dims) + 10.0
+            elif energy == "kt = 0":  # the same slice at every t
+                data = np.repeat(rng.standard_normal((nx, ny, 1)), nt, axis=2)
+            else:  # a slice whose sign alternates with t
+                data = rng.standard_normal((nx, ny, 1)) * (-1.0) ** np.arange(nt)
+            spec = forward(ImageStack(data=data))
+            kept = {"every kt": slice(None), "kt = 0": slice(0, 1), "kt = nt/2": slice(-1, None)}
+            assert np.abs(spec.half[:, :, kept[energy]]).sum() > 0.99 * np.abs(spec.half).sum()
+            feats = channelize_spectrum(spec, channels)
+            want = score_features(model, feats[None])[0]
+            # Relative to the sum of the magnitudes that make up the decision variable.
+            scale = np.abs(feats @ model.template_central) @ np.abs(model.slice_stage)
+            assert abs(score(spec) - want) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("dims", [(16, 16, 8), (8, 8, 16)])
+    def test_refuses_what_channelize_spectrum_refuses(self, dims):
+        nx, ny, nt = dims
+        rng = np.random.default_rng(1)
+        channels = make_channels(nx, ny, 5, spread=3.0)
+        score = spectral_scorer(self._model(rng, nt, 5), channels)
+        half = forward(ImageStack(data=rng.standard_normal(dims) + 10.0)).half.copy()
+        half[1, 0, 0] += 1.0  # its partner (-1, 0, 0) is left alone
+        bad = SpectralStack(half=half, dims=dims)
+        for project in (score, lambda spec: channelize_spectrum(spec, channels)):
+            with pytest.raises(DomainError, match="imaginary"):
+                project(bad)
+        wider = forward(ImageStack(data=rng.standard_normal((nx + 2, ny + 2, nt)) + 10.0))
+        for project in (score, lambda spec: channelize_spectrum(spec, channels)):
+            with pytest.raises(DimensionMismatchError, match="do not match channels"):
+                project(wider)

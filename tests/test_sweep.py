@@ -4,13 +4,14 @@ import hashlib
 import json
 import math
 import os
+import sys
 from dataclasses import replace as dc_replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from vobsim import observer, percept, sweep
+from vobsim import observer, percept, stats, sweep
 from vobsim.errors import ConfigError, DegenerateStackError, DomainError
 from vobsim.stackgen import (
     ImageStack,
@@ -167,6 +168,7 @@ class TestConfigValidation:
         ("observer", "n_channels", 0),
         ("observer", "n_channels", 10**30),
         ("observer", "n_readers", 0),
+        ("observer", "n_readers", 10**30),  # MC features beyond any address space
         ("observer", "spread", 0.0),
         ("observer", "spread", 1e308),  # its square overflows
         ("observer", "spread", 1e-170),  # its square underflows to 0
@@ -245,6 +247,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as via_config:
             SweepConfig.from_dict(raw)
         assert str(via_config.value) == f"{key}: {direct.value}"
+
+    def test_reader_bound_is_the_mc_feature_tensors_size(self):
+        # n_readers MC feature tensors of 2 n_pairs x nt x n_channels float64 must fit an
+        # address space; one tensor that does not is the corpus's fault, named by n_pairs.
+        corpus = {"n_pairs": 4, "nx": 8, "nt": 8}
+        most = sys.maxsize // (2 * 4 * 8 * 15 * 8)
+        assert SweepConfig.from_dict({"corpus": corpus,
+                                      "observer": {"n_readers": most}}).n_readers == most
+        with pytest.raises(ConfigError, match=f"observer.n_readers: {most + 1} readers'"):
+            SweepConfig.from_dict({"corpus": corpus, "observer": {"n_readers": most + 1}})
+        huge = {"corpus": {**corpus, "n_pairs": 10**30}, "observer": {"n_readers": 10**30}}
+        assert SweepConfig.from_dict(huge).n_readers == 10**30
 
     def test_ny_follows_nx(self):
         assert SweepConfig.from_dict({"corpus": {"nx": 32}}).ny == 32
@@ -332,6 +346,94 @@ class TestDisplayed:
         # The kt = 0 and nt/2 planes stay exactly Hermitian.
         planes = mapped.half[:, :, [0, -1]]
         assert np.array_equal(planes, np.conj(np.roll(planes[::-1, ::-1], 1, axis=(0, 1))))
+
+
+class TestPointWork:
+    """What one 16x16x8 sweep point perceives and projects, counted by patching the steps."""
+
+    @staticmethod
+    def _inputs(method, n_readers):
+        cfg = tiny_config(methods=(method,), n_pairs=8, n_readers=n_readers)
+        corpus = generate_corpus(cfg.n_pairs, cfg.nx, cfg.ny, cfg.nt, cfg.beta, cfg.lesion,
+                                 cfg.master_seed)
+        labels = np.array([s.signal_present for s in corpus])
+        spectra = [percept.forward(normalize_to_display(s, cfg.viewing)) for s in corpus]
+        channels = observer.make_channels(cfg.nx, cfg.ny, cfg.n_channels, cfg.spread)
+        return cfg, spectra, labels, channels
+
+    @staticmethod
+    def _count(monkeypatch):
+        calls = {"of": 0, "draws": [], "projections": 0, "apply": 0}
+        real_of, real_draw = percept.McSource.of.__func__, percept.McSource.draw
+        real_project = observer.channelize_spectrum
+
+        def of(cls, spec, vc):
+            calls["of"] += 1
+            return real_of(cls, spec, vc)
+
+        def draw(source, seed):
+            calls["draws"].append(tuple(seed))
+            return real_draw(source, seed)
+
+        def project(spec, channels):
+            calls["projections"] += 1
+            return real_project(spec, channels)
+
+        def counted(fn):
+            def wrapped(*args):
+                calls["apply"] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(percept.McSource, "of", classmethod(of))
+        monkeypatch.setattr(percept.McSource, "draw", draw)
+        monkeypatch.setattr(observer, "channelize_spectrum", project)
+        monkeypatch.setattr(percept, "apply_lf", counted(percept.apply_lf))
+        monkeypatch.setattr(percept, "apply_pm", counted(percept.apply_pm))
+        return calls
+
+    @pytest.mark.parametrize("n_readers", [1, 3])
+    def test_mc_projects_only_the_draws_readers_train_on(self, monkeypatch, n_readers):
+        # Each reader draws its own perception of every stack it trains on or scores, all
+        # draws of a stack from one McSource; only training draws become channel features.
+        cfg, spectra, labels, channels = self._inputs("MC", n_readers)
+        test_idx, trains = stats.split_cases(labels, cfg.master_seed, n_readers)
+        calls = self._count(monkeypatch)
+        sweep._run_point(cfg, spectra, "MC", 1, labels, channels)
+        trained = sum(t.size for t in trains)
+        seed = cfg.master_seed
+        assert calls["of"] == np.unique(np.concatenate(trains)).size + test_idx.size
+        assert calls["of"] <= len(spectra)
+        assert sorted(calls["draws"]) == sorted(
+            [(seed, 1, r, int(i)) for r, t in enumerate(trains) for i in t]
+            + [(seed, 1, r, int(i)) for r in range(n_readers) for i in test_idx])
+        assert len(calls["draws"]) == trained + n_readers * test_idx.size
+        assert calls["projections"] == trained and calls["apply"] == 0
+
+    @pytest.mark.parametrize("method", ["LF", "PM"])
+    def test_lf_and_pm_perceive_and_project_each_stack_once(self, monkeypatch, method):
+        cfg, spectra, labels, channels = self._inputs(method, 3)
+        calls = self._count(monkeypatch)
+        sweep._run_point(cfg, spectra, method, 1, labels, channels)
+        assert calls["apply"] == calls["projections"] == len(spectra)
+        assert calls["of"] == 0 and calls["draws"] == []
+
+    def test_mc_point_equals_scoring_every_readers_features(self):
+        # The same row as projecting every reader's draw of every stack and scoring the
+        # test half from those features (make_readers): same draws, training rows and models.
+        cfg, spectra, labels, channels = self._inputs("MC", 3)
+        vc = cfg.vc_at(cfg.values[1])
+        features = np.empty((cfg.n_readers, len(spectra), cfg.nt, cfg.n_channels))
+        for i, spec in enumerate(spectra):
+            source = percept.McSource.of(percept.displayed(spec, cfg.viewing, vc), vc)
+            for r in range(cfg.n_readers):
+                features[r, i] = observer.channelize_spectrum(
+                    source.draw([cfg.master_seed, 1, r, i]), channels)
+        readers = stats.make_readers(features, labels, cfg.master_seed)
+        want = stats.mrmc_one_shot(stats.McmcInput(readers=readers))
+        row = sweep._run_point(cfg, spectra, "MC", 1, labels, channels)
+        assert (row["auc"], row["auc_var"], row["d_prime"]) == (
+            want.auc_mean, want.auc_variance, want.d_prime)
 
 
 class TestRunSweep:
