@@ -110,7 +110,8 @@ def _read(flag: str, read, path):
 
 def _cmd_sweep(args) -> int:
     config = _read("--config", sweep_mod.SweepConfig.from_json, args.config)
-    _check_output_dirs(("--config", args.config), ("--out", args.out), ("--report", args.report))
+    _check_output_dirs(("--config", args.config), ("--out", args.out),
+                       ("manifest", args.out + sweep_mod.ERRORS_SUFFIX), ("--report", args.report))
     report = sweep_mod.run_sweep(config, args.out, threads=args.threads)
     if args.report:
         write_json(args.report, asdict(report))

@@ -188,13 +188,11 @@ def split_cases(labels, master_seed: int, n_readers: int):
     return np.concatenate(tests), trains
 
 
-def make_readers(features, labels, master_seed: int) -> list[CaseScores]:
-    """Train one virtual reader per (N, nt, C) feature tensor of the labeled cases (LF and PM
-    give every reader the same one) and score each on the test half of ``split_cases``."""
-    if len(features) == 0:
-        raise DomainError("at least one reader's feature tensor is required")
+def make_readers(features, labels, split) -> list[CaseScores]:
+    """Train reader r on rows ``trains[r]`` of one (N, nt, C) feature tensor of the labeled
+    cases and score it on rows ``test_idx``, for the ``(test_idx, trains)`` of ``split_cases``."""
     labels = np.asarray(labels, dtype=bool)
-    test_idx, trains = split_cases(labels, master_seed, len(features))
-    return [CaseScores(observer.score_features(observer.train_features(f[t], labels[t]),
-                                               f[test_idx]), labels[test_idx], reader)
-            for reader, (f, t) in enumerate(zip(features, trains))]
+    test_idx, trains = split
+    return [CaseScores(observer.score_features(observer.train_features(features[t], labels[t]),
+                                               features[test_idx]), labels[test_idx], reader)
+            for reader, t in enumerate(trains)]

@@ -35,6 +35,7 @@ __all__ = [
     "SweepConfig",
     "TrendReport",
     "CSV_COLUMNS",
+    "ERRORS_SUFFIX",
     "DEFAULT_GRIDS",
     "viewing_distance",
     "classify_trend",
@@ -45,6 +46,7 @@ CSV_COLUMNS = [
     "method", "contrast", "l_max", "ssr", "viewing_distance_cm", "browse_speed",
     "auc", "auc_var", "error_bar", "d_prime", "n_cases", "n_readers", "master_seed",
 ]
+ERRORS_SUFFIX = ".errors.json"  # a failed sweep's error manifest is the CSV path plus this
 
 DEFAULT_GRIDS = {  # every sweepable parameter, with the values it is swept over by default
     "contrast": [50.0, 100.0, 200.0, 400.0, 800.0],
@@ -250,7 +252,7 @@ class TrendReport:
 
 
 def _run_point(config: SweepConfig, spectra: list[percept.SpectralStack], method: str,
-               point: int, labels: np.ndarray, channels: observer.LgChannelSet):
+               point: int, labels: np.ndarray, channels: observer.LgChannelSet, split):
     vc = config.vc_at(config.values[point])
     # Each stack's spectrum is rescaled to this point's display and perceived;
     # only what the readers train on or score outlives the stack.
@@ -262,7 +264,7 @@ def _run_point(config: SweepConfig, spectra: list[percept.SpectralStack], method
             source = percept.McSource.of(percept.displayed(spectra[i], config.viewing, vc), vc)
             return lambda r: source.draw([config.master_seed, point, r, i])
 
-        test_idx, trains = stats.split_cases(labels, config.master_seed, config.n_readers)
+        test_idx, trains = split
         feats = [np.empty((t.size, config.nt, config.n_channels)) for t in trains]
         for i in np.unique(np.concatenate(trains)).tolist():
             draw = perceived(i)
@@ -278,9 +280,9 @@ def _run_point(config: SweepConfig, spectra: list[percept.SpectralStack], method
     else:
         apply = percept.apply_lf if method == "LF" else percept.apply_pm
         specs = (percept.displayed(s, config.viewing, vc) for s in spectra)
-        features = [np.stack([observer.channelize_spectrum(apply(spec, vc), channels)
-                              for spec in specs])] * config.n_readers
-        reader_scores = stats.make_readers(features, labels, config.master_seed)
+        features = np.stack([observer.channelize_spectrum(apply(spec, vc), channels)
+                             for spec in specs])
+        reader_scores = stats.make_readers(features, labels, split)
     res = stats.mrmc_one_shot(stats.McmcInput(readers=reader_scores))
     return {  # the writer orders the columns, and refuses one CSV_COLUMNS lacks
         "method": method,
@@ -316,12 +318,13 @@ def run_sweep(config: SweepConfig, csv_path, threads: int = 1) -> TrendReport:
     for i in range(len(corpus)):
         corpus[i] = percept.forward(normalize_to_display(corpus[i], config.viewing))
     channels = observer.make_channels(config.nx, config.ny, config.n_channels, config.spread)
+    split = stats.split_cases(labels, config.master_seed, config.n_readers)  # read by every point
     jobs = [(m, i) for m in config.methods for i in range(len(config.values))]
     rows: dict[tuple[str, int], dict] = {}
     failures = []
     with ThreadPoolExecutor(max_workers=threads) as pool:
         # Dearest points first (METHODS runs cheapest to dearest): the threads end on short ones.
-        futures = {key: pool.submit(_run_point, config, corpus, *key, labels, channels)
+        futures = {key: pool.submit(_run_point, config, corpus, *key, labels, channels, split)
                    for key in sorted(jobs, key=lambda k: -percept.METHODS.index(k[0]))}
         for key in jobs:
             try:
@@ -337,7 +340,7 @@ def run_sweep(config: SweepConfig, csv_path, threads: int = 1) -> TrendReport:
             if key in rows:
                 writer.writerow(rows[key])
 
-    manifest_path = f"{csv_path}.errors.json"
+    manifest_path = f"{csv_path}{ERRORS_SUFFIX}"
     if failures:
         write_json(manifest_path, {"failures": failures})
         raise DomainError(
@@ -345,7 +348,7 @@ def run_sweep(config: SweepConfig, csv_path, threads: int = 1) -> TrendReport:
         )
     Path(manifest_path).unlink(missing_ok=True)  # an earlier run's names failures this CSV lacks
 
-    d_primes, error_bars, normalized, labels, inconclusive = {}, {}, {}, {}, {}
+    d_primes, error_bars, normalized, trends, inconclusive = {}, {}, {}, {}, {}
     for method in config.methods:
         points = [rows[(method, i)] for i in range(len(config.values))]
         dp = d_primes[method] = [r["d_prime"] for r in points]
@@ -356,9 +359,9 @@ def run_sweep(config: SweepConfig, csv_path, threads: int = 1) -> TrendReport:
         peak = max(dp)
         inconclusive[method] = peak <= 0
         normalized[method] = [v / peak if peak > 0 else None for v in dp]
-        labels[method] = classify_trend(dp, eb)
+        trends[method] = classify_trend(dp, eb)
     return TrendReport(config.parameter, config.values, d_primes, error_bars, normalized,
-                       labels, inconclusive)
+                       trends, inconclusive)
 
 
 def _dprime_error_bar(dp: float, auc_error_bar: float) -> float:

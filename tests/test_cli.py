@@ -190,6 +190,41 @@ class TestSweepCommand:
         assert os.listdir(tmp_path / "dir") == []
         assert cfg_path.read_text() == config
 
+    # case: (config file name, the path made as a directory or None, further arguments,
+    #        error, the message)
+    BAD_MANIFESTS = {
+        "manifest is --config": ("o.csv.errors.json", None, [], "ConfigError",
+                                 "manifest: {}/o.csv.errors.json is the same file as --config"),
+        "manifest is a directory": ("cfg.json", "o.csv.errors.json", [], "IsADirectoryError",
+                                    "manifest: {}/o.csv.errors.json is a directory"),
+        "--report is the manifest": ("cfg.json", None, ["--report", "o.csv.errors.json"],
+                                     "ConfigError", "--report: {}/o.csv.errors.json is the "
+                                     "same file as manifest"),
+    }
+
+    @pytest.mark.parametrize("case", list(BAD_MANIFESTS))
+    def test_bad_manifest_path_fails_before_any_work(self, tmp_path, capsys, monkeypatch, case):
+        # <out>.errors.json is an output too: a failed sweep would write it, a clean one
+        # removes it.  So it may not be the config, a directory or the report.
+        name, directory, extra, error, message = self.BAD_MANIFESTS[case]
+        calls = []
+        monkeypatch.setattr(sweep, "generate_corpus", lambda *a: calls.append(a))
+        config = json.dumps({"corpus": {"n_pairs": 4, "nx": 8, "nt": 8}})
+        (tmp_path / name).write_text(config)
+        if directory:
+            (tmp_path / directory).mkdir()
+        extra = [str(tmp_path / e) if e.endswith(".json") else e for e in extra]
+        argv = ["sweep", "--config", str(tmp_path / name), "--out", str(tmp_path / "o.csv"),
+                *extra]
+        before = sorted(os.listdir(tmp_path))
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {"error": error, "message": message.format(tmp_path)}
+        assert calls == []
+        assert sorted(os.listdir(tmp_path)) == before
+        assert (tmp_path / name).read_text() == config
+
     def test_overflowing_beta_fails_before_any_point(self, tmp_path, capsys, monkeypatch):
         # A finite beta that overflows the power-law filter stops the sweep
         # in corpus generation: no point runs, and no CSV or manifest is written.

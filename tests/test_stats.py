@@ -16,6 +16,7 @@ from vobsim.stats import (
     d_prime,
     make_readers,
     mrmc_one_shot,
+    split_cases,
 )
 
 
@@ -211,21 +212,25 @@ def labels_of(stacks):
 class TestMakeReaders:
     def test_deterministic(self, small_corpus):
         stacks, _ = small_corpus
-        a = make_readers([features_of(stacks)] * 2, labels_of(stacks), 9)
-        b = make_readers([features_of(stacks)] * 2, labels_of(stacks), 9)
+        split = split_cases(labels_of(stacks), 9, 2)
+        a = make_readers(features_of(stacks), labels_of(stacks), split)
+        b = make_readers(features_of(stacks), labels_of(stacks), split)
         for ra, rb in zip(a, b):
             assert np.array_equal(ra.scores, rb.scores)
 
     def test_single_reader_reduction(self, small_corpus):
         stacks, _ = small_corpus
-        readers = make_readers([features_of(stacks)], labels_of(stacks), 9)
+        split = split_cases(labels_of(stacks), 9, 1)
+        readers = make_readers(features_of(stacks), labels_of(stacks), split)
         assert len(readers) == 1
         res = mrmc_one_shot(McmcInput(readers=readers))
         assert res.n_readers == 1
 
     def test_common_test_set(self, small_corpus):
         stacks, _ = small_corpus
-        readers = make_readers([features_of(stacks)] * 3, labels_of(stacks), 9)
+        split = split_cases(labels_of(stacks), 9, 3)
+        readers = make_readers(features_of(stacks), labels_of(stacks), split)
+        assert len(readers) == 3
         for r in readers[1:]:
             assert np.array_equal(r.labels, readers[0].labels)
 
@@ -241,8 +246,9 @@ class TestMakeReaders:
         # Reader 1 trains on the same subset in both calls, so any difference
         # in its scores comes from its own MC perception.
         f0, f1 = reader_features(0), reader_features(1)
-        same = make_readers([f0, f0], labels_of(stacks), 9)[1]
-        drawn = make_readers([f0, f1], labels_of(stacks), 9)[1]
+        split = split_cases(labels_of(stacks), 9, 2)
+        same = make_readers(f0, labels_of(stacks), split)[1]
+        drawn = make_readers(f1, labels_of(stacks), split)[1]
         assert not np.array_equal(same.scores, drawn.scores)
 
     def test_insufficient_cases(self):
@@ -250,9 +256,4 @@ class TestMakeReaders:
         corpus = generate_corpus(2, 16, 16, 8, 2.0, LesionSpec(amplitude=0.2), 3)
         stacks = [normalize_to_display(s, vc) for s in corpus]
         with pytest.raises(DomainError):
-            make_readers([features_of(stacks)] * 2, labels_of(stacks), 0)
-
-    def test_no_readers(self, small_corpus):
-        stacks, _ = small_corpus
-        with pytest.raises(DomainError):
-            make_readers([], labels_of(stacks), 0)
+            split_cases(labels_of(stacks), 0, 2)

@@ -359,7 +359,8 @@ class TestPointWork:
         labels = np.array([s.signal_present for s in corpus])
         spectra = [percept.forward(normalize_to_display(s, cfg.viewing)) for s in corpus]
         channels = observer.make_channels(cfg.nx, cfg.ny, cfg.n_channels, cfg.spread)
-        return cfg, spectra, labels, channels
+        split = stats.split_cases(labels, cfg.master_seed, n_readers)
+        return cfg, spectra, labels, channels, split
 
     @staticmethod
     def _count(monkeypatch):
@@ -396,10 +397,10 @@ class TestPointWork:
     def test_mc_projects_only_the_draws_readers_train_on(self, monkeypatch, n_readers):
         # Each reader draws its own perception of every stack it trains on or scores, all
         # draws of a stack from one McSource; only training draws become channel features.
-        cfg, spectra, labels, channels = self._inputs("MC", n_readers)
-        test_idx, trains = stats.split_cases(labels, cfg.master_seed, n_readers)
+        cfg, spectra, labels, channels, split = self._inputs("MC", n_readers)
+        test_idx, trains = split
         calls = self._count(monkeypatch)
-        sweep._run_point(cfg, spectra, "MC", 1, labels, channels)
+        sweep._run_point(cfg, spectra, "MC", 1, labels, channels, split)
         trained = sum(t.size for t in trains)
         seed = cfg.master_seed
         assert calls["of"] == np.unique(np.concatenate(trains)).size + test_idx.size
@@ -412,16 +413,16 @@ class TestPointWork:
 
     @pytest.mark.parametrize("method", ["LF", "PM"])
     def test_lf_and_pm_perceive_and_project_each_stack_once(self, monkeypatch, method):
-        cfg, spectra, labels, channels = self._inputs(method, 3)
+        cfg, spectra, labels, channels, split = self._inputs(method, 3)
         calls = self._count(monkeypatch)
-        sweep._run_point(cfg, spectra, method, 1, labels, channels)
+        sweep._run_point(cfg, spectra, method, 1, labels, channels, split)
         assert calls["apply"] == calls["projections"] == len(spectra)
         assert calls["of"] == 0 and calls["draws"] == []
 
     def test_mc_point_equals_scoring_every_readers_features(self):
         # The same row as projecting every reader's draw of every stack and scoring the
         # test half from those features (make_readers): same draws, training rows and models.
-        cfg, spectra, labels, channels = self._inputs("MC", 3)
+        cfg, spectra, labels, channels, split = self._inputs("MC", 3)
         vc = cfg.vc_at(cfg.values[1])
         features = np.empty((cfg.n_readers, len(spectra), cfg.nt, cfg.n_channels))
         for i, spec in enumerate(spectra):
@@ -429,9 +430,9 @@ class TestPointWork:
             for r in range(cfg.n_readers):
                 features[r, i] = observer.channelize_spectrum(
                     source.draw([cfg.master_seed, 1, r, i]), channels)
-        readers = stats.make_readers(features, labels, cfg.master_seed)
+        readers = [stats.make_readers(f, labels, split)[r] for r, f in enumerate(features)]
         want = stats.mrmc_one_shot(stats.McmcInput(readers=readers))
-        row = sweep._run_point(cfg, spectra, "MC", 1, labels, channels)
+        row = sweep._run_point(cfg, spectra, "MC", 1, labels, channels, split)
         assert (row["auc"], row["auc_var"], row["d_prime"]) == (
             want.auc_mean, want.auc_variance, want.d_prime)
 
@@ -580,6 +581,29 @@ class TestRunSweep:
         assert all(s.data.tobytes() == data for s, data in generated)
         assert all(s.half.tobytes() == half and s.mean_lum == mean
                    for s, half, mean in stored)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_cases_split_once_per_sweep(self, tmp_path, monkeypatch, threads):
+        # Every point and method reads the sweep's one split: the same test half and the
+        # same training subsets all along the sweep.
+        splits, points = [], []
+        real_split, real_point = stats.split_cases, sweep._run_point
+
+        def split_cases(*args):
+            splits.append(real_split(*args))
+            return splits[-1]
+
+        def run_point(*args):
+            points.append(args[-1])
+            return real_point(*args)
+
+        monkeypatch.setattr(stats, "split_cases", split_cases)
+        monkeypatch.setattr(sweep, "_run_point", run_point)
+        cfg = tiny_config(methods=("LF", "PM", "MC"))
+        run_sweep(cfg, tmp_path / "s.csv", threads=threads)
+        assert len(splits) == 1
+        assert len(points) == len(cfg.methods) * len(cfg.values)
+        assert all(split is splits[0] for split in points)
 
     def test_constant_stack_fails_before_any_point(self, tmp_path, monkeypatch):
         # The corpus is displayed once, before the points run, so a stack that
