@@ -123,13 +123,17 @@ def _cmd_sweep(args) -> int:
 def _cmd_gen_corpus(args) -> int:
     lesion = LesionSpec(**{f.name: getattr(args, f.name) for f in fields(LesionSpec)})
     out_dir = Path(args.out)
+    manifest = out_dir / "manifest.json"
     _check_not_under_file("--out", out_dir)
+    if manifest.is_dir():
+        raise IsADirectoryError(f"manifest: {manifest} is a directory")
     stacks = generate_corpus(args.n_pairs, args.nx, args.nx, args.nt, args.beta, lesion, args.seed)
     out_dir.mkdir(parents=True, exist_ok=True)
+    manifest.unlink(missing_ok=True)  # written last, it lists only stacks of this run
     entries = [(f"stack_{i:05d}.vstk", stack.label) for i, stack in enumerate(stacks)]
     for (name, _), stack in zip(entries, stacks):
         write_stack(stack, out_dir / name)
-    write_manifest(out_dir / "manifest.json", entries, args.seed)
+    write_manifest(manifest, entries, args.seed)
     print(f"wrote {len(stacks)} stacks to {out_dir}")
     return 0
 

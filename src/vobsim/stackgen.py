@@ -232,7 +232,9 @@ def read_stack(path) -> ImageStack:
     return ImageStack(data=data.copy(), label=label, seed=seed)
 
 
-def corpus_faults(nx: int, ny: int, nt: int, beta: float, master_seed: int):
+def corpus_faults(n_pairs: int, nx: int, ny: int, nt: int, beta: float, master_seed: int):
+    if n_pairs < 1:
+        yield "n_pairs", f"n_pairs must be at least 1, got {n_pairs}"
     if nx != ny:  # the viewing geometry takes the field size from one side
         yield "ny", f"slices must be square, got {nx}x{ny}"
     if master_seed < 0:
@@ -246,6 +248,9 @@ def corpus_faults(nx: int, ny: int, nt: int, beta: float, master_seed: int):
         yield "beta", f"beta must be finite and non-negative, got {beta!r}"
     if nx * ny * nt * 8 > sys.maxsize:  # one float64 stack beyond any address space
         yield "nx", f"nx {nx}, ny {ny} and nt {nt} make a stack larger than any address space"
+    elif 2 * n_pairs * nx * ny * nt * 8 > sys.maxsize:  # the 2 n_pairs stacks a corpus keeps
+        yield "n_pairs", (f"n_pairs {n_pairs}, nx {nx}, ny {ny} and nt {nt} make a corpus "
+                          f"larger than any address space")
 
 
 def generate_corpus(
@@ -260,9 +265,7 @@ def generate_corpus(
     SeedSequence(master_seed), so the corpus is reproducible end-to-end and
     pairs are independent of ordering.
     """
-    if n_pairs < 1:
-        raise DomainError(f"n_pairs must be at least 1, got {n_pairs}")
-    for _, message in corpus_faults(nx, ny, nt, beta, master_seed):
+    for _, message in corpus_faults(n_pairs, nx, ny, nt, beta, master_seed):
         raise DomainError(message)
     # Every background is drawn and filtered in these two buffers.
     try:
@@ -270,9 +273,6 @@ def generate_corpus(
     except (MemoryError, ValueError) as exc:  # ValueError: larger than any address space
         raise DomainError(f"nx {nx}, ny {ny} and nt {nt} make a stack too large to "
                           f"allocate ({exc})") from exc
-    if 2 * n_pairs * noise.nbytes > sys.maxsize:  # beyond any address space
-        raise DomainError(f"n_pairs {n_pairs} of {nx}x{ny}x{nt} stacks need more than "
-                          f"{sys.maxsize} bytes")
     shaping, bump = _shaping_filter(nx, ny, nt, beta), _lesion_profile((nx, ny, nt), lesion)
     stacks = []
     for child in np.random.SeedSequence(master_seed).spawn(n_pairs):

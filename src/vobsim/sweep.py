@@ -102,7 +102,7 @@ def classify_trend(d_primes, error_bars) -> str:
     return "constant"
 
 
-# Least valid value of the integer fields no corpus or channel rule bounds.
+# Least valid n_pairs (a case split needs MIN_PER_CLASS cases per class) and n_readers.
 _LEAST_INT = {"n_pairs": stats.MIN_PER_CLASS, "n_readers": 1}
 # The config sections whose keys are SweepConfig fields of the same name.
 _SECTIONS = {"corpus": ["n_pairs", "nx", "ny", "nt", "beta", "lesion", "master_seed"],
@@ -165,12 +165,12 @@ class SweepConfig:
             if name in _LEAST_INT and value < _LEAST_INT[name]:
                 raise ConfigError(f"{_KEY[name]}: must be at least {_LEAST_INT[name]}, got {value}")
         beta, spread = (_finite(_KEY[name], getattr(self, name)) for name in ("beta", "spread"))
-        for name, message in (*stackgen.corpus_faults(self.nx, self.ny, self.nt, beta,
-                                                      self.master_seed),
+        for name, message in (*stackgen.corpus_faults(self.n_pairs, self.nx, self.ny, self.nt,
+                                                      beta, self.master_seed),
                               *observer.channel_faults(self.nx, self.ny, self.n_channels, spread)):
             raise ConfigError(f"{_KEY[name]}: {message}")  # the first fault
         reader_bytes = 2 * self.n_pairs * self.nt * self.n_channels * 8  # one MC reader's features
-        if reader_bytes <= sys.maxsize < self.n_readers * reader_bytes:  # else n_pairs' fault
+        if self.n_readers * reader_bytes > sys.maxsize:
             raise ConfigError(f"observer.n_readers: {self.n_readers} readers' MC features of "
                               f"{reader_bytes} bytes each exceed any address space")
         for v in self.values:  # every point's viewing conditions, distance and field must exist

@@ -63,6 +63,30 @@ class TestGenCorpus:
             assert stack.data.shape == (16, 16, 8)
             assert stack.label == entry["label"]
 
+    def test_manifest_directory_fails_before_any_stack(self, tmp_path, capsys):
+        out = tmp_path / "corpus"
+        (out / "manifest.json").mkdir(parents=True)
+        rc = main(["gen-corpus", "--out", str(out), "--n-pairs", "2", "--nx", "8", "--nt", "8"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {"error": "IsADirectoryError",
+                                   "message": f"manifest: {out}/manifest.json is a directory"}
+        assert os.listdir(out) == ["manifest.json"]
+
+    def test_failed_rerun_leaves_no_manifest(self, tmp_path, capsys):
+        # The manifest goes before the first stack is replaced and comes back only after the
+        # last is written, so it never lists stacks of another seed.
+        argv = ["gen-corpus", "--out", str(tmp_path), "--n-pairs", "3", "--nx", "8", "--nt", "8"]
+        assert main(argv) == 0
+        (tmp_path / "stack_00001.vstk").unlink()
+        (tmp_path / "stack_00001.vstk").mkdir()
+        assert main(argv + ["--seed", "5"]) == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not (tmp_path / "manifest.json").exists()
+        rewritten = generate_corpus(3, 8, 8, 8, 3.0, LesionSpec(), 5)[0]
+        assert np.array_equal(read_stack(tmp_path / "stack_00000.vstk").data, rewritten.data)
+
 
 class TestPerceive:
     @pytest.fixture()
@@ -291,6 +315,8 @@ class TestBadInputs:
         # Stacks beyond a 47-bit address space, so that nothing is ever allocated.
         ("stack too large to allocate", ["--nx", "100000000"], "DomainError", "nx 100000000"),
         ("stack too large to index", ["--nx", "10000000000"], "DomainError", "nx 10000000000"),
+        ("corpus too large to index", ["--n-pairs", "200", "--nx", "100000000"], "DomainError",
+         "n_pairs 200, nx 100000000, ny 100000000 and nt 8 make a corpus larger"),
         ("sweep corpus too large to allocate",
          {"viewing": {"ssr": 1000000}, "corpus": {"n_pairs": 4, "nx": 100000000, "nt": 8}},
          "DomainError", "nx 100000000"),
@@ -298,7 +324,8 @@ class TestBadInputs:
         ("n_pairs beyond any address space", ["--n-pairs", str(10**30), "--nx", "8", "--nt", "8"],
          "DomainError", "n_pairs"),
         ("sweep n_pairs beyond any address space",
-         {"corpus": {"n_pairs": 10**30, "nx": 8, "nt": 8}}, "DomainError", "n_pairs"),
+         {"corpus": {"n_pairs": 10**30, "nx": 8, "nt": 8}}, "ConfigError",
+         f"corpus.n_pairs: n_pairs {10**30}, nx 8, ny 8 and nt 8 make a corpus larger"),
         # More readers' MC features than fit any address space, refused by the config.
         ("sweep n_readers beyond any address space",
          {"corpus": {"n_pairs": 4, "nx": 8, "nt": 8}, "observer": {"n_readers": 10**30}},

@@ -230,19 +230,20 @@ class TestConfigValidation:
         ("observer.spread", {"spread": 0.0}),
         ("observer.spread", {"spread": 1e308}),
         ("corpus.nx", {"nx": 10**400, "ny": 10**400}),
+        ("corpus.n_pairs", {"n_pairs": 10**30}),
     ])
     def test_corpus_and_channel_faults_carry_their_generators_message(self, key, overrides):
         # The config states no corpus or channel rule of its own: it reports the message
         # generate_corpus or make_channels gives, under the key of the field at fault.
-        a = {"nx": 8, "ny": 8, "nt": 8, "beta": 3.0, "master_seed": 0, "n_channels": 4,
-             "spread": 5.0, **overrides}
+        a = {"n_pairs": 4, "nx": 8, "ny": 8, "nt": 8, "beta": 3.0, "master_seed": 0,
+             "n_channels": 4, "spread": 5.0, **overrides}
         with pytest.raises(DomainError) as direct:
             if key.startswith("corpus."):
-                generate_corpus(4, a["nx"], a["ny"], a["nt"], a["beta"], LesionSpec(),
+                generate_corpus(a["n_pairs"], a["nx"], a["ny"], a["nt"], a["beta"], LesionSpec(),
                                 a["master_seed"])
             else:
                 observer.make_channels(a["nx"], a["ny"], a["n_channels"], a["spread"])
-        raw = {"corpus": {k: a[k] for k in ("nx", "ny", "nt", "beta", "master_seed")},
+        raw = {"corpus": {k: a[k] for k in ("n_pairs", "nx", "ny", "nt", "beta", "master_seed")},
                "observer": {"n_channels": a["n_channels"], "spread": a["spread"]}}
         with pytest.raises(ConfigError) as via_config:
             SweepConfig.from_dict(raw)
@@ -258,7 +259,8 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"observer.n_readers: {most + 1} readers'"):
             SweepConfig.from_dict({"corpus": corpus, "observer": {"n_readers": most + 1}})
         huge = {"corpus": {**corpus, "n_pairs": 10**30}, "observer": {"n_readers": 10**30}}
-        assert SweepConfig.from_dict(huge).n_readers == 10**30
+        with pytest.raises(ConfigError, match=f"corpus.n_pairs: n_pairs {10**30}, nx 8"):
+            SweepConfig.from_dict(huge)
 
     def test_ny_follows_nx(self):
         assert SweepConfig.from_dict({"corpus": {"nx": 32}}).ny == 32
