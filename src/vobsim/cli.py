@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -127,12 +128,18 @@ def _cmd_gen_corpus(args) -> int:
     _check_not_under_file("--out", out_dir)
     if manifest.is_dir():
         raise IsADirectoryError(f"manifest: {manifest} is a directory")
+    found = {int(p.name[6:-5]): p for p in out_dir.glob("stack_*.vstk")  # by the index it names
+             if re.fullmatch(r"stack_(\d{5}|[1-9]\d{5,})\.vstk", p.name)}
+    for path in (p for i, p in sorted(found.items()) if i < 2 * args.n_pairs and p.is_dir()):
+        raise IsADirectoryError(f"--out: {path} is a directory")
     stacks = generate_corpus(args.n_pairs, args.nx, args.nx, args.nt, args.beta, lesion, args.seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest.unlink(missing_ok=True)  # written last, it lists only stacks of this run
     entries = [(f"stack_{i:05d}.vstk", stack.label) for i, stack in enumerate(stacks)]
     for (name, _), stack in zip(entries, stacks):
         write_stack(stack, out_dir / name)
+    for path in (p for i, p in found.items() if i >= len(stacks) and not p.is_dir()):
+        path.unlink()  # an earlier, larger corpus's
     write_manifest(manifest, entries, args.seed)
     print(f"wrote {len(stacks)} stacks to {out_dir}")
     return 0

@@ -1,10 +1,10 @@
 """Experiment orchestration: parameter sweeps over viewing conditions.
 
 A sweep transforms each corpus stack once, as displayed at the base viewing
-conditions; each point rescales those spectra to its own display, runs
-perceive -> observe -> MRMC per method, and writes one CSV row per (method,
-sweep value).  Everything is derived from one master seed, so identical
-configs produce byte-identical CSV output.
+conditions, while its points start; each point rescales those spectra to its
+own display, runs perceive -> observe -> MRMC per method, and writes one CSV
+row per (method, sweep value).  Everything is derived from one master seed,
+so identical configs produce byte-identical CSV output.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace as dc_replace
 from pathlib import Path
 
@@ -251,6 +251,17 @@ class TrendReport:
     inconclusive: dict[str, bool]
 
 
+class _Spectra(list):
+    """The corpus's spectra as futures, which the calling thread sets in index order: item i
+    waits for spectrum i, and raises CancelledError if the transform failed before it."""
+
+    def __getitem__(self, i: int) -> percept.SpectralStack:
+        return super().__getitem__(i).result()
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+
 def _run_point(config: SweepConfig, spectra: list[percept.SpectralStack], method: str,
                point: int, labels: np.ndarray, channels: observer.LgChannelSet, split):
     vc = config.vc_at(config.values[point])
@@ -301,9 +312,9 @@ def _run_point(config: SweepConfig, spectra: list[percept.SpectralStack], method
 def run_sweep(config: SweepConfig, csv_path, threads: int = 1) -> TrendReport:
     """Run the full sweep, write the CSV, and return the trend report.
 
-    Sweep points are independent jobs; with ``threads > 1`` they run on a
-    bounded pool, but rows are always written in (method, value) order so
-    the output does not depend on scheduling.  A mid-run failure leaves the
+    Sweep points are jobs on a bounded pool that start while the calling thread
+    transforms the corpus, but rows are always written in (method, value) order
+    so the output does not depend on scheduling.  A mid-run failure leaves the
     completed rows in the CSV plus an error manifest beside it; a run with no
     failure removes the manifest an earlier run left there.
     """
@@ -313,19 +324,28 @@ def run_sweep(config: SweepConfig, csv_path, threads: int = 1) -> TrendReport:
         config.n_pairs, config.nx, config.ny, config.nt, config.beta,
         config.lesion, config.master_seed,
     )
-    # Each stack is displayed and transformed once, in place: the corpus is never held twice.
     labels = np.array([s.signal_present for s in corpus])
-    for i in range(len(corpus)):
-        corpus[i] = percept.forward(normalize_to_display(corpus[i], config.viewing))
     channels = observer.make_channels(config.nx, config.ny, config.n_channels, config.spread)
     split = stats.split_cases(labels, config.master_seed, config.n_readers)  # read by every point
+    ready = [Future() for _ in corpus]  # stack i's spectrum, once this thread has made it
+    spectra = _Spectra(ready)
     jobs = [(m, i) for m in config.methods for i in range(len(config.values))]
     rows: dict[tuple[str, int], dict] = {}
     failures = []
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        # Dearest points first (METHODS runs cheapest to dearest): the threads end on short ones.
-        futures = {key: pool.submit(_run_point, config, corpus, *key, labels, channels, split)
-                   for key in sorted(jobs, key=lambda k: -percept.METHODS.index(k[0]))}
+        try:
+            # Dearest points first (METHODS runs cheapest to dearest): threads end on short ones.
+            futures = {key: pool.submit(_run_point, config, spectra, *key, labels, channels, split)
+                       for key in sorted(jobs, key=lambda k: -percept.METHODS.index(k[0]))}
+            # Meanwhile this thread transforms each stack in place: the corpus is never held twice.
+            for i, spectrum in enumerate(ready):
+                corpus[i] = percept.forward(normalize_to_display(corpus[i], config.viewing))
+                spectrum.set_result(corpus[i])
+        except BaseException:  # a stack that cannot be displayed, or an interrupt
+            for spectrum in ready:  # the points waiting for one end, and no other starts
+                spectrum.cancel()
+            pool.shutdown(cancel_futures=True)
+            raise
         for key in jobs:
             try:
                 rows[key] = futures[key].result()

@@ -63,29 +63,60 @@ class TestGenCorpus:
             assert stack.data.shape == (16, 16, 8)
             assert stack.label == entry["label"]
 
-    def test_manifest_directory_fails_before_any_stack(self, tmp_path, capsys):
+    @pytest.mark.parametrize("name, flag", [("manifest.json", "manifest"),
+                                            ("stack_00000.vstk", "--out"),
+                                            ("stack_00003.vstk", "--out")])
+    def test_directory_at_an_output_fails_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                          name, flag):
+        calls = []
+        monkeypatch.setattr(cli, "generate_corpus", lambda *a: calls.append(a))
         out = tmp_path / "corpus"
-        (out / "manifest.json").mkdir(parents=True)
+        (out / name).mkdir(parents=True)
         rc = main(["gen-corpus", "--out", str(out), "--n-pairs", "2", "--nx", "8", "--nt", "8"])
         assert rc == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert json.loads(err) == {"error": "IsADirectoryError",
-                                   "message": f"manifest: {out}/manifest.json is a directory"}
-        assert os.listdir(out) == ["manifest.json"]
+                                   "message": f"{flag}: {out}/{name} is a directory"}
+        assert calls == []
+        assert os.listdir(out) == [name]
 
-    def test_failed_rerun_leaves_no_manifest(self, tmp_path, capsys):
+    def test_failed_rerun_leaves_no_manifest(self, tmp_path, capsys, monkeypatch):
         # The manifest goes before the first stack is replaced and comes back only after the
         # last is written, so it never lists stacks of another seed.
         argv = ["gen-corpus", "--out", str(tmp_path), "--n-pairs", "3", "--nx", "8", "--nt", "8"]
         assert main(argv) == 0
-        (tmp_path / "stack_00001.vstk").unlink()
-        (tmp_path / "stack_00001.vstk").mkdir()
+        real_write, written = cli.write_stack, []
+
+        def write_stack(stack, path):
+            if written:
+                raise OSError("disk full")
+            written.append(path)
+            real_write(stack, path)
+
+        monkeypatch.setattr(cli, "write_stack", write_stack)
         assert main(argv + ["--seed", "5"]) == 1
         assert len(capsys.readouterr().err.splitlines()) == 1
         assert not (tmp_path / "manifest.json").exists()
         rewritten = generate_corpus(3, 8, 8, 8, 3.0, LesionSpec(), 5)[0]
         assert np.array_equal(read_stack(tmp_path / "stack_00000.vstk").data, rewritten.data)
+
+    def test_smaller_rerun_leaves_only_its_stacks(self, tmp_path):
+        # A rerun removes the stacks of an earlier, larger corpus, and no other path: not a
+        # directory past its own stacks, nor a file the tool does not name.
+        argv = ["gen-corpus", "--out", str(tmp_path), "--nx", "8", "--nt", "8", "--n-pairs"]
+        assert main(argv + ["3"]) == 0
+        others = ["notes.txt", "stack_1.vstk", "stack_000009.vstk", "stack_00005x.vstk"]
+        for name in others:
+            (tmp_path / name).write_text("kept\n")
+        (tmp_path / "stack_00007.vstk").mkdir()
+        assert main(argv + ["1"]) == 0
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            ["manifest.json", "stack_00000.vstk", "stack_00001.vstk", "stack_00007.vstk", *others])
+        manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+        assert [entry["path"] for entry in manifest["stacks"]] == [
+            "stack_00000.vstk", "stack_00001.vstk"]
+        assert all((tmp_path / name).read_text() == "kept\n" for name in others)
 
 
 class TestPerceive:

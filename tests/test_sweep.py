@@ -1,10 +1,12 @@
 import csv
-import gc
 import hashlib
 import json
 import math
 import os
 import sys
+import threading
+import time
+import weakref
 from dataclasses import replace as dc_replace
 
 import numpy as np
@@ -507,11 +509,13 @@ class TestRunSweep:
         # stack is displayed and transformed once per sweep, whatever the
         # methods, points or readers; points rescale the stored spectra.
         # Features come straight from the perceived spectra: no inverse
-        # transform runs, and while readers train, no stack is alive.
+        # transform runs, and each stack, as generated and as displayed, is
+        # freed once its spectrum is published (stacks are transformed in
+        # index order, so by the next transform and by the sweep's end).
         calls = {"normalize_to_display": 0, "forward": 0, "inverse": 0}
-        live_stacks = []
+        generated, displayed = [], []
         real_forward, real_inverse = percept.forward, percept.inverse
-        real_normalize, real_hotelling = sweep.normalize_to_display, observer.hotelling_weights
+        real_normalize, real_generate = sweep.normalize_to_display, sweep.generate_corpus
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -519,24 +523,28 @@ class TestRunSweep:
                 return fn(*args, **kwargs)
             return wrapped
 
-        def count_stacks():
-            return sum(isinstance(o, ImageStack) for o in gc.get_objects())
+        def generate(*args):
+            corpus = real_generate(*args)
+            generated.extend(weakref.ref(s) for s in corpus)
+            return corpus
 
-        def hotelling(*args, **kwargs):
-            live_stacks.append(count_stacks() - before)
-            return real_hotelling(*args, **kwargs)
+        def forward(stack):
+            published = len(displayed)
+            assert [r() for r in generated[:published] + displayed] == [None] * 2 * published
+            displayed.append(weakref.ref(stack))
+            return real_forward(stack)
 
+        monkeypatch.setattr(sweep, "generate_corpus", generate)
         monkeypatch.setattr(sweep, "normalize_to_display",
                             counting("normalize_to_display", real_normalize))
-        monkeypatch.setattr(percept, "forward", counting("forward", real_forward))
+        monkeypatch.setattr(percept, "forward", counting("forward", forward))
         monkeypatch.setattr(percept, "inverse", counting("inverse", real_inverse))
-        monkeypatch.setattr(observer, "hotelling_weights", hotelling)
         cfg = tiny_config(methods=methods, n_readers=3)
-        before = count_stacks()
         run_sweep(cfg, tmp_path / "count.csv")
         n_stacks = 2 * cfg.n_pairs
         assert calls == {"normalize_to_display": n_stacks, "forward": n_stacks, "inverse": 0}
-        assert live_stacks and max(live_stacks) == 0
+        assert len(generated) == len(displayed) == n_stacks
+        assert all(r() is None for r in generated + displayed)
 
     @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("methods", [("MC",), ("LF", "PM")])
@@ -607,24 +615,102 @@ class TestRunSweep:
         assert len(points) == len(cfg.methods) * len(cfg.values)
         assert all(split is splits[0] for split in points)
 
-    def test_constant_stack_fails_before_any_point(self, tmp_path, monkeypatch):
-        # The corpus is displayed once, before the points run, so a stack that
-        # cannot be displayed ends the sweep there and nothing is written.
+    @staticmethod
+    def _ends(monkeypatch, sweep_call):
+        # Run a sweep on a helper thread, so that a point left waiting fails the test instead
+        # of hanging it (and is then let go); return what the sweep raised, once every thread
+        # it started has ended.
+        before, raised, read = threading.active_count(), [], []
+        real_point = sweep._run_point
+
+        def run_point(config, spectra, *args):
+            read.append(spectra)
+            return real_point(config, spectra, *args)
+
+        def run():
+            try:
+                sweep_call()
+            except BaseException as exc:  # noqa: BLE001 - the KeyboardInterrupt, too
+                raised.append(exc)
+
+        monkeypatch.setattr(sweep, "_run_point", run_point)
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(timeout=30)
+        if runner.is_alive():
+            for spectra in read:
+                for future in list.copy(spectra):  # the futures themselves, not their results
+                    future.cancel()
+            pytest.fail("the sweep left a point waiting")
+        assert threading.active_count() == before
+        return raised[0] if raised else None
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("bad", [0, 7])
+    def test_constant_stack_ends_the_sweep(self, tmp_path, monkeypatch, threads, bad):
+        # The points start while the corpus is displayed, so a stack that cannot be
+        # displayed ends the sweep with its own error: the points that wait for its
+        # spectrum give up, no error of theirs is reported, and nothing is written.
         real_generate = sweep.generate_corpus
-        points = []
 
         def generate(*args, **kwargs):
             corpus = real_generate(*args, **kwargs)
-            corpus[3] = ImageStack(data=np.full_like(corpus[3].data, 0.5),
-                                   label=corpus[3].label)
+            corpus[bad] = ImageStack(data=np.full_like(corpus[bad].data, 0.5),
+                                     label=corpus[bad].label)
             return corpus
 
         monkeypatch.setattr(sweep, "generate_corpus", generate)
-        monkeypatch.setattr(sweep, "_run_point", lambda *args: points.append(args))
-        with pytest.raises(DegenerateStackError, match="constant"):
-            run_sweep(tiny_config(methods=("LF", "PM", "MC")), tmp_path / "k.csv")
-        assert points == []
+        cfg = tiny_config(methods=("LF", "PM", "MC"))
+        exc = self._ends(monkeypatch, lambda: run_sweep(cfg, tmp_path / "k.csv", threads=threads))
+        assert isinstance(exc, DegenerateStackError) and "constant" in str(exc)
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_interrupted_transform_ends_the_sweep(self, tmp_path, monkeypatch, threads):
+        real_normalize, seen = sweep.normalize_to_display, []
+
+        def normalize(stack, vc):
+            seen.append(stack)
+            if len(seen) == 5:
+                raise KeyboardInterrupt
+            return real_normalize(stack, vc)
+
+        monkeypatch.setattr(sweep, "normalize_to_display", normalize)
+        cfg = tiny_config(methods=("LF", "PM", "MC"))
+        exc = self._ends(monkeypatch, lambda: run_sweep(cfg, tmp_path / "i.csv", threads=threads))
+        assert isinstance(exc, KeyboardInterrupt) and len(seen) == 5
+        assert os.listdir(tmp_path) == []
+
+    def test_points_racing_a_slow_transform_read_only_spectra(self, tmp_path, monkeypatch):
+        # Points read each spectrum while later stacks are still being transformed; a slow
+        # transform may stall them but not change what they read.  Three points run at
+        # once, with threads switching often.
+        cfg = tiny_config(methods=("LF", "PM", "MC"))
+        want = tmp_path / "one.csv"
+        run_sweep(cfg, want)
+        real_forward, real_displayed = percept.forward, percept.displayed
+        transformed, read = [], []
+
+        def forward(stack):
+            time.sleep(0.05 if len(transformed) % 3 == 0 else 0)
+            transformed.append(real_forward(stack))
+            return transformed[-1]
+
+        def displayed(spec, base, vc):
+            read.append((type(spec), len(transformed)))
+            return real_displayed(spec, base, vc)
+
+        monkeypatch.setattr(percept, "forward", forward)
+        monkeypatch.setattr(percept, "displayed", displayed)
+        got, interval = tmp_path / "three.csv", sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            assert self._ends(monkeypatch, lambda: run_sweep(cfg, got, threads=3)) is None
+        finally:
+            sys.setswitchinterval(interval)
+        assert {kind for kind, _ in read} == {percept.SpectralStack}
+        assert read[0][1] < len(transformed)  # the first point read ran beside the transform
+        assert got.read_bytes() == want.read_bytes()
 
     def test_mc_method_runs(self, tmp_path):
         cfg = tiny_config(methods=("MC",), values=(100.0, 200.0, 400.0))
