@@ -332,26 +332,25 @@ def run_sweep(config: SweepConfig, csv_path, threads: int = 1) -> TrendReport:
     jobs = [(m, i) for m in config.methods for i in range(len(config.values))]
     rows: dict[tuple[str, int], dict] = {}
     failures = []
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        try:
-            # Dearest points first (METHODS runs cheapest to dearest): threads end on short ones.
-            futures = {key: pool.submit(_run_point, config, spectra, *key, labels, channels, split)
-                       for key in sorted(jobs, key=lambda k: -percept.METHODS.index(k[0]))}
-            # Meanwhile this thread transforms each stack in place: the corpus is never held twice.
-            for i, spectrum in enumerate(ready):
-                corpus[i] = percept.forward(normalize_to_display(corpus[i], config.viewing))
-                spectrum.set_result(corpus[i])
-        except BaseException:  # a stack that cannot be displayed, or an interrupt
-            for spectrum in ready:  # the points waiting for one end, and no other starts
-                spectrum.cancel()
-            pool.shutdown(cancel_futures=True)
-            raise
+    pool = ThreadPoolExecutor(max_workers=threads)
+    try:
+        # Dearest points first (METHODS runs cheapest to dearest): threads end on short ones.
+        futures = {key: pool.submit(_run_point, config, spectra, *key, labels, channels, split)
+                   for key in sorted(jobs, key=lambda k: -percept.METHODS.index(k[0]))}
+        # Meanwhile this thread transforms each stack in place: the corpus is never held twice.
+        for i, spectrum in enumerate(ready):
+            corpus[i] = percept.forward(normalize_to_display(corpus[i], config.viewing))
+            spectrum.set_result(corpus[i])
         for key in jobs:
             try:
                 rows[key] = futures[key].result()
             except Exception as exc:  # noqa: BLE001 - reported in the manifest
                 failures.append({"method": key[0], "value": config.values[key[1]],
                                  "error": type(exc).__name__, "message": str(exc)})
+    finally:  # a no-op after a clean run; after a bad stack or an interrupt at any time,
+        for spectrum in ready:  # the points waiting for a spectrum end, and no other starts
+            spectrum.cancel()
+        pool.shutdown(cancel_futures=True)
 
     with atomic_open(csv_path, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)

@@ -3,6 +3,8 @@ import hashlib
 import json
 import math
 import os
+import signal
+import subprocess
 import sys
 import threading
 import time
@@ -293,6 +295,28 @@ class TestConfigValidation:
         assert isinstance(cfg, SweepConfig)
         assert len(cfg.values) >= 3 and all(math.isfinite(v) for v in cfg.values)
         assert all(type(getattr(cfg, n)) is int for n in ("n_pairs", "nx", "ny", "nt"))
+
+
+# Runs an MC sweep of five points whose every point marks its start in the directory
+# argv[1] once the transform is over, and then sleeps, so that a signal sent on the first
+# mark lands while the points run.  Args: marks directory, CSV path, threads.
+_SIGINT_PROBE = """
+import pathlib, sys, time
+from vobsim import sweep
+
+marks, real_point = pathlib.Path(sys.argv[1]), sweep._run_point
+
+def run_point(config, spectra, method, point, *args):
+    spectra[-1]  # the last spectrum is set last: the transform is over
+    (marks / str(point)).touch()
+    time.sleep(0.5)
+    return real_point(config, spectra, method, point, *args)
+
+sweep._run_point = run_point
+cfg = sweep.SweepConfig(methods=("MC",), values=(50.0, 100.0, 200.0, 400.0, 800.0), n_pairs=6,
+                        nx=16, ny=16, nt=8, n_channels=8, spread=5.0, n_readers=2)
+sweep.run_sweep(cfg, sys.argv[2], threads=int(sys.argv[3]))
+"""
 
 
 def tiny_config(**overrides):
@@ -711,6 +735,56 @@ class TestRunSweep:
         assert {kind for kind, _ in read} == {percept.SpectralStack}
         assert read[0][1] < len(transformed)  # the first point read ran beside the transform
         assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_interrupted_point_ends_the_sweep(self, tmp_path, monkeypatch, threads):
+        # An interrupt while points run ends the sweep as one in the transform does: the
+        # points already running finish, no queued point starts, and nothing is written.
+        # Point 0 is submitted first, so its call is the sweep's first.
+        real_point, started = sweep._run_point, []
+
+        def run_point(*args):
+            started.append(args[3])
+            if args[3] == 0:
+                raise KeyboardInterrupt
+            return real_point(*args)
+
+        monkeypatch.setattr(sweep, "_run_point", run_point)
+        cfg = tiny_config(methods=("MC",), values=(50.0, 100.0, 200.0, 400.0, 800.0))
+        exc = self._ends(monkeypatch, lambda: run_sweep(cfg, tmp_path / "p.csv", threads=threads))
+        assert isinstance(exc, KeyboardInterrupt)
+        assert 1 <= len(started) <= threads + 1
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.skipif(os.name != "posix", reason="interrupts the sweep with a POSIX SIGINT")
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_sigint_while_points_run_starts_no_further_point(self, tmp_path, threads):
+        # Ctrl-C in a real process, once the transform is over and a point runs: the process
+        # ends once the running points finish, starts no queued point and writes nothing.
+        marks, out = tmp_path / "marks", tmp_path / "out"
+        marks.mkdir()
+        out.mkdir()
+        src = os.path.dirname(os.path.dirname(sweep.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _SIGINT_PROBE, str(marks), str(out / "s.csv"), str(threads)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        try:
+            deadline = time.monotonic() + 30
+            while not any(marks.iterdir()) and proc.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.01)
+            before = set(marks.iterdir())
+            proc.send_signal(signal.SIGINT)
+            err = proc.communicate(timeout=30)[1]
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.communicate()
+            pytest.fail("the interrupted sweep ran on for 30 s")
+        assert before, err  # the signal came while a point ran
+        assert err.strip().splitlines()[-1] == "KeyboardInterrupt"
+        assert os.listdir(out) == []  # neither the CSV nor an error manifest
+        assert len(set(marks.iterdir()) - before) <= threads
 
     def test_mc_method_runs(self, tmp_path):
         cfg = tiny_config(methods=("MC",), values=(100.0, 200.0, 400.0))
