@@ -11,6 +11,7 @@ contrast.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import sys
@@ -130,14 +131,21 @@ class LesionSpec:
                                   f"finite float, got {value!r}")
 
 
+def _libm_pow(x: float, y: float) -> float:
+    """libm's x**y (numpy's rounds by the CPU's SIMD dispatch), inf where it overflows."""
+    try:
+        return math.pow(x, y)
+    except OverflowError:  # numpy's gives inf, and generate_corpus then names beta
+        return math.inf
+
+
 def _shaping_filter(nx: int, ny: int, nt: int, beta: float) -> np.ndarray:
-    """Radial amplitude |f|^(-beta/2) on the rfftn half grid, 0 at the DC."""
+    """Radial amplitude |f|^(-beta/2) on the rfftn half grid, 0 at the DC; libm's, per radius."""
     fx = np.fft.fftfreq(nx)[:, None, None]
     fy = np.fft.fftfreq(ny)[None, :, None]
     ft = np.fft.rfftfreq(nt)[None, None, :]
-    radius = np.sqrt(fx**2 + fy**2 + ft**2)
-    with np.errstate(divide="ignore", over="ignore"):
-        return np.where(radius > 0, radius ** (-beta / 2.0), 0.0)
+    radii, at = np.unique(np.sqrt(fx**2 + fy**2 + ft**2), return_inverse=True)  # radii[0] = 0
+    return np.array([0.0, *(_libm_pow(r, -beta / 2.0) for r in radii[1:].tolist())])[at]
 
 
 def center_offsets(n: int) -> np.ndarray:
@@ -147,11 +155,10 @@ def center_offsets(n: int) -> np.ndarray:
 
 def _lesion_profile(shape: tuple[int, int, int], lesion: LesionSpec) -> np.ndarray:
     """The lesion's bump on a volume of ``shape``."""
-    nx, ny, nt = shape
-    with np.errstate(over="ignore"):  # far narrower than a voxel: exp(-inf) = 0 off center
-        gx = np.exp(-(center_offsets(nx) ** 2) / (2.0 * lesion.sigma_xy**2))
-        gy = np.exp(-(center_offsets(ny) ** 2) / (2.0 * lesion.sigma_xy**2))
-        gt = np.exp(-(center_offsets(nt) ** 2) / (2.0 * lesion.sigma_t**2))
+    def gauss(n, sigma):  # by libm, as the shaping filter's power law
+        with np.errstate(over="ignore"):  # far narrower than a voxel: exp(-inf) = 0 off center
+            return np.array([*map(math.exp, (-(center_offsets(n) ** 2) / (2.0 * sigma**2)))])
+    gx, gy, gt = map(gauss, shape, (lesion.sigma_xy, lesion.sigma_xy, lesion.sigma_t))
     return lesion.amplitude * gx[:, None, None] * gy[None, :, None] * gt[None, None, :]
 
 

@@ -251,19 +251,9 @@ class TrendReport:
     inconclusive: dict[str, bool]
 
 
-class _Spectra(list):
-    """The corpus's spectra as futures, which the calling thread sets in index order: item i
-    waits for spectrum i, and raises CancelledError if the transform failed before it."""
-
-    def __getitem__(self, i: int) -> percept.SpectralStack:
-        return super().__getitem__(i).result()
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
-
-
-def _run_point(config: SweepConfig, spectra: list[percept.SpectralStack], method: str,
-               point: int, labels: np.ndarray, channels: observer.LgChannelSet, split):
+def _run_point(config: SweepConfig, spectrum, method: str, point: int, labels: np.ndarray,
+               channels: observer.LgChannelSet, split):
+    # spectrum(i): stack i's spectrum, once made; CancelledError if the transform failed first.
     vc = config.vc_at(config.values[point])
     # Each stack's spectrum is rescaled to this point's display and perceived;
     # only what the readers train on or score outlives the stack.
@@ -272,7 +262,7 @@ def _run_point(config: SweepConfig, spectra: list[percept.SpectralStack], method
         # McSource per stack.  Draws are projected only where a reader trains on them; a test
         # draw is scored from the trained reader's spectral template.
         def perceived(i):
-            source = percept.McSource.of(percept.displayed(spectra[i], config.viewing, vc), vc)
+            source = percept.McSource.of(percept.displayed(spectrum(i), config.viewing, vc), vc)
             return lambda r: source.draw([config.master_seed, point, r, i])
 
         test_idx, trains = split
@@ -290,7 +280,7 @@ def _run_point(config: SweepConfig, spectra: list[percept.SpectralStack], method
         reader_scores = [stats.CaseScores(s, labels[test_idx], r) for r, s in enumerate(scores.T)]
     else:
         apply = percept.apply_lf if method == "LF" else percept.apply_pm
-        specs = (percept.displayed(s, config.viewing, vc) for s in spectra)
+        specs = (percept.displayed(spectrum(i), config.viewing, vc) for i in range(labels.size))
         features = np.stack([observer.channelize_spectrum(apply(spec, vc), channels)
                              for spec in specs])
         reader_scores = stats.make_readers(features, labels, split)
@@ -328,19 +318,19 @@ def run_sweep(config: SweepConfig, csv_path, threads: int = 1) -> TrendReport:
     channels = observer.make_channels(config.nx, config.ny, config.n_channels, config.spread)
     split = stats.split_cases(labels, config.master_seed, config.n_readers)  # read by every point
     ready = [Future() for _ in corpus]  # stack i's spectrum, once this thread has made it
-    spectra = _Spectra(ready)
     jobs = [(m, i) for m in config.methods for i in range(len(config.values))]
     rows: dict[tuple[str, int], dict] = {}
     failures = []
     pool = ThreadPoolExecutor(max_workers=threads)
     try:
         # Dearest points first (METHODS runs cheapest to dearest): threads end on short ones.
-        futures = {key: pool.submit(_run_point, config, spectra, *key, labels, channels, split)
+        futures = {key: pool.submit(_run_point, config, lambda i: ready[i].result(), *key,
+                                    labels, channels, split)
                    for key in sorted(jobs, key=lambda k: -percept.METHODS.index(k[0]))}
-        # Meanwhile this thread transforms each stack in place: the corpus is never held twice.
+        # Meanwhile this thread transforms each stack and drops it: the corpus is never held twice.
         for i, spectrum in enumerate(ready):
-            corpus[i] = percept.forward(normalize_to_display(corpus[i], config.viewing))
-            spectrum.set_result(corpus[i])
+            spectrum.set_result(percept.forward(normalize_to_display(corpus[i], config.viewing)))
+            corpus[i] = None
         for key in jobs:
             try:
                 rows[key] = futures[key].result()

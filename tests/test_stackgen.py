@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy._core._multiarray_umath import __cpu_features__
 
 from vobsim import stackgen
 from vobsim.errors import (
@@ -156,14 +157,9 @@ class TestGenerateBackground:
     def test_filter_matches_fresh_evaluation(self):
         # Alternating beta must give what filtering with a freshly built
         # filter gives.
-        fx = np.fft.fftfreq(16)[:, None, None]
-        fy = np.fft.fftfreq(16)[None, :, None]
-        ft = np.fft.rfftfreq(8)[None, None, :]
-        radius = np.sqrt(fx**2 + fy**2 + ft**2)
         for beta in (0.0, 3.0, 0.0, 3.0):
             ss = np.random.SeedSequence(9).spawn(1)[0]
-            with np.errstate(divide="ignore"):
-                shaping = np.where(radius > 0, radius ** (-beta / 2.0), 0.0)
+            shaping = stackgen._shaping_filter(16, 16, 8, beta)
             noise = np.random.default_rng(ss).standard_normal((16, 16, 8))
             shaped = np.fft.irfftn(np.fft.rfftn(noise) * shaping, s=noise.shape, axes=(0, 1, 2))
             want = (shaped - shaped.min()) / (shaped.max() - shaped.min())
@@ -400,11 +396,22 @@ class TestManifest:
 
 # sha256 over the data bytes, seed and label of every stack of
 # generate_corpus(n_pairs, nx, nx, nt, 3.0, LesionSpec(amplitude=0.05), 0),
-# recorded with numpy 2.4.6 on x86-64 with AVX-512.
+# recorded with numpy 2.4.6 on x86-64, the same with and without its AVX-512 loops.
 CORPUS_SHA256 = {
-    (6, 16, 8): "7e047710dd58bf2b9ddf7571b19d52071ceafb695cbad583a5e92c84cf5ea641",
-    (3, 64, 32): "7d8695034d61354a0617adaf8840a55208e8af890afc81d233ae8f8d0510b36d",
+    (6, 16, 8): "9ef11c610b26a591db6500acc5a8b349c578ce8e26efa1b9d6e5167ca5c15b22",
+    (3, 64, 32): "ef8cf72d4365a2e8687008cba1b26034725453999b20f6af15acdf9cd8f8e53b",
 }
+
+# Writes the data bytes of generate_corpus(argv[1], argv[2], argv[2], argv[3], 3.0,
+# LesionSpec(amplitude=0.05), 0) to stdout.
+_CORPUS_PROBE = """
+import sys
+from vobsim.stackgen import LesionSpec, generate_corpus
+
+n_pairs, side, nt = map(int, sys.argv[1:])
+for s in generate_corpus(n_pairs, side, side, nt, 3.0, LesionSpec(amplitude=0.05), 0):
+    sys.stdout.buffer.write(s.data.tobytes())
+"""
 
 # Grows the corpus after a one-pair warm-up and prints how far the peak RSS
 # rose beyond the bytes the corpus keeps.  The peak is VmHWM, which is what
@@ -456,6 +463,20 @@ class TestCorpus:
             digest.update(str(s.seed).encode())
             digest.update(s.label.encode())
         assert digest.hexdigest() == CORPUS_SHA256[(n_pairs, side, nt)]
+
+    @pytest.mark.skipif(not __cpu_features__.get("X86_V4"),
+                        reason="numpy runs no AVX-512 loops on this CPU: one dispatch to test")
+    @pytest.mark.parametrize("n_pairs, side, nt", list(CORPUS_SHA256))
+    def test_bytes_do_not_depend_on_simd_dispatch(self, n_pairs, side, nt):
+        # numpy's AVX-512 power law and exp round differently from its AVX2 ones; the corpus
+        # takes neither, so a process with the AVX-512 loops switched off makes the same bytes.
+        src = os.path.dirname(os.path.dirname(stackgen.__file__))
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+               "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        args = [sys.executable, "-c", _CORPUS_PROBE, str(n_pairs), str(side), str(nt)]
+        out = subprocess.run(args, env=env, check=True, capture_output=True)
+        corpus = generate_corpus(n_pairs, side, side, nt, 3.0, LesionSpec(amplitude=0.05), 0)
+        assert out.stdout == b"".join(s.data.tobytes() for s in corpus)
 
     @settings(max_examples=30, deadline=None)
     @given(

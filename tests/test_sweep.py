@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 import weakref
+from concurrent.futures import Future
 from dataclasses import replace as dc_replace
 
 import numpy as np
@@ -306,11 +307,11 @@ from vobsim import sweep
 
 marks, real_point = pathlib.Path(sys.argv[1]), sweep._run_point
 
-def run_point(config, spectra, method, point, *args):
-    spectra[-1]  # the last spectrum is set last: the transform is over
+def run_point(config, spectrum, method, point, *args):
+    spectrum(-1)  # the last spectrum is set last: the transform is over
     (marks / str(point)).touch()
     time.sleep(0.5)
-    return real_point(config, spectra, method, point, *args)
+    return real_point(config, spectrum, method, point, *args)
 
 sweep._run_point = run_point
 cfg = sweep.SweepConfig(methods=("MC",), values=(50.0, 100.0, 200.0, 400.0, 800.0), n_pairs=6,
@@ -428,7 +429,7 @@ class TestPointWork:
         cfg, spectra, labels, channels, split = self._inputs("MC", n_readers)
         test_idx, trains = split
         calls = self._count(monkeypatch)
-        sweep._run_point(cfg, spectra, "MC", 1, labels, channels, split)
+        sweep._run_point(cfg, spectra.__getitem__, "MC", 1, labels, channels, split)
         trained = sum(t.size for t in trains)
         seed = cfg.master_seed
         assert calls["of"] == np.unique(np.concatenate(trains)).size + test_idx.size
@@ -443,9 +444,29 @@ class TestPointWork:
     def test_lf_and_pm_perceive_and_project_each_stack_once(self, monkeypatch, method):
         cfg, spectra, labels, channels, split = self._inputs(method, 3)
         calls = self._count(monkeypatch)
-        sweep._run_point(cfg, spectra, method, 1, labels, channels, split)
+        sweep._run_point(cfg, spectra.__getitem__, method, 1, labels, channels, split)
         assert calls["apply"] == calls["projections"] == len(spectra)
         assert calls["of"] == 0 and calls["draws"] == []
+
+    @pytest.mark.parametrize("method", ["LF", "PM", "MC"])
+    def test_point_reads_each_spectrum_once(self, monkeypatch, method):
+        # LF and PM read every stack in index order.  MC reads its readers' training union in
+        # index order and then the test half, and builds one McSource per stack it reads.
+        cfg, spectra, labels, channels, split = self._inputs(method, 3)
+        calls, read = self._count(monkeypatch), []
+
+        def spectrum(i):
+            read.append(i)
+            return spectra[i]
+
+        sweep._run_point(cfg, spectrum, method, 1, labels, channels, split)
+        test_idx, trains = split
+        if method == "MC":
+            assert read == np.unique(np.concatenate(trains)).tolist() + test_idx.tolist()
+            assert calls["of"] == len(read)
+        else:
+            assert read == list(range(len(spectra)))
+        assert len(set(read)) == len(read)
 
     def test_mc_point_equals_scoring_every_readers_features(self):
         # The same row as projecting every reader's draw of every stack and scoring the
@@ -460,7 +481,7 @@ class TestPointWork:
                     source.draw([cfg.master_seed, 1, r, i]), channels)
         readers = [stats.make_readers(f, labels, split)[r] for r, f in enumerate(features)]
         want = stats.mrmc_one_shot(stats.McmcInput(readers=readers))
-        row = sweep._run_point(cfg, spectra, "MC", 1, labels, channels, split)
+        row = sweep._run_point(cfg, spectra.__getitem__, "MC", 1, labels, channels, split)
         assert (row["auc"], row["auc_var"], row["d_prime"]) == (
             want.auc_mean, want.auc_variance, want.d_prime)
 
@@ -644,12 +665,12 @@ class TestRunSweep:
         # Run a sweep on a helper thread, so that a point left waiting fails the test instead
         # of hanging it (and is then let go); return what the sweep raised, once every thread
         # it started has ended.
-        before, raised, read = threading.active_count(), [], []
-        real_point = sweep._run_point
+        before, raised, ready = threading.active_count(), [], []
 
-        def run_point(config, spectra, *args):
-            read.append(spectra)
-            return real_point(config, spectra, *args)
+        class Recorded(Future):  # the sweep's per-stack futures, which a waiting point reads
+            def __init__(self):
+                super().__init__()
+                ready.append(self)
 
         def run():
             try:
@@ -657,14 +678,13 @@ class TestRunSweep:
             except BaseException as exc:  # noqa: BLE001 - the KeyboardInterrupt, too
                 raised.append(exc)
 
-        monkeypatch.setattr(sweep, "_run_point", run_point)
+        monkeypatch.setattr(sweep, "Future", Recorded)
         runner = threading.Thread(target=run, daemon=True)
         runner.start()
         runner.join(timeout=30)
         if runner.is_alive():
-            for spectra in read:
-                for future in list.copy(spectra):  # the futures themselves, not their results
-                    future.cancel()
+            for future in ready:
+                future.cancel()
             pytest.fail("the sweep left a point waiting")
         assert threading.active_count() == before
         return raised[0] if raised else None
