@@ -54,6 +54,7 @@ DEFAULT_GRIDS = {  # every sweepable parameter, with the values it is swept over
     "ssr": [1.5, 30.0, 120.0, 250.0, 500.0],
     "browse_speed": [10.0, 50.0, 200.0, 800.0, 3200.0],
 }
+_MIN_TREND_POINTS = 3  # the fewest sweep values, and d' points, a trend label is read from
 
 DISPLAY_WIDTH_CM = 3.0
 DISPLAY_WIDTH_PX = 64
@@ -85,8 +86,8 @@ def classify_trend(d_primes, error_bars) -> str:
     """
     d = np.asarray(d_primes, dtype=float)
     b = np.asarray(error_bars, dtype=float)
-    if d.size < 3 or b.size != d.size:
-        raise DomainError("classify_trend needs at least 3 matched points")
+    if d.size < _MIN_TREND_POINTS or b.size != d.size:
+        raise DomainError(f"classify_trend needs at least {_MIN_TREND_POINTS} matched points")
 
     for i in range(1, d.size - 1):
         if d[i] - d[0] > b[i] + b[0] and d[i] - d[-1] > b[i] + b[-1]:
@@ -152,8 +153,9 @@ class SweepConfig:
                               f"got {self.parameter!r}")
         values = self.values or tuple(DEFAULT_GRIDS[self.parameter])
         object.__setattr__(self, "values", tuple(_finite("sweep.values", v) for v in values))
-        if len(self.values) < 3:
-            raise ConfigError(f"sweep.values: need 3 or more for a trend, got {len(self.values)}")
+        if len(self.values) < _MIN_TREND_POINTS:
+            raise ConfigError(f"sweep.values: need {_MIN_TREND_POINTS} or more for a trend, "
+                              f"got {len(self.values)}")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ConfigError("sweep.values: must be strictly increasing")
         if self.ny is None:

@@ -42,6 +42,13 @@ class TestCsfEval:
             detection_probability(0.01, csf(4.0, 0.0, geom)), rel=1e-12
         )
 
+    def test_small_modulation_gives_a_probability_inside_0_1(self, capsys):
+        argv = ["csf", "eval", "--u", "4", "--w", "0", "--l-avg", "150", "--x0", "9",
+                "--m", "0.001"]
+        assert main(argv) == 0
+        s_line, p_line = capsys.readouterr().out.splitlines()
+        assert float(s_line) > 0 and 0 < float(p_line) < 1
+
 
 class TestGenCorpus:
     def test_writes_stacks_and_manifest(self, tmp_path, capsys):
@@ -65,6 +72,7 @@ class TestGenCorpus:
 
     @pytest.mark.parametrize("name, flag", [("manifest.json", "manifest"),
                                             ("stack_00000.vstk", "--out"),
+                                            ("stack_00001.vstk", "--out"),
                                             ("stack_00003.vstk", "--out")])
     def test_directory_at_an_output_fails_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                           name, flag):
@@ -118,6 +126,37 @@ class TestGenCorpus:
             "stack_00000.vstk", "stack_00001.vstk"]
         assert all((tmp_path / name).read_text() == "kept\n" for name in others)
 
+    def test_rerun_is_byte_identical(self, tmp_path):
+        # The same arguments write the same bytes, and a smaller rerun keeps those of the
+        # stacks it shares with the larger run.
+        argv = ["gen-corpus", "--nx", "16", "--nt", "8", "--n-pairs"]
+        assert main([*argv, "2", "--out", str(tmp_path / "a")]) == 0
+        assert main([*argv, "2", "--out", str(tmp_path / "b")]) == 0
+        first = {p.name: p.read_bytes() for p in (tmp_path / "a").iterdir()}
+        assert len(first) == 5
+        assert {p.name: p.read_bytes() for p in (tmp_path / "b").iterdir()} == first
+        assert main([*argv, "1", "--out", str(tmp_path / "a")]) == 0
+        assert {p.name: p.read_bytes() for p in (tmp_path / "a").glob("*.vstk")} == {
+            name: first[name] for name in ("stack_00000.vstk", "stack_00001.vstk")}
+
+    @pytest.mark.parametrize("nx, amplitude, method, word", [("16", "1e308", "PM", "stack values"),
+                                                            ("8", "1e305", "LF", "LF output")])
+    def test_extreme_lesion_is_written_and_refused_by_perceive(self, tmp_path, capsys, nx,
+                                                               amplitude, method, word):
+        # Any finite amplitude makes a corpus; perceive refuses the lesion stack whose values,
+        # or whose LF output, overflow.
+        corpus, out = tmp_path / "corpus", tmp_path / "out.vstk"
+        assert main(["gen-corpus", "--out", str(corpus), "--nx", nx, "--nt", "8",
+                     "--n-pairs", "1", "--amplitude", amplitude]) == 0
+        capsys.readouterr()
+        assert main(["perceive", "--input", str(corpus / "stack_00001.vstk"),
+                     "--output", str(out), "--method", method]) == 1
+        printed, err = capsys.readouterr()
+        assert printed == "" and len(err.splitlines()) == 1
+        report = json.loads(err)
+        assert report["error"] == "DomainError" and word in report["message"]
+        assert not out.exists()
+
 
 class TestPerceive:
     @pytest.fixture()
@@ -141,6 +180,18 @@ class TestPerceive:
         vc = ViewingConditions()
         want = percept.perceive(normalize_to_display(stack, vc), "LF", vc)
         assert np.array_equal(got.data, want.data)
+
+    def test_pm_round_trip_matches_library(self, tmp_path, stack_file):
+        from vobsim import percept
+
+        path, stack = stack_file
+        out_path = tmp_path / "out.vstk"
+        argv = ["perceive", "--input", str(path), "--output", str(out_path), "--normalize",
+                "--method", "PM"]
+        assert main(argv) == 0
+        vc = ViewingConditions()
+        want = percept.perceive(normalize_to_display(stack, vc), "PM", vc)
+        assert np.array_equal(read_stack(out_path).data, want.data)
 
     def test_mc_requires_seed(self, tmp_path, stack_file, capsys):
         path, _ = stack_file
@@ -204,6 +255,9 @@ class TestSweepCommand:
         "missing --report directory": ("o.csv", ["--report", "missing/r.json"],
                                        "FileNotFoundError", "--report: directory", "missing"),
         "--out is a directory": ("dir", [], "IsADirectoryError", "--out: ", "dir is a directory"),
+        "--out is a directory, with --report": ("dir", ["--report", "r.json"],
+                                                "IsADirectoryError", "--out: ",
+                                                "dir is a directory"),
         "--report is a directory": ("o.csv", ["--report", "dir"], "IsADirectoryError",
                                     "--report: ", "dir is a directory"),
         "--out under a file": ("cfg.json/o.csv", [], "NotADirectoryError", "--out: ",
@@ -340,6 +394,10 @@ class TestBadInputs:
         ("infinite beta", ["--beta", "inf"], "DomainError", "beta"),
         ("beta overflows the filter", ["--nx", "64", "--nt", "32", "--beta", "400"],
          "DomainError", "beta"),
+        ("beta 1000 overflows the filter", ["--beta", "1000"], "DomainError", "beta"),
+        ("sigma_xy 1e-155 changes no voxel",
+         ["--n-pairs", "1", "--nx", "8", "--sigma-xy", "1e-155"], "DomainError",
+         "change no voxel"),
         ("infinite amplitude", ["--amplitude", "inf"], "DomainError", "amplitude"),
         ("infinite sigma_xy", ["--sigma-xy", "inf"], "DomainError", "sigma_xy"),
         ("infinite sigma_t", ["--sigma-t", "inf"], "DomainError", "sigma_t"),
@@ -361,6 +419,16 @@ class TestBadInputs:
         ("sweep n_readers beyond any address space",
          {"corpus": {"n_pairs": 4, "nx": 8, "nt": 8}, "observer": {"n_readers": 10**30}},
          "ConfigError", "observer.n_readers"),
+        ("sweep nx beyond any address space", {"corpus": {"nx": 10**400, "ny": 10**400}},
+         "ConfigError", "corpus.nx"),
+        ("sweep repeated method", {"methods": ["PM", "PM"], "corpus": {"n_pairs": 4, "nx": 8,
+                                                                       "nt": 8}},
+         "ConfigError", "methods: 'PM' is listed more than once"),
+        ("sweep lesion center", {"corpus": {"n_pairs": 4, "nx": 8, "nt": 8,
+                                            "lesion": {"center": [3.5, 3.5, 3.5]}}},
+         "ConfigError", "corpus.lesion.center: unknown key"),
+        ("sweep version true", {"version": True, "corpus": {"n_pairs": 4, "nx": 8, "nt": 8}},
+         "ConfigError", "version: unsupported config version True"),
         # A spread whose square overflows or underflows to 0 (the config refuses it), or whose
         # channels underflow to zero everywhere (the channel build, once per sweep, refuses it).
         *((f"sweep spread {spread}",
@@ -399,12 +467,14 @@ class TestBadInputs:
         else:
             argv = ["gen-corpus", "--out", str(out), "--n-pairs", "2", "--nx", "16", "--nt", "8"]
         assert main(argv + extra) == 1
-        err = capsys.readouterr().err
+        printed, err = capsys.readouterr()
+        assert printed == ""
         assert len(err.splitlines()) == 1
         report = json.loads(err)
         assert report["error"] == error
         assert word in report["message"]
         assert not out.exists()
+        assert not Path(f"{out}{sweep.ERRORS_SUFFIX}").exists()
 
     @pytest.mark.parametrize("argv, word", [
         (["gen-corpus", "--out", "out", "--n-pairs", "2.5"], "--n-pairs: invalid int value"),
@@ -434,13 +504,19 @@ class TestBadInputs:
 
     def test_module_help_exits_zero_with_runtime_warnings_as_errors(self):
         # The package imports no submodule, so runpy has no cause to warn before running cli.
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-        done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "vobsim.cli",
-                               "--help"], env=env, capture_output=True, text=True)
+        done = _run_module("--help")
         assert (done.returncode, done.stderr) == (0, "")
         assert "gen-corpus" in done.stdout
+
+    def test_module_failure_is_one_json_line_and_writes_nothing(self, tmp_path):
+        # The failure contract of the process: exit 1, nothing on stdout, one JSON line on
+        # stderr, neither the CSV nor its error manifest.
+        done = _run_module("sweep", "--config", str(tmp_path / "nothere.json"),
+                           "--out", str(tmp_path / "o.csv"))
+        assert (done.returncode, done.stdout) == (1, "")
+        assert len(done.stderr.splitlines()) == 1
+        assert json.loads(done.stderr)["message"].startswith("--config:")
+        assert os.listdir(tmp_path) == []
 
     # Huge, tiny or non-finite inputs give a result or the one-line JSON error
     # naming the field, never a numpy warning on the way.  "perceive" perceives
@@ -497,11 +573,11 @@ class TestBadInputs:
                 extra = ["--normalize", "--method", "PM", *extra]
             argv = ["perceive", "--input", str(stack), "--output", str(out), *extra]
         rc = main(argv)
-        err = capsys.readouterr().err
+        printed, err = capsys.readouterr()
         if word is None:
             assert (rc, err) == (0, "")
             return
-        assert rc == 1
+        assert (rc, printed) == (1, "")
         assert len(err.splitlines()) == 1
         assert word in json.loads(err)["message"]
         assert not out.exists()
@@ -625,6 +701,17 @@ class TestBadInputs:
         assert report["message"].startswith("--output: ")
         assert sorted(os.listdir(tmp_path)) == ["in.vstk", "out"]
         assert os.listdir(tmp_path / "out") == []
+
+
+def _run_module(*argv):
+    """``python -m vobsim.cli *argv`` on the src beside these tests, with the three warning
+    classes that pytest.ini makes errors made errors in the child too."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-W", "error::DeprecationWarning",
+                           "-W", "error::FutureWarning", "-W", "error::RuntimeWarning",
+                           "-m", "vobsim.cli", *argv], env=env, capture_output=True, text=True)
 
 
 def _input_stacks():

@@ -299,20 +299,28 @@ class TestConfigValidation:
 
 
 # Runs an MC sweep of five points whose every point marks its start in the directory
-# argv[1] once the transform is over, and then sleeps, so that a signal sent on the first
-# mark lands while the points run.  Args: marks directory, CSV path, threads.
+# argv[1] once the transform is over, waits until the SIGINT handler has run and then
+# sleeps, so that a signal sent on the first mark lands while the points run, and the
+# points outlast the handler however late a loaded host runs it.
+# Args: marks directory, CSV path, threads.
 _SIGINT_PROBE = """
-import pathlib, sys, time
+import pathlib, signal, sys, threading, time
 from vobsim import sweep
 
-marks, real_point = pathlib.Path(sys.argv[1]), sweep._run_point
+marks, real_point, interrupted = pathlib.Path(sys.argv[1]), sweep._run_point, threading.Event()
+
+def on_sigint(signum, frame):
+    interrupted.set()
+    signal.default_int_handler(signum, frame)
 
 def run_point(config, spectrum, method, point, *args):
     spectrum(-1)  # the last spectrum is set last: the transform is over
     (marks / str(point)).touch()
+    interrupted.wait(30)
     time.sleep(0.5)
     return real_point(config, spectrum, method, point, *args)
 
+signal.signal(signal.SIGINT, on_sigint)
 sweep._run_point = run_point
 cfg = sweep.SweepConfig(methods=("MC",), values=(50.0, 100.0, 200.0, 400.0, 800.0), n_pairs=6,
                         nx=16, ny=16, nt=8, n_channels=8, spread=5.0, n_readers=2)
