@@ -254,7 +254,8 @@ def corpus_faults(n_pairs: int, nx: int, ny: int, nt: int, beta: float, master_s
     if not 0 <= beta < np.inf:  # NaN compares false
         yield "beta", f"beta must be finite and non-negative, got {beta!r}"
     if nx * ny * nt * 8 > sys.maxsize:  # one float64 stack beyond any address space
-        yield "nx", f"nx {nx}, ny {ny} and nt {nt} make a stack larger than any address space"
+        largest = max((("nx", nx), ("ny", ny), ("nt", nt)), key=lambda named: named[1])[0]
+        yield largest, f"nx {nx}, ny {ny} and nt {nt} make a stack larger than any address space"
     elif 2 * n_pairs * nx * ny * nt * 8 > sys.maxsize:  # the 2 n_pairs stacks a corpus keeps
         yield "n_pairs", (f"n_pairs {n_pairs}, nx {nx}, ny {ny} and nt {nt} make a corpus "
                           f"larger than any address space")

@@ -52,11 +52,14 @@ class TestBartenParams:
         assert p.tau10 == 0.032
         assert p.tau20 == 0.018
 
-    def test_geometry_validation(self):
-        with pytest.raises(DomainError):
-            FieldGeometry(x0=0.0, l_avg=100.0)
-        with pytest.raises(DomainError):
-            FieldGeometry(x0=10.0, l_avg=-5.0)
+    @pytest.mark.parametrize("x0, l_avg, message", [
+        (0.0, 100.0, "FieldGeometry.x0 must be in (0, 180] deg and its square non-zero, got 0.0"),
+        (10.0, -5.0, "FieldGeometry.l_avg must be positive, got -5.0"),
+    ], ids=["x0", "l_avg"])
+    def test_geometry_validation(self, x0, l_avg, message):
+        with pytest.raises(DomainError) as raised:
+            FieldGeometry(x0=x0, l_avg=l_avg)
+        assert str(raised.value) == message
 
 
 class TestPupilDiameter:
@@ -78,11 +81,14 @@ class TestPupilDiameter:
             for x0 in (0.5, 2, 10, 40):
                 assert 2.0 < pupil_diameter(l_avg, x0) < 8.0
 
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            pupil_diameter(0.0, 10.0)
-        with pytest.raises(DomainError):
-            pupil_diameter(100.0, -1.0)
+    @pytest.mark.parametrize("l_avg, x0, message", [
+        (0.0, 10.0, "l_avg must be positive, got 0.0"),
+        (100.0, -1.0, "x0 must be positive, got -1.0"),
+    ], ids=["l_avg", "x0"])
+    def test_domain_errors(self, l_avg, x0, message):
+        with pytest.raises(DomainError) as raised:
+            pupil_diameter(l_avg, x0)
+        assert str(raised.value) == message
 
 
 class TestRetinalIlluminance:
@@ -96,13 +102,15 @@ class TestRetinalIlluminance:
             2.0 * retinal_illuminance(100.0, 4.0), rel=1e-12
         )
 
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            retinal_illuminance(0.0, 5.0)
-        with pytest.raises(DomainError):
-            retinal_illuminance(100.0, 9.7)
-        with pytest.raises(DomainError):
-            retinal_illuminance(100.0, -1.0)
+    @pytest.mark.parametrize("l_avg, d_pupil, message", [
+        (0.0, 5.0, "l_avg must be positive, got 0.0"),
+        (100.0, 9.7, "d_pupil must be in (0, 9) mm, got 9.7"),
+        (100.0, -1.0, "d_pupil must be in (0, 9) mm, got -1.0"),
+    ], ids=["l_avg", "d_pupil above", "d_pupil below"])
+    def test_domain_errors(self, l_avg, d_pupil, message):
+        with pytest.raises(DomainError) as raised:
+            retinal_illuminance(l_avg, d_pupil)
+        assert str(raised.value) == message
 
 
 class TestSensitivity:
@@ -148,12 +156,14 @@ class TestSensitivity:
                 assert np.all(np.isfinite(s))
                 assert np.all(s >= 0)
 
-    def test_rejects_negative_frequencies(self):
-        geom = FieldGeometry(x0=10.0, l_avg=100.0)
-        with pytest.raises(DomainError):
-            csf(-1.0, 0.0, geom)
-        with pytest.raises(DomainError):
-            csf(1.0, -2.0, geom)
+    @pytest.mark.parametrize("u, w, message", [
+        (-1.0, 0.0, "spatial frequency u must be finite and non-negative"),
+        (1.0, -2.0, "temporal frequency w must be finite and non-negative"),
+    ], ids=["u", "w"])
+    def test_rejects_negative_frequencies(self, u, w, message):
+        with pytest.raises(DomainError) as raised:
+            csf(u, w, FieldGeometry(x0=10.0, l_avg=100.0))
+        assert str(raised.value) == message
 
 
 class TestDetectionProbability:

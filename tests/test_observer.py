@@ -65,24 +65,26 @@ class TestChannels:
             assert np.array_equal(arrays[:, ::-1, :], arrays)
             assert np.array_equal(arrays[:, :, ::-1], arrays)
 
+    # The spread's square must be finite and non-zero, and every channel must keep a finite
+    # non-zero norm: far below a pixel, channel 0 underflows to zero everywhere, and a
+    # high-order channel overflows its Laguerre polynomial where its Gaussian underflows.
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            make_channels(64, 64, n_channels=0)
-        with pytest.raises(DomainError):
-            make_channels(64, 64, 15, spread=-1.0)
-        # The spread's square must be finite and non-zero, and every channel must keep a
-        # finite non-zero norm: far below a pixel, channel 0 underflows to zero everywhere.
-        for spread in (1e308, 1e-170, 1e-320, 0.01):
-            with pytest.raises(DomainError, match="spread"):
-                make_channels(64, 64, 15, spread=spread)
-        # A high-order channel overflows its Laguerre polynomial where its Gaussian underflows.
-        with pytest.raises(DomainError, match="channel 200"):
-            make_channels(16, 16, 256, spread=0.5)
-        # At most one channel per pixel: more would be linearly dependent.
+    @pytest.mark.parametrize("side, n_channels, spread, message", [
+        (64, 0, 10.0, "n_channels must be between 1 and nx * ny = 4096, got 0"),
+        (8, 65, 10.0, "n_channels must be between 1 and nx * ny = 64, got 65"),
+        *((64, 15, spread, f"spread must be positive with a finite non-zero square, got {spread!r}")
+          for spread in (-1.0, 1e308, 1e-170, 1e-320)),
+        (64, 15, 0.01, "spread 0.01 gives LG channel 0 no finite non-zero norm on a 64x64 slice"),
+        (16, 256, 0.5, "spread 0.5 gives LG channel 200 no finite non-zero norm on a 16x16 slice"),
+    ])
+    def test_validation(self, side, n_channels, spread, message):
+        with pytest.raises(DomainError) as raised:
+            make_channels(side, side, n_channels, spread=spread)
+        assert str(raised.value) == message
+
+    def test_one_channel_per_pixel_at_most(self):
+        # More would be linearly dependent; "more channels than pixels" is the refusal.
         assert make_channels(8, 8, 64).matrix.shape == (64, 64)
-        with pytest.raises(DomainError, match="n_channels"):
-            make_channels(8, 8, 65)
 
 
 class TestChannelize:
@@ -170,6 +172,12 @@ class TestHotellingWeights:
         # Two constant classes that differ: a direction to weigh, but no spread to whiten.
         with pytest.raises(SingularCovarianceError, match="nonzero mean difference"):
             hotelling_weights(np.zeros((3, 2)), np.ones((4, 2)))
+
+    def test_rank_deficient_covariance_without_a_ridge_is_singular(self):
+        # Two equal features: a covariance with a positive trace and no inverse.
+        absent = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
+        with pytest.raises(SingularCovarianceError, match="covariance remained singular at ridge"):
+            hotelling_weights(absent, absent * 2.0 + 1.0, ridge_scale=0.0)
 
 
 class TestTrain:

@@ -273,6 +273,11 @@ class TestNormalizeToDisplay:
             normalize_to_display(flat, ViewingConditions())
 
 
+def _with_field(raw, field, value):
+    """``raw`` with header field ``field`` (0 is nx) set to ``value``."""
+    return raw[:8 + 4 * field] + value.to_bytes(4, "little") + raw[12 + 4 * field:]
+
+
 class TestStackIO:
     def test_round_trip(self, tmp_path):
         _, lesioned = generate_corpus(1, 16, 16, 8, 2.0, LesionSpec(amplitude=0.3), 9)
@@ -310,40 +315,35 @@ class TestStackIO:
         header = 8 + 24 + 8
         assert path.stat().st_size == header + 64 * 64 * 32 * 8
 
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "s.vstk"
-        path.write_bytes(b"NOTSTACK" + bytes(64))
-        with pytest.raises(MalformedHeaderError):
-            read_stack(path)
+    # case: (damage to the bytes of an 8x8x8 stack, error, message after "<path>: ").
+    # Header fields are little-endian uint32 after the 8 magic bytes: nx, ny, nt, dtype
+    # tag, label, reserved.
+    BAD_FILES = {
+        "short": (lambda raw: raw[:39], MalformedHeaderError, "file shorter than header"),
+        "magic": (lambda raw: b"NOTSTACK" + raw[8:], MalformedHeaderError, "bad magic bytes"),
+        "dtype": (lambda raw: _with_field(raw, 3, 1), MalformedHeaderError,
+                  "unknown dtype tag 1"),
+        "label": (lambda raw: _with_field(raw, 4, 2), MalformedHeaderError,
+                  "invalid label/reserved fields"),
+        "reserved": (lambda raw: _with_field(raw, 5, 1), MalformedHeaderError,
+                     "invalid label/reserved fields"),
+        "zero nt": (lambda raw: _with_field(raw, 2, 0)[:40], MalformedHeaderError,
+                    "zero dimension in header"),
+        "non-square": (lambda raw: _with_field(raw, 1, 16), DimensionMismatchError,
+                       "slices must be square, got 8x16"),
+        "truncated": (lambda raw: raw[:-16], TruncatedPayloadError,
+                      "payload is 4080 bytes, header promises 4096"),
+    }
 
-    def test_zero_nt_rejected(self, tmp_path):
-        stack = ImageStack(data=np.zeros((8, 8, 8)))
+    @pytest.mark.parametrize("case", list(BAD_FILES))
+    def test_damaged_header_or_payload_refused(self, tmp_path, case):
+        damage, error, message = self.BAD_FILES[case]
         path = tmp_path / "s.vstk"
-        write_stack(stack, path)
-        raw = bytearray(path.read_bytes())
-        raw[8 + 8 : 8 + 12] = (0).to_bytes(4, "little")  # nt field
-        path.write_bytes(bytes(raw[: 8 + 24 + 8]))
-        with pytest.raises(MalformedHeaderError):
+        write_stack(ImageStack(data=np.zeros((8, 8, 8))), path)
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(error) as raised:
             read_stack(path)
-
-    def test_non_square_rejected(self, tmp_path):
-        path = tmp_path / "s.vstk"
-        stack = ImageStack(data=np.zeros((8, 8, 8)))
-        write_stack(stack, path)
-        raw = bytearray(path.read_bytes())
-        raw[8 + 4 : 8 + 8] = (16).to_bytes(4, "little")  # ny field
-        path.write_bytes(bytes(raw))
-        with pytest.raises(DimensionMismatchError):
-            read_stack(path)
-
-    def test_truncated_payload(self, tmp_path):
-        stack = ImageStack(data=np.zeros((8, 8, 8)))
-        path = tmp_path / "s.vstk"
-        write_stack(stack, path)
-        raw = path.read_bytes()
-        path.write_bytes(raw[:-16])
-        with pytest.raises(TruncatedPayloadError):
-            read_stack(path)
+        assert str(raised.value) == f"{path}: {message}"
 
     def test_axis_order_x_fastest(self, tmp_path):
         data = np.arange(8 * 8 * 8, dtype=float).reshape((8, 8, 8))

@@ -39,9 +39,14 @@ def simulate_ensemble(rng, n_readers=4, n_per_class=100, d=1.2, sigma_reader=0.6
 
 
 class TestInputs:
-    def test_scores_and_labels_must_match(self):
-        with pytest.raises(DomainError, match="equal length"):
-            CaseScores(scores=np.arange(4.0), labels=np.array([0, 1, 0], bool))
+    @pytest.mark.parametrize("scores, labels", [
+        (np.arange(4.0), np.array([0, 1, 0], bool)),
+        (np.zeros((2, 2)), np.zeros((2, 2), bool)),
+    ], ids=["unequal lengths", "2D"])
+    def test_scores_and_labels_must_match(self, scores, labels):
+        with pytest.raises(DomainError) as raised:
+            CaseScores(scores=scores, labels=labels)
+        assert str(raised.value) == "scores and labels must be 1D arrays of equal length"
 
     def test_scores_must_be_finite(self):
         with pytest.raises(DomainError, match="finite"):
@@ -171,11 +176,11 @@ class TestDPrime:
         # AUC = (1 + erf(1)) / 2 maps to d' = 2.
         assert d_prime(0.9213503964748574) == pytest.approx(2.0, rel=1e-9)
 
-    def test_saturation(self):
-        with pytest.raises(SaturationError):
-            d_prime(1.0)
-        with pytest.raises(SaturationError):
-            d_prime(0.0)
+    @pytest.mark.parametrize("auc_value", [1.0, 0.0])
+    def test_saturation(self, auc_value):
+        with pytest.raises(SaturationError) as raised:
+            d_prime(auc_value)
+        assert str(raised.value) == f"AUC of {auc_value!r} has no finite d'"
 
     def test_monotone_in_auc(self):
         pos = np.array([1.0, 2.0, 3.0])

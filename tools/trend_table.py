@@ -28,6 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from test_acceptance import TREND_EXPECTATIONS  # noqa: E402
+from vobsim.errors import ConfigError  # noqa: E402
 from vobsim.sweep import DEFAULT_GRIDS, SweepConfig, run_sweep  # noqa: E402
 
 
@@ -55,22 +56,28 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="directory for the sweeps' CSVs")
     parser.add_argument("--overrides", default="{}", help="JSON config sections, as above")
     args = parser.parse_args(argv)
-    overrides = json.loads(args.overrides)
+    try:
+        overrides = json.loads(args.overrides)
+    except json.JSONDecodeError as exc:
+        parser.error(f"--overrides: {exc}")
     corpus = overrides.get("corpus", {}) if isinstance(overrides, dict) else None
     malformed = not isinstance(corpus, dict) or "sweep" in overrides
     if malformed or {"n_pairs", "master_seed"} & set(corpus):  # the tool's own keys
         parser.error("--overrides: a JSON object of config sections, without sweep, "
                      "corpus.n_pairs or corpus.master_seed")
+    try:  # every sweep's config, before any output is made
+        configs = {(parameter, seed): _config(overrides, parameter, args.pairs, seed)
+                   for seed in args.seeds for parameter in TREND_EXPECTATIONS}
+    except ConfigError as exc:
+        parser.error(str(exc))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     reports = {}  # (parameter, seed) -> TrendReport
-    for seed in args.seeds:
-        for parameter in TREND_EXPECTATIONS:
-            cfg = _config(overrides, parameter, args.pairs, seed)
-            csv_path = out / f"{parameter}-seed{seed}.csv"
-            reports[parameter, seed] = run_sweep(cfg, csv_path, threads=os.cpu_count() or 1)
-            print(f"{parameter} seed {seed}: {reports[parameter, seed].labels}", file=sys.stderr)
+    for (parameter, seed), cfg in configs.items():
+        csv_path = out / f"{parameter}-seed{seed}.csv"
+        reports[parameter, seed] = run_sweep(cfg, csv_path, threads=os.cpu_count() or 1)
+        print(f"{parameter} seed {seed}: {reports[parameter, seed].labels}", file=sys.stderr)
 
     methods = list(next(iter(reports.values())).labels)  # the config's, in its order
     head = ["parameter", "method", "expected", *(f"seed {s}" for s in args.seeds)]
